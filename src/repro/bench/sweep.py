@@ -162,11 +162,11 @@ def paper_smoke_sweep(
     """Reduced Fig. 5 slice at full paper scale, hybrid (auto) mode.
 
     Same shape as :func:`smoke_sweep` but at the paper's 2160-rank Niagara
-    footprint, forced through ``sim_mode="auto"`` so every stage is either
-    costed analytically or replayed on the compiled fast path — a pure-DES
-    pass at this scale would take minutes per spec.  The grid is fixed, so
-    a warm cache answers the whole slice; CI gates on both the cold pass's
-    wall clock and the warm pass's hit rate.
+    footprint, forced through ``sim_mode="auto"`` so every cell is replayed
+    exactly on the compiled fast path — a pure-DES pass at this scale would
+    take minutes per spec.  The grid is fixed, so a warm cache answers the
+    whole slice; CI gates on both the cold pass's wall clock and the warm
+    pass's hit rate.
     """
     cfg = config or SweepConfig()
     from repro.collectives.runner import RunOptions

@@ -9,7 +9,7 @@ paper measures both: Figs. 4-7 time the operation; Fig. 8 the setup.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, ClassVar, Generator
 
 from repro.cluster.machine import Machine
@@ -110,39 +110,42 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         shipped ones) override this to emit a
         :class:`~repro.sim.schedule.Schedule` describing exactly the ops
         their generators would perform, enabling the engine-free fast path
-        (``sim_mode="auto"``/``"analytic"``).  The default ``None`` means
-        "no static schedule available" and forces the discrete-event path.
+        (``sim_mode="auto"``/``"analytic"``).  Op byte fields must come from
+        ``ctx.size_of``/``ctx.sizes_of`` only (never ``ctx.msg_size``), which
+        is what lets :meth:`schedule_for` build in block counts.  The
+        default ``None`` means "no static schedule available" and forces
+        the discrete-event path.
         """
         return None
 
     def schedule_for(self, ctx: ExecutionContext):
-        """Memoized :meth:`build_schedule`.
+        """Memoized :meth:`build_schedule`, in block counts for uniform sizes.
 
-        A schedule depends only on the plan (pinned by :meth:`setup`'s own
-        identity key: topology + machine) and the block sizes — not on
-        payloads or result buffers — so repeated invocations with the same
-        inputs (bench repeats, warm sweeps) reuse one schedule, which in
-        turn keeps its compiled fast-path segments warm.  Strong references
-        to the keyed objects are held in the cache entry, so identity
-        checks can never alias recycled ids.
+        Backends size their ops only through ``ctx.size_of`` and
+        ``ctx.sizes_of``, so a uniform-size schedule is linear in the block
+        size: built once on a copy of ``ctx`` with ``msg_size=1``, its byte
+        fields are block counts, and the schedule at ``m`` is that one
+        priced with ``unit=m`` (see :func:`repro.sim.fastpath.execute_schedule`).
+        One schedule per set-up ``(topology, machine)`` — pinned by
+        :meth:`setup`'s own identity key — therefore serves every message
+        size, and so does its compiled fast-path plan.  Allgatherv contexts
+        keep raw byte counts (price them with ``unit=1``) and their
+        ``block_sizes`` in the memo key.  Strong references to the keyed
+        objects are held in the cache entry, so identity checks can never
+        alias recycled ids.
         """
+        sizes = None if ctx.block_sizes is None else list(ctx.block_sizes)
         cached = self._schedule_cache
         if (
             cached is not None
             and cached[0] is ctx.topology
             and cached[1] is ctx.machine
-            and cached[2] == ctx.msg_size
-            and cached[3] == ctx.block_sizes
+            and cached[2] == sizes
         ):
-            return cached[4]
-        schedule = self.build_schedule(ctx)
-        self._schedule_cache = (
-            ctx.topology,
-            ctx.machine,
-            ctx.msg_size,
-            None if ctx.block_sizes is None else list(ctx.block_sizes),
-            schedule,
-        )
+            return cached[3]
+        build_ctx = ctx if sizes is not None else replace(ctx, msg_size=1)
+        schedule = self.build_schedule(build_ctx)
+        self._schedule_cache = (ctx.topology, ctx.machine, sizes, schedule)
         return schedule
 
     def replan(

@@ -24,7 +24,6 @@ from repro.collectives.base import (
 )
 from repro.sim.engine import Engine, RankFailedError
 from repro.sim.fastpath import execute_schedule
-from repro.sim.schedule import contention_free
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.tracing import TraceCollector
 from repro.topology.graph import DistGraphTopology
@@ -131,12 +130,13 @@ class RunOptions:
     sim_mode:
         Execution path selection.  ``"des"`` (default) always runs the
         discrete-event engine.  ``"auto"`` replays the algorithm's static
-        schedule through :mod:`repro.sim.fastpath` — bit-identical results,
-        typically an order of magnitude faster — whenever the run is
-        eligible (no fault plan, no tracing, jitter-free machine, and the
-        algorithm provides a schedule), falling back to the engine
-        otherwise.  ``"analytic"`` prices every message with the
-        closed-form Hockney pipeline cost, ignoring contention: exact on
+        schedule exactly through :mod:`repro.sim.fastpath` — bit-identical
+        results, typically an order of magnitude faster — whenever the run
+        is eligible (no fault plan, no tracing, jitter-free machine, and
+        the algorithm provides a schedule), falling back to the engine
+        otherwise; it never takes the closed form.  ``"analytic"``, only
+        when set explicitly, prices every message with the closed-form
+        Hockney pipeline cost, ignoring contention: exact on
         contention-free schedules, a documented lower bound elsewhere (see
         docs/ARCHITECTURE.md); runs with a fault plan likewise fall back
         to the engine.
@@ -419,16 +419,14 @@ def run_allgather(
         wall_start = time.perf_counter()
         schedule = algorithm.schedule_for(ctx)
         if schedule is not None:
-            # Hybrid classification: "auto" consults the per-stage
-            # contention analyzer and prices fully contention-free
-            # schedules with the closed-form Hockney path (within the
-            # calibrated tolerance; exact when no claim ever binds), while
-            # contended schedules replay exactly.  "analytic" forces the
-            # closed form regardless.
-            analytic = opts.sim_mode == "analytic" or contention_free(schedule, machine)
+            # "auto" always replays exactly; the closed-form Hockney costing
+            # runs only when asked for.  A uniform-size schedule counts
+            # blocks (see schedule_for), so it is priced per msg_size.
+            analytic = opts.sim_mode == "analytic"
             outcome = execute_schedule(
                 schedule,
                 machine,
+                unit=msg_size if block_sizes is None else 1,
                 max_sim_time=opts.max_sim_time,
                 max_events=opts.max_events,
                 model_contention=not analytic,

@@ -9,36 +9,39 @@ resumes, :class:`~repro.sim.request.Request` objects, or per-message method
 dispatch.  The result is bit-identical to the engine for every pristine run
 (no faults, no jitter, no tracing): ``sim_mode="auto"`` is a pure speedup.
 
-Two ideas make it fast:
+Schedules are priced per call: every op's byte field is a count of
+``unit``-byte blocks (``execute_schedule(..., unit=m)``), so the uniform-size
+schedule :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`
+builds once, in 1-byte blocks, serves a sweep's whole message-size axis.
+Three ideas make replay fast:
 
-* **Vectorized transmit-cost math.**  Message cohorts share their pricing: a
-  stage's messages differ only in endpoints and byte counts, so compilation
-  gathers the distinct ``(socket-pair plan, nbytes)`` combinations across the
-  whole schedule and prices them in one numpy pass (``m/beta``, ``alpha +
-  m/beta``, NIC/link costs — elementwise IEEE ops identical to the scalar
-  fabric arithmetic).  The replay loop then runs over *pre-priced* opcode
-  tuples: no float arithmetic beyond the claim recurrences themselves.
+* **Compile once per pattern.**  :func:`multi_plan_for` turns a schedule
+  into a size-free :class:`_MultiStagePlan` — static send→receive matching,
+  per-socket-pair costs and lanes, and per-op ids into the distinct
+  pricing cohorts — cached per ``(structural digest, machine digest)`` in
+  :mod:`repro.sim.plancache`.
+* **Price each call, vectorized.**  A call prices the cohorts (distinct
+  ``(socket pair, block count)`` sends, distinct charge counts) in one
+  numpy pass over ``nb = count * unit`` — ``alpha + nb*inv_beta``, NIC and
+  link costs, ``nb / memcpy_beta``: elementwise IEEE ops identical to the
+  fabric's scalar expressions.  The replay loop only indexes those lists.
 * **Scalar claim recurrences, on purpose.**  A resource's claim sequence
   ``end_i = max(post_i, end_{i-1}) + dur_i`` is *not* reformulated as a
   cumulative sum: floating-point addition is non-associative, and any
   prefix-sum regrouping would break bit-identity with the engine.  Claims
   stay in event order over plain float state.
 
-Three executor tiers share those ideas, dispatched by eligibility:
-single-stage schedules run the fully batched :class:`_BatchPlan` sweep;
-every other fully matched schedule (multi-stage CN/DH/Bruck, budgeted
-runs) runs the heap-driven :class:`_MultiStagePlan` executor, which keeps
-the engine's event structure and makes segment interiors static; the
-scalar opcode interpreter (:func:`_interpret`) remains as the reference
-tier for analytic costing and unmatched-receive deadlocks.  All compiled
-products are memoized across runs in the structural plan cache
-(:mod:`repro.sim.plancache`).
+One executor, :func:`_execute_multi`, replays every fully matched schedule.
+The scalar opcode interpreter (:func:`_interpret`) remains for the
+closed-form costing and for schedules with an unmatched receive, whose
+deadlock it reports with exact engine semantics.
 
 ``model_contention=False`` gives the closed-form Hockney costing
-(``sim_mode="analytic"``): every message is priced as if it were alone —
-``arrival = post + max(stage durations) + hop_extra`` — which is exact when
-no resource queue ever binds (see :func:`repro.sim.schedule.contention_free`)
-and a lower bound otherwise (claims only ever delay stages).
+(``sim_mode="analytic"``, taken only when asked for): every message is
+priced as if it were alone — ``arrival = post + max(stage durations) +
+hop_extra`` — which is exact when no resource queue ever binds (see
+:func:`repro.sim.schedule.contention_free`) and a lower bound otherwise
+(claims only ever delay stages).
 
 Watchdog budgets (``max_sim_time``/``max_events``) are honored with the
 engine's exact boundary semantics: an event with timestamp equal to
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,12 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
     from repro.sim.schedule import Schedule
 
-# Compiled opcodes (first tuple element).  ``key`` is the prebuilt match
-# key ``(src, tag)`` — precomputing it saves one tuple allocation per
-# message in the replay loop.  Charges compile to *bare floats*
-# (their memcpy duration) rather than tuples: they are the most frequent op
-# in combining schedules and a ``type(op) is float`` check is the cheapest
-# dispatch CPython offers.
+# Compiled opcodes of the interpreter's priced segments (first tuple
+# element).  ``key`` is the prebuilt match key ``(src, tag)`` — precomputing
+# it saves one tuple allocation per message in the replay loop.  Charges
+# compile to *bare floats* (their memcpy duration) rather than tuples: they
+# are the most frequent op in combining schedules and a ``type(op) is
+# float`` check is the cheapest dispatch CPython offers.
 _SEND_SELF = 1   #: (1, dst, key, nbytes, dur)
 _SEND_LOCAL = 2  #: (2, dst, key, nbytes, port_dur, hop_extra)
 _SEND_NODE = 3   #: (3, dst, key, nbytes, port_dur, nic_dur, hop_extra, nsrc, ndst)
@@ -111,13 +115,15 @@ class FastRunOutcome:
         self.events_processed = events_processed
 
 
-def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
+def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool,
+             unit: int):
     """Price every op and split each rank's list into wait-delimited segments.
 
-    Returns ``(segments, n_lanes)``; ``segments[r]`` is ``None`` or a list of
-    ``(ops_tuple, ends_with_wait)``.  All float constants are computed here —
-    vectorized over the distinct ``(socket plan, nbytes)`` cohorts — so the
-    replay loop's only arithmetic is claim max/add chains.
+    Op byte fields are scaled by ``unit``.  Returns ``(segments, n_lanes)``;
+    ``segments[r]`` is ``None`` or a list of ``(ops_tuple, ends_with_wait)``.
+    All float constants are computed here — vectorized over the distinct
+    ``(socket plan, nbytes)`` cohorts — so the replay loop's only arithmetic
+    is claim max/add chains.
     """
     params = machine.params
     spec = machine.spec
@@ -139,7 +145,7 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
         for op in ops:
             kind = op[0]
             if kind == "send":
-                dst, nbytes = op[1], op[2]
+                dst, nbytes = op[1], op[2] * unit
                 if dst == rank:
                     distinct_charge.add(nbytes)  # self-send = memcpy pricing
                     continue
@@ -150,7 +156,7 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
                     costs[key] = entry
                 distinct_send.setdefault((key, nbytes), entry)
             elif kind == "charge":
-                distinct_charge.add(op[1])
+                distinct_charge.add(op[1] * unit)
 
     # Pass 2: one numpy sweep prices every cohort.  Elementwise float64 ops
     # are IEEE-identical to the fabric's scalar expressions, so the replay
@@ -200,11 +206,11 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
                 segs.append((tuple(cur), True))
                 cur = []
             elif kind == "charge":
-                cur.append(charge_price[op[1]])
+                cur.append(charge_price[op[1] * unit])
             elif kind == "recv":
                 cur.append((_RECV, (op[1], op[2])))
             else:  # send
-                dst, nbytes, tag = op[1], op[2], op[3]
+                dst, nbytes, tag = op[1], op[2] * unit, op[3]
                 key = (rank, tag)
                 if dst == rank:
                     cur.append((_SEND_SELF, dst, key, nbytes, charge_price[nbytes]))
@@ -244,442 +250,62 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
     return segments, len(lane_index)
 
 
-def compiled_for(schedule: "Schedule", machine: "Machine", model_contention: bool):
-    """Memoized :func:`_compile` via the structural plan cache.
+def compiled_for(schedule: "Schedule", machine: "Machine", model_contention: bool,
+                 unit: int):
+    """Memoized :func:`_compile` (the interpreter's priced segments).
 
-    The key is ``(schedule structural digest, machine digest, flavor)`` —
-    see :mod:`repro.sim.plancache` — so compilation is shared across runs,
-    across alternating machines (the old single-entry memo evicted on every
-    switch), and across distinct ``Schedule`` objects describing the same
-    pattern (a rebuilt sweep cell replays a cached plan).
+    The key is ``(schedule structural digest, machine digest, flavor,
+    unit)`` — see :mod:`repro.sim.plancache` — so compilation is shared
+    across runs, across alternating machines, and across distinct
+    ``Schedule`` objects describing the same pattern.  Only the interpreter
+    reads these segments; the exact executor prices per call instead.
     """
     key = (structural_digest(schedule), machine_digest(machine),
-           "segments", model_contention)
+           "segments", model_contention, unit)
     entry = PLAN_CACHE.get(key)
     if entry is _MISS:
-        entry = _compile(schedule, machine, model_contention)
+        entry = _compile(schedule, machine, model_contention, unit)
         PLAN_CACHE.put(key, entry)
     return entry
 
 
-class _BatchPlan:
-    """Precompiled cohort tables for the single-stage batched executor.
-
-    Eligible schedules (every rank: ops with at most one ``wait``, as the
-    final op) have a *statically known* global claim order: all ranks run
-    their one posting segment at t=0 in spawn order, and nothing a wake
-    event does can affect a claim.  That turns the event-driven replay
-    into per-resource wavefront recurrences over message cohorts — the
-    numpy-batched stage processing of the hybrid design:
-
-    * posts are compile-time constants (per-rank ``np.add.accumulate``
-      over the op deltas — sequential adds, bit-identical to the scalar
-      clock) gathered once;
-    * per run, each resource family is swept in one tight loop in global
-      message order (send ports, NIC-tx, adaptive lanes, NIC-rx, recv
-      ports) — the same ``end = max(post, next_free) + dur`` scalar
-      recurrences as the engine, minus all opcode dispatch;
-    * matching is static (k-th posted receive of a ``(src, tag)`` key
-      pairs with the k-th arrival — FIFO on both sides), so completions
-      and per-rank waitall folds reduce to ``np.maximum`` /
-      ``np.maximum.reduceat`` (max is order-free, hence bit-exact).
-
-    Watchdog budgets force the heap-driven multi-stage executor instead:
-    budget trip points are mid-run engine states that a single batched
-    sweep does not reproduce, but per-pop budget checks do.
-    """
-
-    __slots__ = (
-        "n_live", "n_wakes", "messages", "bytes_total", "now_final",
-        "has_wait", "live", "post", "pdur", "ndur", "ldur", "hop", "dsts",
-        "lane_spec", "ends0", "phase1", "phase2", "phase3", "phase4",
-        "phase5", "kinds", "recv_match", "recv_posts", "recv_dsts",
-        "recv_offsets", "send_ranks", "send_offsets", "n_lanes",
-    )
-
-
-def _compile_batch(schedule: "Schedule", machine: "Machine"):
-    """Build a :class:`_BatchPlan`, or ``None`` when the schedule does not
-    qualify (multi-stage, or a receive with no matching send — the latter
-    deadlocks, which the interpreter reports exactly)."""
-    segments, n_lanes = compiled_for(schedule, machine, True)
-    call_overhead = machine.params.call_overhead
-    spec = machine.spec
-    node_of = spec.node_of
-
-    n = schedule.n_ranks
-    now_final = [0.0] * n
-    has_wait = [False] * n
-    live = [False] * n
-    # Global per-message tables, in execution (= claim) order.
-    post: list[float] = []
-    pdur: list[float] = []
-    ndur: list[float] = []
-    ldur: list[float] = []
-    hop: list[float] = []
-    dsts: list[int] = []
-    kinds: list[int] = []       # 0 self, 1 local, 2 node, 3 group
-    nsrcs: list[int] = []
-    ndsts: list[int] = []
-    lane_spec: list[tuple] = []  # kind 3 only: (lane_groups, fixed_lanes)
-    ends0: list[float] = []
-    msg_src: list[int] = []
-    bytes_total = 0
-    by_key: dict[tuple, deque] = {}  # (dst, src, tag) -> send index FIFO
-    rank_recvs: list[tuple] = []     # (rank, [keys in op order], [posts])
-
-    for rank in range(n):
-        segs = segments[rank]
-        if segs is None:
-            continue
-        live[rank] = True
-        if len(segs) > 1:
-            return None
-        ops, ends_with_wait = segs[0]
-        has_wait[rank] = ends_with_wait
-        if not ops:
-            continue
-        deltas: list[float] = []
-        send_at: list[tuple[int, int]] = []  # (delta idx, message idx)
-        recv_keys: list[tuple] = []
-        recv_at: list[int] = []
-        for op in ops:
-            if op.__class__ is float:
-                deltas.append(op)
-                continue
-            code = op[0]
-            deltas.append(call_overhead)
-            if code == _RECV:
-                recv_keys.append(op[1])
-                recv_at.append(len(deltas) - 1)
-                continue
-            mi = len(post)
-            send_at.append((len(deltas) - 1, mi))
-            dst = op[1]
-            dsts.append(dst)
-            msg_src.append(rank)
-            bytes_total += op[3]
-            k = (dst,) + op[2]
-            q = by_key.get(k)
-            if q is None:
-                by_key[k] = q = deque()
-            q.append(mi)
-            if code == _SEND_SELF:
-                kinds.append(0)
-                pdur.append(op[4])
-                ndur.append(0.0)
-                ldur.append(0.0)
-                hop.append(0.0)
-                nsrcs.append(-1)
-                ndsts.append(-1)
-                lane_spec.append(())
-            elif code == _SEND_LOCAL:
-                kinds.append(1)
-                pdur.append(op[4])
-                ndur.append(0.0)
-                ldur.append(0.0)
-                hop.append(op[5])
-                nsrcs.append(-1)
-                ndsts.append(-1)
-                lane_spec.append(())
-            elif code == _SEND_NODE:
-                kinds.append(2)
-                pdur.append(op[4])
-                ndur.append(op[5])
-                ldur.append(0.0)
-                hop.append(op[6])
-                nsrcs.append(op[7])
-                ndsts.append(op[8])
-                lane_spec.append(())
-            else:  # _SEND_GROUP
-                kinds.append(3)
-                pdur.append(op[4])
-                ndur.append(op[5])
-                ldur.append(op[6])
-                hop.append(op[7])
-                nsrcs.append(op[8])
-                ndsts.append(op[9])
-                lane_spec.append((op[10], op[11]))
-            post.append(0.0)
-            ends0.append(0.0)
-        accl = np.add.accumulate(
-            np.asarray(deltas, dtype=np.float64)
-        ).tolist()
-        now_final[rank] = accl[-1]
-        for di, mi in send_at:
-            p = accl[di]
-            post[mi] = p
-            if kinds[mi] == 0:  # self-send completes at post + memcpy
-                ends0[mi] = p + pdur[mi]
-        if recv_keys:
-            rank_recvs.append((rank, recv_keys, [accl[d] for d in recv_at]))
-
-    # Static matching: k-th posted receive of a (src, tag) key pairs with
-    # the k-th message of that key (arrival order equals global post order
-    # for a shared key: every shared resource serializes them in order).
-    recv_match: list[int] = []
-    recv_posts: list[float] = []
-    recv_dsts: list[int] = []
-    recv_offsets: list[int] = []
-    for rank, keys, posts in rank_recvs:
-        recv_offsets.append(len(recv_match))
-        recv_dsts.append(rank)
-        for key, p in zip(keys, posts):
-            q = by_key.get((rank,) + key)
-            if not q:
-                return None  # unmatched receive: interpreter reports deadlock
-            recv_match.append(q.popleft())
-            recv_posts.append(p)
-
-    # Per-resource sweep orders (global message order within each group).
-    phase1: list[list[int]] = []   # send ports, per src rank
-    phase2: list[list[int]] = []   # NIC tx, per src node
-    phase3: list[int] = []         # shared-link lanes, global order
-    phase4: list[list[int]] = []   # NIC rx, per dst node
-    phase5: list[list[int]] = []   # recv ports, per dst rank
-    p1: dict[int, list[int]] = {}
-    p2: dict[int, list[int]] = {}
-    p4: dict[int, list[int]] = {}
-    p5: dict[int, list[int]] = {}
-    for i, kind in enumerate(kinds):
-        if kind == 0:
-            continue
-        p1.setdefault(msg_src[i], []).append(i)
-        p5.setdefault(dsts[i], []).append(i)
-        if kind >= 2:
-            p2.setdefault(nsrcs[i], []).append(i)
-            p4.setdefault(ndsts[i], []).append(i)
-            if kind == 3:
-                phase3.append(i)
-    phase1 = list(p1.values())
-    phase2 = list(p2.values())
-    phase4 = list(p4.values())
-    phase5 = list(p5.values())
-
-    # Send-completion folds per rank: sends are contiguous per rank in
-    # global order, so a reduceat over (offset, rank) pairs suffices.
-    send_ranks: list[int] = []
-    send_offsets: list[int] = []
-    prev_rank = -1
-    for i, r in enumerate(msg_src):
-        if r != prev_rank:
-            send_ranks.append(r)
-            send_offsets.append(i)
-            prev_rank = r
-
-    plan = _BatchPlan()
-    plan.n_live = sum(live)
-    plan.n_wakes = sum(1 for r in range(n) if live[r] and has_wait[r])
-    plan.messages = len(post)
-    plan.bytes_total = bytes_total
-    plan.now_final = now_final
-    plan.has_wait = has_wait
-    plan.live = live
-    plan.post = post
-    plan.pdur = pdur
-    plan.ndur = ndur
-    plan.ldur = ldur
-    plan.hop = hop
-    plan.dsts = dsts
-    plan.kinds = kinds
-    plan.lane_spec = lane_spec
-    plan.ends0 = ends0
-    plan.phase1 = phase1
-    plan.phase2 = phase2
-    plan.phase3 = phase3
-    plan.phase4 = phase4
-    plan.phase5 = phase5
-    plan.recv_match = np.asarray(recv_match, dtype=np.intp)
-    plan.recv_posts = np.asarray(recv_posts, dtype=np.float64)
-    plan.recv_dsts = recv_dsts
-    plan.recv_offsets = np.asarray(recv_offsets, dtype=np.intp)
-    plan.send_ranks = send_ranks
-    plan.send_offsets = np.asarray(send_offsets, dtype=np.intp)
-    plan.n_lanes = n_lanes
-    return plan
-
-
-def batch_plan_for(schedule: "Schedule", machine: "Machine"):
-    """Memoized :func:`_compile_batch` via the structural plan cache.
-
-    ``None`` (schedule not single-stage eligible) is cached too: deciding
-    ineligibility costs a full compile walk.
-    """
-    key = (structural_digest(schedule), machine_digest(machine), "batch")
-    plan = PLAN_CACHE.get(key)
-    if plan is _MISS:
-        plan = _compile_batch(schedule, machine)
-        PLAN_CACHE.put(key, plan)
-    return plan
-
-
-def _execute_batch(plan: _BatchPlan) -> FastRunOutcome:
-    """One run of a single-stage batched plan (see :class:`_BatchPlan`)."""
-    post = plan.post
-    pdur = plan.pdur
-    ndur = plan.ndur
-    ldur = plan.ldur
-    hop = plan.hop
-    kinds = plan.kinds
-    lane_spec = plan.lane_spec
-    m = plan.messages
-    starts = [0.0] * m
-    prevs = [0.0] * m
-    pipes = [0.0] * m
-    ends = list(plan.ends0)
-    arrival = list(plan.ends0)  # self-send arrivals preset; rest overwritten
-    lane_next = [0.0] * plan.n_lanes
-
-    # Send ports (per source rank, in post order).
-    for idxs in plan.phase1:
-        nf = 0.0
-        for i in idxs:
-            p = post[i]
-            s = p if p > nf else nf
-            e = s + pdur[i]
-            starts[i] = s
-            prevs[i] = s
-            pipes[i] = e
-            ends[i] = e
-            nf = e
-    # NIC tx (per source node, global order).
-    for idxs in plan.phase2:
-        nf = 0.0
-        for i in idxs:
-            prev = starts[i]
-            s = prev if prev > nf else nf
-            e = s + ndur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            prevs[i] = s
-            pipes[i] = e
-    # Shared-link lanes (adaptive choice is load-dependent: global order).
-    for i in plan.phase3:
-        groups, fixed = lane_spec[i]
-        prev = prevs[i]
-        pe = pipes[i]
-        ld = ldur[i]
-        if groups is None:
-            lanes = fixed
-        elif len(groups) == 1:
-            group = groups[0]
-            if len(group) == 2:
-                a = group[0]
-                b = group[1]
-                lanes = ((a if lane_next[a] <= lane_next[b] else b),)
-            else:
-                lanes = (min(group, key=lane_next.__getitem__),)
-        else:
-            lanes = [min(g, key=lane_next.__getitem__) for g in groups]
-        for ln in lanes:
-            nf = lane_next[ln]
-            s = prev if prev > nf else nf
-            e = s + ld
-            if e < pe:
-                e = pe
-            lane_next[ln] = e
-            prev = s
-            pe = e
-        prevs[i] = prev
-        pipes[i] = pe
-    # NIC rx (per destination node, global order).
-    for idxs in plan.phase4:
-        nf = 0.0
-        for i in idxs:
-            prev = prevs[i]
-            s = prev if prev > nf else nf
-            e = s + ndur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            prevs[i] = s
-            pipes[i] = e
-    # Recv ports (per destination rank, global order) + arrival stamps.
-    for idxs in plan.phase5:
-        nf = 0.0
-        for i in idxs:
-            prev = prevs[i]
-            s = prev if prev > nf else nf
-            e = s + pdur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            arrival[i] = e + hop[i]
-
-    # Waitall folds: completions = max(arrival, post) per matched receive;
-    # per-rank maxima via reduceat (max is order-free: bit-exact).  Only
-    # ranks that wait fold request completions into their finish time; a
-    # rank without a wait finishes at its local clock.
-    finish = list(plan.now_final)
-    has_wait = plan.has_wait
-    if m:
-        ends_arr = np.asarray(ends)
-        send_max = np.maximum.reduceat(ends_arr, plan.send_offsets).tolist()
-        for r, v in zip(plan.send_ranks, send_max):
-            if has_wait[r] and v > finish[r]:
-                finish[r] = v
-    if len(plan.recv_match):
-        comp = np.maximum(
-            np.asarray(arrival)[plan.recv_match], plan.recv_posts
-        )
-        recv_max = np.maximum.reduceat(comp, plan.recv_offsets).tolist()
-        for r, v in zip(plan.recv_dsts, recv_max):
-            if has_wait[r] and v > finish[r]:
-                finish[r] = v
-
-    live = plan.live
-    finished = {
-        r: (finish[r] if live[r] else 0.0) for r in range(len(live))
-    }
-    simulated = max(finished.values(), default=0.0)
-    return FastRunOutcome(
-        simulated, finished, m, plan.bytes_total,
-        plan.n_live + plan.n_wakes,
-    )
-
-
-#: Below this many ops a segment's clock is evolved by a scalar Python loop:
-#: one ``np.add.accumulate`` call costs more than ~two dozen float adds, and
-#: both forms are bit-identical (accumulate is a strict left-to-right fold).
-_VEC_MIN_OPS = 24
-
-
 class _MultiStagePlan:
-    """Precompiled tables for the heap-driven multi-stage executor.
+    """Size-free compiled tables for the heap-driven executor.
 
-    The single-stage :class:`_BatchPlan` works because its global claim
-    order is static.  Multi-stage schedules interleave segments of
-    different ranks in heap ``(time, seq, rank)`` order, which is a
-    runtime quantity — so this plan keeps the engine's *event structure*
-    (one heap pop per spawn and per waitall wake, identical seq
-    allocation) and makes everything inside an event static instead:
+    Segments of different ranks interleave in heap ``(time, seq, rank)``
+    order, which is a runtime quantity — so the plan keeps the engine's
+    *event structure* (one heap pop per spawn and per waitall wake,
+    identical seq allocation) and makes everything inside an event static:
 
-    * per wait-delimited segment, the op deltas collapse to one clock
-      evolution — ``np.add.accumulate`` over ``[now, d1, d2, ...]`` for
-      fat segments, a scalar loop for thin ones (both are the engine's
-      sequential adds, bit for bit), with the first segment's prefix sums
-      precomputed at compile time (its ``now`` is always 0.0);
-    * every send carries its pre-priced durations and pre-resolved
-      receive slot (:func:`repro.sim.schedule.static_matching` — FIFO
-      matching is a compile-time function of the schedule), so delivery
-      is an array poke instead of dict/deque rendezvous bookkeeping;
+    * ``rank_segs[r]`` lists rank ``r``'s wait-delimited segments as
+      ``(delta_ids, n_ops, sends, recvs, ends_with_wait)``; ``delta_ids``
+      names each op's clock delta among the values a call prices (0 = the
+      call overhead of a send or receive, ``1 + c`` = the memcpy of charge
+      count ``charge_counts[c]``).  A rank's first segment always starts at
+      t = 0.0, so when it only posts (no charge) its clocks are a prefix of
+      ``ladder``, the fold of call overheads from 0.0, and its
+      ``delta_ids`` is ``None``;
+    * every send carries its pre-resolved receive slot
+      (:func:`repro.sim.schedule.static_matching` — FIFO matching is a
+      compile-time function of the schedule), its endpoints, its socket
+      pair's NIC ids and lanes, and the id of its pricing cohort: a distinct
+      ``(socket pair, block count)`` whose costs a call computes from
+      ``cohort_counts`` and the pair's ``alpha``/``inv_beta``/
+      ``link_inv_beta`` (a self-send carries a charge id instead);
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
 
-    Claim arithmetic is copied verbatim from the scalar interpreter
-    (non-associative float adds stay in event order), so outcomes are
-    bit-identical to the Engine, including watchdog-budget boundaries and
-    deadlock reporting.
+    Nothing here depends on the block size, so one plan serves every
+    message size of a pattern.
     """
 
     __slots__ = (
         "n_ranks", "rank_segs", "wake_order", "n_slots", "n_lanes",
-        "n_nodes", "messages", "bytes_total",
+        "n_nodes", "messages", "blocks", "charge_counts",
+        "cohort_counts", "alpha", "inv_beta", "link_inv_beta",
+        "call_overhead", "memcpy_beta", "nic_overhead", "link_overhead",
+        "ladder",
     )
 
 
@@ -687,94 +313,146 @@ def _compile_multi(schedule: "Schedule", machine: "Machine"):
     """Build a :class:`_MultiStagePlan`, or ``None`` when a receive has no
     matching send (the run deadlocks; the scalar interpreter reports it
     with exact engine semantics)."""
-    segments, n_lanes = compiled_for(schedule, machine, True)
     send_slots, n_slots, fully_matched = static_matching(schedule)
     if not fully_matched:
         return None
-    call_overhead = machine.params.call_overhead
+    params = machine.params
+    spec = machine.spec
+    rps = spec.ranks_per_socket
+    n_sockets = spec.n_sockets
+    adaptive = params.adaptive_routing
+    costs = _machine_cost_table(machine)
 
-    n = schedule.n_ranks
+    charge_ids: dict[int, int] = {}            # block count -> delta id
+    cohort_ids: dict[tuple[int, int], int] = {}  # (socket key, count) -> cohort
+    cohorts: list[tuple[int, tuple]] = []      # (count, cost entry) per cohort
+    lane_index: dict = {}
+    lanes_by_key: dict[int, tuple] = {}        # socket key -> (lmode, lspec)
+
+    def _charge(count):
+        i = charge_ids.get(count)
+        if i is None:
+            charge_ids[count] = i = len(charge_ids) + 1
+        return i
+
+    def _lane(k):
+        i = lane_index.get(k)
+        if i is None:
+            lane_index[k] = i = len(lane_index)
+        return i
+
     rank_segs: list[tuple | None] = []
     si = 0  # global send index — rank-major op order, = static_matching's
     ri = 0  # global receive slot — same enumeration
     messages = 0
-    bytes_total = 0
-    for rank in range(n):
-        segs = segments[rank]
-        if segs is None:
+    blocks = 0
+    ladder_len = 0
+    for rank, ops in enumerate(schedule.ops):
+        if ops is None:
             rank_segs.append(None)
             continue
-        compiled: list[tuple] = []
-        first = True
-        for ops, ends_with_wait in segs:
-            deltas: list[float] = []
-            sends: list[tuple] = []
-            recvs: list[tuple] = []
-            for op in ops:
-                if op.__class__ is float:
-                    deltas.append(op)
-                    continue
-                deltas.append(call_overhead)
-                pos = len(deltas)  # accl index of the clock after this op
-                code = op[0]
-                if code == _RECV:
-                    recvs.append((pos, ri))
-                    ri += 1
-                    continue
-                sl = send_slots[si]
-                si += 1
-                messages += 1
-                bytes_total += op[3]
-                if code == _SEND_SELF:
-                    sends.append((0, pos, sl, op[4]))
-                elif code == _SEND_LOCAL:
-                    sends.append((1, pos, sl, op[1], op[4], op[5]))
-                elif code == _SEND_NODE:
-                    sends.append((2, pos, sl, op[1], op[4], op[5], op[6],
-                                  op[7], op[8]))
-                else:  # _SEND_GROUP — pre-classify the lane choice shape
-                    groups, fixed = op[10], op[11]
-                    if groups is None:
-                        lmode, lspec = 0, fixed        # oblivious lane set
-                    elif len(groups) == 1:
-                        g = groups[0]
+        src_base = (rank // rps) * n_sockets
+        segs: list[tuple] = []  # (delta ids, sends, recvs, ends_with_wait)
+        ids: list[int] = []
+        sends: list[tuple] = []
+        recvs: list[tuple] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "wait":
+                segs.append((ids, sends, recvs, True))
+                ids = []
+                sends = []
+                recvs = []
+                continue
+            if kind == "charge":
+                ids.append(_charge(op[1]))
+                continue
+            ids.append(0)
+            pos = len(ids)  # accl index of the clock after this op
+            if kind == "recv":
+                recvs.append((pos, ri))
+                ri += 1
+                continue
+            dst, count = op[1], op[2]
+            sl = send_slots[si]
+            si += 1
+            messages += 1
+            blocks += count
+            if dst == rank:  # self-send: priced as a memcpy
+                sends.append((0, pos, sl, _charge(count)))
+                continue
+            skey = src_base + dst // rps
+            entry = costs.get(skey)
+            if entry is None:
+                entry = _resolve_machine_costs(machine, adaptive, rank, dst)
+                costs[skey] = entry
+            ci = cohort_ids.get((skey, count))
+            if ci is None:
+                ci = cohort_ids[(skey, count)] = len(cohorts)
+                cohorts.append((count, entry))
+            hop_extra, nsrc, ndst = entry[2], entry[5], entry[6]
+            group_keys, fixed_keys = entry[7], entry[8]
+            if nsrc < 0:  # same node: send port -> recv port
+                sends.append((1, pos, sl, dst, ci, hop_extra))
+            elif group_keys is None and not fixed_keys:  # cross-node
+                sends.append((2, pos, sl, dst, ci, hop_extra, nsrc, ndst))
+            else:  # cross-group — pre-classify the lane choice shape
+                lanes = lanes_by_key.get(skey)
+                if lanes is None:
+                    if group_keys is None:
+                        lanes = (0, tuple(_lane(k) for k in fixed_keys))
+                    elif len(group_keys) == 1:
+                        g = tuple(_lane(k) for k in group_keys[0])
                         # adaptive: the 2-lane pair (Dragonfly+ default)
                         # gets its own inlined fast case at runtime
-                        lmode, lspec = (1, g) if len(g) == 2 else (2, g)
-                    else:
-                        lmode, lspec = 3, groups       # per-hop choices
-                    sends.append((3, pos, sl, op[1], op[4], op[5], op[6],
-                                  op[7], op[8], op[9], lmode, lspec))
-            accl0 = None
-            if first:
-                accl0 = np.add.accumulate(
-                    np.asarray([0.0] + deltas, dtype=np.float64)
-                ).tolist()
-                first = False
-            if len(deltas) >= _VEC_MIN_OPS:
-                arr = np.empty(len(deltas) + 1, dtype=np.float64)
-                arr[1:] = deltas
-                compiled.append((True, arr, accl0, tuple(sends),
-                                 tuple(recvs), ends_with_wait))
+                        lanes = (1 if len(g) == 2 else 2, g)
+                    else:  # per-hop choices
+                        lanes = (3, tuple(tuple(_lane(k) for k in g)
+                                          for g in group_keys))
+                    lanes_by_key[skey] = lanes
+                sends.append((3, pos, sl, dst, ci, hop_extra, nsrc, ndst,
+                              lanes[0], lanes[1]))
+        if ids or not segs:
+            segs.append((ids, sends, recvs, False))
+        compiled: list[tuple] = []
+        for ids, sends, recvs, ends_wait in segs:
+            if not compiled and not any(ids):  # posts only, from t = 0.0
+                ladder_len = max(ladder_len, len(ids))
+                delta_ids = None
             else:
-                compiled.append((False, tuple(deltas), accl0, tuple(sends),
-                                 tuple(recvs), ends_with_wait))
+                delta_ids = tuple(ids)
+            compiled.append((delta_ids, len(ids), tuple(sends), tuple(recvs),
+                             ends_wait))
         rank_segs.append(tuple(compiled))
 
     plan = _MultiStagePlan()
-    plan.n_ranks = n
+    plan.n_ranks = schedule.n_ranks
     plan.rank_segs = rank_segs
     plan.wake_order = spawn_wake_order(schedule)
     plan.n_slots = n_slots
-    plan.n_lanes = n_lanes
-    plan.n_nodes = machine.spec.nodes
+    plan.n_lanes = len(lane_index)
+    plan.n_nodes = spec.nodes
     plan.messages = messages
-    plan.bytes_total = bytes_total
+    plan.blocks = blocks
+    plan.charge_counts = np.asarray(list(charge_ids), dtype=np.float64)
+    plan.cohort_counts = np.asarray([c for c, _ in cohorts], dtype=np.float64)
+    plan.alpha = np.asarray([e[1] for _, e in cohorts], dtype=np.float64)
+    plan.inv_beta = np.asarray([e[3] for _, e in cohorts], dtype=np.float64)
+    plan.link_inv_beta = np.asarray([e[4] for _, e in cohorts], dtype=np.float64)
+    plan.call_overhead = params.call_overhead
+    plan.memcpy_beta = params.memcpy_beta
+    plan.nic_overhead = params.nic_message_overhead
+    plan.link_overhead = params.link_message_overhead
+    plan.ladder = list(accumulate([params.call_overhead] * ladder_len, initial=0.0))
     return plan
 
 
 def multi_plan_for(schedule: "Schedule", machine: "Machine"):
-    """Memoized :func:`_compile_multi` via the structural plan cache."""
+    """Memoized :func:`_compile_multi` via the structural plan cache.
+
+    ``None`` (an unmatched receive) is cached too: deciding it costs a full
+    matching walk.
+    """
     key = (structural_digest(schedule), machine_digest(machine), "multi")
     plan = PLAN_CACHE.get(key)
     if plan is _MISS:
@@ -783,27 +461,54 @@ def multi_plan_for(schedule: "Schedule", machine: "Machine"):
     return plan
 
 
+def _price(plan: _MultiStagePlan, unit: int):
+    """One call's costs: ``(values, port, nic, link)`` lists.
+
+    ``nb = count * unit`` is exact in float64 (both factors and the product
+    stay far below 2**53), and every expression below is the one the
+    fabric evaluates per message, so the priced values are bit-identical.
+    ``values`` is indexed by delta id, ``port``/``nic``/``link`` by cohort
+    id.
+    """
+    values = np.empty(len(plan.charge_counts) + 1)
+    values[0] = plan.call_overhead
+    values[1:] = plan.charge_counts * unit / plan.memcpy_beta
+    nb = plan.cohort_counts * unit
+    dur = nb * plan.inv_beta
+    return (
+        values.tolist(),
+        (plan.alpha + dur).tolist(),
+        (plan.nic_overhead + dur).tolist(),
+        (plan.link_overhead + nb * plan.link_inv_beta).tolist(),
+    )
+
+
 def _execute_multi(
     plan: _MultiStagePlan,
+    unit: int,
     max_sim_time: float | None,
     max_events: int | None,
 ) -> FastRunOutcome:
-    """One run of a multi-stage plan (see :class:`_MultiStagePlan`).
+    """One run of a plan with ``unit``-byte blocks (see :class:`_MultiStagePlan`).
 
     The heap discipline — pushes, pops, sequence numbers, budget checks —
     is the scalar interpreter's, verbatim; segment interiors use the
-    precompiled tables.  Receive slots run a small state machine replacing
-    the posted/unexpected dict rendezvous: 0 unposted, 1 posted (owner
-    still running its segment), 2 delivered before post, 3 consumed,
-    4 blocked in a waitall, 5 determined while the owner was running
-    (same-rank delivery).  Sends and receives are processed in two passes
-    per segment: deliveries to *other* ranks happen only in the send pass
+    precompiled tables.  A segment's clock is one strict left-to-right fold
+    of its deltas (or the plan's ``ladder``, for a first segment that only
+    posts) — the engine's sequential adds, bit for bit.  Receive slots run
+    a small state machine replacing the posted/unexpected dict rendezvous:
+    0 unposted, 1 posted (owner still running its segment), 2 delivered
+    before post, 3 consumed, 4 blocked in a waitall, 5 determined while the
+    owner was running (same-rank delivery).  Sends and receives are processed in two passes per
+    segment: deliveries to *other* ranks happen only in the send pass
     (their relative order is preserved, so seq allocation is identical)
     and same-rank deliveries commute through the state machine — every
     completion is ``max(arrival, post clock)`` folded through order-free
     maxima, so the split is bit-exact against the engine's op-interleaved
     processing.
     """
+    values, port, nic, link = _price(plan, unit)
+    ladder = plan.ladder
     n = plan.n_ranks
     rank_segs = plan.rank_segs
     rank_now = [0.0] * n
@@ -833,7 +538,6 @@ def _execute_multi(
 
     heappush = heapq.heappush
     heappop = heapq.heappop
-    accumulate = np.add.accumulate
 
     def _blocked_detail() -> str:
         parts = []
@@ -874,20 +578,16 @@ def _execute_multi(
                 rank_now[rank] = now
                 finished[rank] = now
                 break
-            vec, deltas, accl0, sends, recvs, ends_wait = segs[i]
+            delta_ids, n_ops, sends, recvs, ends_wait = segs[i]
             i += 1
-            if accl0 is not None and now == 0.0:
-                accl = accl0
-            elif vec:
-                deltas[0] = now
-                accl = accumulate(deltas).tolist()
+            if delta_ids is None:  # a first segment of posts only: now == 0.0
+                accl = ladder
+                now = ladder[n_ops]
             else:
                 accl = [now]
-                c = now
-                for d in deltas:
-                    c += d
-                    accl.append(c)
-            now = accl[-1]
+                for d in delta_ids:
+                    now += values[d]
+                    accl.append(now)
             lat = 0.0
             for pos, sl in recvs:
                 if state[sl]:  # == 2: delivered before post (unexpected)
@@ -903,7 +603,9 @@ def _execute_multi(
             for sd in sends:
                 kind = sd[0]
                 if kind == 2:  # cross-node: port -> NIC tx -> NIC rx -> port
-                    _, pos, sl, dst, port_dur, nic_dur, hop_x, nsrc, ndst = sd
+                    _, pos, sl, dst, ci, hop_x, nsrc, ndst = sd
+                    port_dur = port[ci]
+                    nic_dur = nic[ci]
                     p = accl[pos]
                     nf = send_next[rank]
                     start = p if p > nf else nf
@@ -936,8 +638,10 @@ def _execute_multi(
                     recv_next[dst] = e
                     arrival = e + hop_x
                 elif kind == 3:  # cross-group: + adaptive shared-link lanes
-                    (_, pos, sl, dst, port_dur, nic_dur, link_dur, hop_x,
-                     nsrc, ndst, lmode, lspec) = sd
+                    _, pos, sl, dst, ci, hop_x, nsrc, ndst, lmode, lspec = sd
+                    port_dur = port[ci]
+                    nic_dur = nic[ci]
+                    link_dur = link[ci]
                     p = accl[pos]
                     nf = send_next[rank]
                     start = p if p > nf else nf
@@ -1001,7 +705,8 @@ def _execute_multi(
                     recv_next[dst] = e
                     arrival = e + hop_x
                 elif kind == 1:  # same-node: send port -> recv port
-                    _, pos, sl, dst, port_dur, hop_x = sd
+                    _, pos, sl, dst, ci, hop_x = sd
+                    port_dur = port[ci]
                     p = accl[pos]
                     nf = send_next[rank]
                     start = p if p > nf else nf
@@ -1017,9 +722,9 @@ def _execute_multi(
                     recv_next[dst] = e
                     arrival = e + hop_x
                 else:  # kind == 0: self-send completes at post + memcpy
-                    _, pos, sl, dur = sd
+                    _, pos, sl, di = sd
                     dst = rank
-                    arrival = accl[pos] + dur
+                    arrival = accl[pos] + values[di]
                     if arrival > lat:
                         lat = arrival
                 if sl >= 0:
@@ -1073,7 +778,7 @@ def _execute_multi(
         )
     simulated = max(finished.values(), default=0.0)
     return FastRunOutcome(
-        simulated, finished, plan.messages, plan.bytes_total, events,
+        simulated, finished, plan.messages, plan.blocks * unit, events,
     )
 
 
@@ -1081,13 +786,17 @@ def execute_schedule(
     schedule: "Schedule",
     machine: "Machine",
     *,
+    unit: int = 1,
     max_sim_time: float | None = None,
     max_events: int | None = None,
     model_contention: bool = True,
 ) -> FastRunOutcome:
-    """Replay ``schedule`` on ``machine``; engine-equivalent outcome.
+    """Replay ``schedule`` on ``machine`` with ``unit``-byte blocks.
 
-    Bit-identical to :class:`~repro.sim.engine.Engine` with
+    Op byte fields count ``unit``-byte blocks: pass the message size for a
+    schedule built in block counts (what ``schedule_for`` returns for
+    uniform sizes) and ``1`` for one in raw bytes (allgatherv).  Bit-
+    identical to :class:`~repro.sim.engine.Engine` with
     ``model_contention=True``; the closed-form Hockney costing with
     ``False`` (see module docstring).  Raises the engine's own
     :class:`SimTimeoutError`/:class:`DeadlockError` with matching boundary
@@ -1099,22 +808,17 @@ def execute_schedule(
         raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
     if max_events is not None and max_events <= 0:
         raise ValueError(f"max_events must be > 0, got {max_events}")
+    if unit < 0:
+        raise ValueError(f"unit must be >= 0, got {unit}")
 
     if model_contention:
-        if max_sim_time is None and max_events is None:
-            # Single-stage schedules take the fully batched cohort path.
-            plan = batch_plan_for(schedule, machine)
-            if plan is not None:
-                return _execute_batch(plan)
-        # Everything else that is fully matched — multi-stage schedules,
-        # and watchdog-budgeted runs of any stage count — takes the
-        # heap-driven multi-stage executor.  The scalar interpreter
-        # remains for analytic costing and unmatched-receive deadlocks.
-        mplan = multi_plan_for(schedule, machine)
-        if mplan is not None:
-            return _execute_multi(mplan, max_sim_time, max_events)
+        plan = multi_plan_for(schedule, machine)
+        if plan is not None:
+            return _execute_multi(plan, unit, max_sim_time, max_events)
+    # The scalar interpreter covers the closed-form costing and schedules
+    # with an unmatched receive (it reports their deadlock exactly).
     return _interpret(schedule, machine, max_sim_time, max_events,
-                      model_contention)
+                      model_contention, unit)
 
 
 def _interpret(
@@ -1123,16 +827,17 @@ def _interpret(
     max_sim_time: float | None,
     max_events: int | None,
     model_contention: bool,
+    unit: int,
 ) -> FastRunOutcome:
     """The scalar opcode interpreter — the fast path's reference tier.
 
-    Handles what the batched executors do not: analytic costing
+    Handles what the executor does not: analytic costing
     (``model_contention=False``) and schedules with unmatched receives
     (deadlock reporting with exact engine semantics).  It is also the
     oracle the executor equivalence tests compare against, so it accepts
     every schedule.
     """
-    segments, n_lanes = compiled_for(schedule, machine, model_contention)
+    segments, n_lanes = compiled_for(schedule, machine, model_contention, unit)
     n = schedule.n_ranks
     call_overhead = machine.params.call_overhead
     n_nodes = machine.spec.nodes

@@ -1,11 +1,11 @@
 """Cross-run compiled-plan cache for the hybrid fast path.
 
 :mod:`repro.sim.fastpath` compiles a :class:`~repro.sim.schedule.Schedule`
-into priced opcode segments and (when eligible) batched executor plans.
-Compilation walks every op and prices every message cohort — cheap next to
-a DES run, but pure overhead when a sweep revisits the same schedule shape
-on the same machine, which Fig. 5-style grids do constantly (every repeat,
-every algorithm/size cell sharing a topology, every warm bench pass).
+into a size-free executor plan (and, for the interpreter, priced opcode
+segments).  Compilation walks every op — cheap next to a DES run, but pure
+overhead when a sweep revisits the same schedule shape on the same machine,
+which Fig. 5-style grids do constantly (every repeat, every message size of
+a pattern, every algorithm cell sharing a topology, every warm bench pass).
 
 This module provides the process-wide memo for those products: a bounded
 LRU keyed on *structure*, not identity —
@@ -16,19 +16,22 @@ LRU keyed on *structure*, not identity —
   (rank count + full op streams: the compiler's exact input), so two
   ``Schedule`` objects describing the same communication pattern — e.g.
   rebuilt by a fresh algorithm instance for the same topology cell — share
-  one compilation (the isomorphic-neighborhood reuse from Träff et al.);
+  one compilation (the isomorphic-neighborhood reuse from Träff et al.).
+  Uniform-size schedules count blocks, not bytes, so every message size of
+  a pattern has the same digest;
 * the machine half is :func:`machine_digest`, a recursive structural
   fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster
   shape, every Hockney constant, the network topology's constructor state
   including placement permutations) — everything that can influence a
-  priced plan;
-* the flavor names the product (``"segments"``, ``"batch"``, ``"multi"``)
-  plus any compile mode bits.
+  plan or its prices;
+* the flavor names the product: ``"multi"`` for the executor's size-free
+  plan (priced on every call), or ``"segments"`` plus the contention mode
+  and block size for the interpreter's priced segments.
 
 Cached values hold only plain numbers, tuples, and numpy arrays — never a
 ``Machine`` or ``Schedule`` reference — so retention cannot leak simulation
-state.  ``None`` results (an ineligible schedule) are cached too: deciding
-ineligibility costs a full compile walk.
+state.  ``None`` results (a schedule with an unmatched receive) are cached
+too: deciding that costs a full matching walk.
 
 Stats (hits/misses/evictions) are process-global and surfaced through
 ``repro.exec`` sweep reports and the wallclock harness payload; see
@@ -42,10 +45,8 @@ from collections import OrderedDict
 from typing import Any
 
 #: Default LRU capacity.  Plans for paper-scale schedules are megabytes, so
-#: the bound stays modest — but it must hold a whole bench grid: the small
-#: compare grid alone creates ~66 distinct (schedule, machine, flavor)
-#: triples, and evicting mid-grid forfeits the warm-repeat hits the cache
-#: exists for.
+#: the bound stays modest — but it must hold a whole bench grid, and
+#: evicting mid-grid forfeits the warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
 
 _MISS = object()

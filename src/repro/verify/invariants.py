@@ -53,10 +53,10 @@ The catalog (see ``docs/ARCHITECTURE.md`` §6 for the full rationale):
     simulated time, counters, and per-class aggregates are bit-identical.
 ``hybrid_equivalence``
     Clean scenarios only: re-running with ``sim_mode="auto"`` must be
-    bit-identical to the DES on contended schedules (exact replay) and
-    within the analytic tolerance contract, never exceeding the DES time,
-    on contention-free ones (closed form) — the hybrid path and the DES
-    are mutual differential oracles.
+    bit-identical to the DES on every schedule (``auto`` is exact replay
+    only; a run reporting the closed-form ``"analytic"`` path is itself a
+    violation) — the hybrid path and the DES are mutual differential
+    oracles.
 ``dh_structure``
     Structural checks on the Distance Halving pattern itself: the
     exactly-once delivery invariant (:func:`check_pattern`), at most one
@@ -543,20 +543,16 @@ def check_hybrid_equivalence(
 ) -> list[Violation]:
     """The hybrid fast path is a mutual oracle for the DES (and vice versa).
 
-    Every clean trial is re-run with ``sim_mode="auto"``.  When the hybrid
-    path replays the schedule (``sim_path="fastpath"`` — any contended
-    schedule), the run must be *bit-identical* to the DES in simulated
-    time, message/byte counters, and delivered buffers.  When the per-stage
-    analyzer routes it to the closed form (``sim_path="analytic"`` — fully
-    contention-free schedules), delivered buffers and counters must still
-    be identical and the simulated time must agree within
-    :data:`~repro.sim.fastpath.ANALYTIC_RTOL` without ever *exceeding* the
-    DES time (the closed form is a lower bound).
+    Every clean trial is re-run with ``sim_mode="auto"``, which replays the
+    schedule exactly (or falls back to the DES): the run must be
+    *bit-identical* to the DES in simulated time, per-rank finish times,
+    message/byte counters, and delivered buffers.  ``auto`` never takes the
+    closed form, so an ``auto`` run reporting ``sim_path="analytic"`` is a
+    violation too.
     """
     import dataclasses
 
     from repro.exec.spec import RunSpec
-    from repro.sim.fastpath import ANALYTIC_RTOL
 
     options = dataclasses.replace(
         scenario.options, trace=False, sim_mode="auto",
@@ -595,21 +591,21 @@ def check_hybrid_equivalence(
             ))
             continue
         if auto.sim_path == "analytic":
-            base = run.simulated_time
-            gap = base - auto.simulated_time
-            if gap < 0 or (base > 0 and gap / base > ANALYTIC_RTOL):
-                violations.append(Violation(
-                    "hybrid_equivalence", name,
-                    f"analytic time {auto.simulated_time!r} outside the "
-                    f"tolerance contract vs DES {base!r} "
-                    f"(rtol={ANALYTIC_RTOL}, lower-bound required)",
-                    data={"analytic": auto.simulated_time, "des": base},
-                ))
-        elif auto.simulated_time != run.simulated_time:
             violations.append(Violation(
                 "hybrid_equivalence", name,
-                f"contended schedule must replay bit-identically: "
-                f"auto {auto.simulated_time!r} != des {run.simulated_time!r}",
+                "sim_mode='auto' took the closed-form analytic path; it "
+                "must replay exactly",
+                data={"auto": auto.simulated_time, "des": run.simulated_time},
+            ))
+        elif (
+            auto.simulated_time != run.simulated_time
+            or auto.finish_times != run.finish_times
+        ):
+            violations.append(Violation(
+                "hybrid_equivalence", name,
+                f"auto must replay bit-identically: "
+                f"auto {auto.simulated_time!r} vs des {run.simulated_time!r}, "
+                f"finish times equal: {auto.finish_times == run.finish_times}",
                 data={"auto": auto.simulated_time, "des": run.simulated_time},
             ))
     return violations

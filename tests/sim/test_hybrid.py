@@ -1,16 +1,17 @@
 """Hybrid fast-path properties: auto/DES equivalence, the analytic
-tolerance contract, batch/interpreter agreement, and watchdog parity.
+tolerance contract, executor/interpreter agreement, and watchdog parity.
 
 These are the accuracy gates for ``sim_mode`` (see docs/ARCHITECTURE.md):
 
-* ``auto`` must equal the DES *bit-for-bit* on contended schedules (the
-  fast path is an exact replay, not an approximation);
-* on fully contention-free schedules ``auto`` routes to the closed-form
-  analytic costing, which must stay within
-  :data:`~repro.sim.fastpath.ANALYTIC_RTOL` of the DES and never exceed it;
-* the single-stage batched executor and the multi-stage executor must
-  agree bit-for-bit with the generic opcode interpreter (which remains
-  the semantic reference and the fallback for unmatched-recv schedules);
+* ``auto`` must equal the DES *bit-for-bit* on every schedule, contended
+  or contention-free (the fast path is an exact replay, never the closed
+  form);
+* an explicit ``sim_mode="analytic"`` must stay within
+  :data:`~repro.sim.fastpath.ANALYTIC_RTOL` of the DES on contention-free
+  schedules and never exceed it anywhere;
+* the executor must agree bit-for-bit with the generic opcode
+  interpreter (which remains the semantic reference and the fallback for
+  unmatched-recv schedules) at the block size it is priced with;
 * watchdog budgets must trip on the same event with the same structured
   diagnostics in both paths.
 """
@@ -26,7 +27,6 @@ from repro.sim.engine import SimTimeoutError
 from repro.sim.fastpath import (
     ANALYTIC_RTOL,
     _interpret,
-    batch_plan_for,
     execute_schedule,
     multi_plan_for,
 )
@@ -60,6 +60,7 @@ def _setup(name, kwargs, topology, machine):
 
 
 def _schedule_of(algorithm, topology, machine, msg_size=64):
+    """The memoized schedule — in block counts: price it with ``unit=msg_size``."""
     ctx = ExecutionContext(
         topology=topology, machine=machine, msg_size=msg_size,
         payloads=list(range(topology.n)),
@@ -83,8 +84,6 @@ class TestAutoEqualsDes:
                             options=RunOptions(sim_mode="des"))
         auto = run_allgather(algorithm, topology, machine, 4096,
                              options=RunOptions(sim_mode="auto"))
-        # Dense-enough random graphs always share receive ports, so the
-        # analyzer must route these through the exact replay.
         assert auto.sim_path == "fastpath"
         assert auto.simulated_time == des.simulated_time
         assert auto.finish_times == des.finish_times
@@ -145,8 +144,9 @@ class TestDesFallback:
 
 
 class TestAnalyticContract:
-    """Contention-free schedules route to the closed form; contended runs
-    under sim_mode="analytic" give a documented lower bound."""
+    """``auto`` replays contention-free schedules exactly too; the closed
+    form runs only under an explicit sim_mode="analytic", within
+    ANALYTIC_RTOL when contention-free and a lower bound when contended."""
 
     def _contention_free_case(self):
         # 4 ranks spread one-per-socket over 2 nodes at density 0.05:
@@ -164,32 +164,57 @@ class TestAnalyticContract:
 
     @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
     def test_auto_routes_contention_free_to_analytic(self, name, kwargs):
+        # auto takes the exact replay on contention-free schedules too:
+        # bit-identical to the DES, never the closed form.
         topology, machine = self._contention_free_case()
         algorithm = _setup(name, kwargs, topology, machine)
         des = run_allgather(algorithm, topology, machine, 64,
                             options=RunOptions(sim_mode="des"))
         auto = run_allgather(algorithm, topology, machine, 64,
                              options=RunOptions(sim_mode="auto"))
-        assert auto.sim_path == "analytic"
+        assert auto.sim_path == "fastpath"
+        assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
+        assert auto.results == des.results
+        assert auto.messages_sent == des.messages_sent
+        assert auto.bytes_sent == des.bytes_sent
+
+    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
+    def test_explicit_analytic_within_tolerance_when_contention_free(
+        self, name, kwargs,
+    ):
+        topology, machine = self._contention_free_case()
+        algorithm = _setup(name, kwargs, topology, machine)
+        des = run_allgather(algorithm, topology, machine, 64,
+                            options=RunOptions(sim_mode="des"))
+        analytic = run_allgather(algorithm, topology, machine, 64,
+                                 options=RunOptions(sim_mode="analytic"))
+        assert analytic.sim_path == "analytic"
         # Tolerance contract: never above the DES, within ANALYTIC_RTOL.
-        gap = des.simulated_time - auto.simulated_time
+        gap = des.simulated_time - analytic.simulated_time
         assert gap >= 0.0
         if des.simulated_time > 0:
             assert gap / des.simulated_time <= ANALYTIC_RTOL
-        assert auto.results == des.results
-        assert auto.messages_sent == des.messages_sent
+        assert analytic.results == des.results
+        assert analytic.messages_sent == des.messages_sent
+        assert analytic.bytes_sent == des.bytes_sent
 
     def test_single_stage_contention_free_is_exact(self):
-        # Naive is single-stage (one waitall): the analytic closed form is
-        # bit-identical there, not just within tolerance.
+        # Naive is single-stage (one waitall): both the exact replay and
+        # the explicit closed form are bit-identical to the DES there.
         topology, machine = self._contention_free_case()
         algorithm = _setup("naive", {}, topology, machine)
         des = run_allgather(algorithm, topology, machine, 64,
                             options=RunOptions(sim_mode="des"))
         auto = run_allgather(algorithm, topology, machine, 64,
                              options=RunOptions(sim_mode="auto"))
-        assert auto.sim_path == "analytic"
+        analytic = run_allgather(algorithm, topology, machine, 64,
+                                 options=RunOptions(sim_mode="analytic"))
+        assert auto.sim_path == "fastpath"
         assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
+        assert analytic.sim_path == "analytic"
+        assert analytic.simulated_time == des.simulated_time
 
     @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
     def test_forced_analytic_is_lower_bound_when_contended(self, name, kwargs):
@@ -205,39 +230,37 @@ class TestAnalyticContract:
 
 
 class TestBatchExecutor:
-    """The batched executors (single-stage cohort tables, multi-stage
-    heap replay) must agree with the generic interpreter bit-for-bit."""
+    """The heap-driven executor replays single- and multi-stage schedules
+    and must agree with the generic interpreter bit-for-bit."""
 
-    def test_naive_single_stage_is_batch_eligible(self):
+    def test_naive_single_stage_compiles_to_a_multi_plan(self):
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert batch_plan_for(schedule, machine) is not None
+        assert multi_plan_for(schedule, machine) is not None
 
     def test_multi_stage_takes_the_multi_executor(self):
-        # Multi-stage schedules are ineligible for the single-stage cohort
-        # executor but compile to a multi-stage plan that replays the
-        # engine bit-for-bit (events included).
+        # Multi-stage schedules compile to a plan that replays the engine
+        # bit-for-bit (events included).
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("common_neighbor", {"k": 4}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert batch_plan_for(schedule, machine) is None
         plan = multi_plan_for(schedule, machine)
         assert plan is not None
-        fast = execute_schedule(schedule, machine)
-        interp = _interpret(schedule, machine, None, None, True)
+        fast = execute_schedule(schedule, machine, unit=4096)
+        interp = _interpret(schedule, machine, None, None, True, 4096)
         assert fast.simulated_time == interp.simulated_time
         assert fast.finish_times == interp.finish_times
+        assert fast.bytes_sent == interp.bytes_sent
         assert fast.events_processed == interp.events_processed
 
     def test_batch_matches_interpreter_bit_for_bit(self):
         topology, machine = _build(64, 4, 0.25, seed=6)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 8192)
-        batched = execute_schedule(schedule, machine)
-        # The scalar opcode interpreter is the semantic reference; call it
-        # directly (budgeted dispatch now routes to the multi executor).
-        interp = _interpret(schedule, machine, None, None, True)
+        batched = execute_schedule(schedule, machine, unit=8192)
+        # The scalar opcode interpreter is the semantic reference.
+        interp = _interpret(schedule, machine, None, None, True, 8192)
         assert batched.simulated_time == interp.simulated_time
         assert batched.finish_times == interp.finish_times
         assert batched.messages_sent == interp.messages_sent

@@ -14,7 +14,8 @@ replay could plausibly diverge:
 * watchdog budgets tripping on the same event as the engine;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
-  regression), plus LRU bounds and stats.
+  regression), one size-free plan per pattern across message sizes, plus
+  LRU bounds and stats.
 """
 
 import dataclasses
@@ -28,8 +29,6 @@ from repro.sim.engine import SimTimeoutError
 from repro.sim.fastpath import (
     _execute_multi,
     _interpret,
-    batch_plan_for,
-    compiled_for,
     execute_schedule,
     multi_plan_for,
 )
@@ -42,7 +41,6 @@ from repro.sim.plancache import (
 )
 from repro.sim.schedule import (
     Schedule,
-    contention_free,
     spawn_wake_order,
     static_matching,
     structural_digest,
@@ -54,7 +52,12 @@ def _machine(nodes=2, sockets=2, rps=4):
                        ranks_per_socket=rps).build()
 
 
-def _schedule_for(name, kwargs, n, nodes, density, msg=4096, seed=3):
+#: Block size the memoized (block-count) schedules below are priced with.
+MSG = 4096
+
+
+def _schedule_for(name, kwargs, n, nodes, density, msg=MSG, seed=3):
+    """``schedule_for``'s block-count schedule — price it with ``unit=msg``."""
     machine = _machine(nodes=nodes, rps=max(1, n // (nodes * 2)))
     topology = TopologySpec("random", n, density=density, seed=seed).build()
     algorithm = get_algorithm(name, **kwargs)
@@ -66,13 +69,13 @@ def _schedule_for(name, kwargs, n, nodes, density, msg=4096, seed=3):
     return algorithm.schedule_for(ctx), machine
 
 
-def _assert_identical(schedule, machine, **budgets):
+def _assert_identical(schedule, machine, unit=1, **budgets):
     """The multi executor must match the interpreter field-for-field."""
     ref = _interpret(schedule, machine, budgets.get("max_sim_time"),
-                     budgets.get("max_events"), True)
+                     budgets.get("max_events"), True, unit)
     plan = multi_plan_for(schedule, machine)
     assert plan is not None
-    out = _execute_multi(plan, budgets.get("max_sim_time"),
+    out = _execute_multi(plan, unit, budgets.get("max_sim_time"),
                          budgets.get("max_events"))
     assert out.simulated_time == ref.simulated_time
     assert out.finish_times == ref.finish_times
@@ -151,6 +154,14 @@ class TestExecutorEdgeCases:
         assert fully_matched and slots == [0, -1] and n_slots == 1
         _assert_identical(schedule, machine)
 
+    def test_negative_unit_is_rejected(self):
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        schedule = Schedule(n_ranks=2, ops=[[("send", 1, 1, 0), ("wait",)],
+                                            [("recv", 0, 0), ("wait",)]],
+                            deliveries=[[], [0]])
+        with pytest.raises(ValueError, match="unit"):
+            execute_schedule(schedule, machine, unit=-8)
+
     def test_unmatched_recv_bails_to_interpreter(self):
         # A receive with no sender deadlocks; the multi executor refuses to
         # compile (fully_matched False) so the interpreter reports it.
@@ -171,7 +182,7 @@ class TestExecutorEdgeCases:
     ])
     def test_multistage_algorithms_match_interpreter(self, name, kwargs):
         schedule, machine = _schedule_for(name, kwargs, 48, 3, 0.3)
-        _assert_identical(schedule, machine)
+        _assert_identical(schedule, machine, unit=MSG)
 
 
 class TestWatchdogBoundaries:
@@ -230,12 +241,12 @@ class TestPlanCacheKeying:
         machine_b = _machine(nodes=4, rps=2)
         reset_plan_cache()
         try:
-            ref_a = batch_plan_for(schedule, machine_a)
-            ref_b = batch_plan_for(schedule, machine_b)
+            ref_a = multi_plan_for(schedule, machine_a)
+            ref_b = multi_plan_for(schedule, machine_b)
             misses_after_first = PLAN_CACHE.misses
             for _ in range(3):
-                assert batch_plan_for(schedule, machine_a) is ref_a
-                assert batch_plan_for(schedule, machine_b) is ref_b
+                assert multi_plan_for(schedule, machine_a) is ref_a
+                assert multi_plan_for(schedule, machine_b) is ref_b
             assert PLAN_CACHE.misses == misses_after_first
             assert PLAN_CACHE.hits >= 6
         finally:
@@ -257,18 +268,34 @@ class TestPlanCacheKeying:
             reset_plan_cache()
         # and the results per machine stay bit-identical to the interpreter
         for machine in (machine_a, machine_b):
-            _assert_identical(schedule, machine)
+            _assert_identical(schedule, machine, unit=MSG)
 
-    def test_contention_free_memo_keeps_both_machines(self):
-        schedule, machine_a = _schedule_for("naive", {}, 16, 2, 0.4)
-        machine_b = _machine(nodes=4, rps=2)
-        first = (contention_free(schedule, machine_a),
-                 contention_free(schedule, machine_b))
-        # repeat calls answer from the per-machine memo, not a re-analysis
-        # of whichever machine came last
-        again = (contention_free(schedule, machine_a),
-                 contention_free(schedule, machine_b))
-        assert first == again
+    @pytest.mark.parametrize("name,kwargs", [
+        ("naive", {}), ("common_neighbor", {"k": 4}),
+        ("distance_halving", {}), ("bruck", {}),
+    ])
+    def test_message_sizes_share_one_plan(self, name, kwargs):
+        # The message-size axis of a set-up instance compiles one size-free
+        # plan, priced per call — and every size, 0-byte blocks included,
+        # still replays the engine bit-for-bit.
+        machine = _machine(nodes=2, rps=6)
+        topology = TopologySpec("random", 24, density=0.3, seed=11).build()
+        algorithm = get_algorithm(name, **kwargs)
+        algorithm.setup(topology, machine)
+        reset_plan_cache()
+        try:
+            for size in (0, 8, 4096, 1 << 22):
+                des = run_allgather(algorithm, topology, machine, size,
+                                    options=RunOptions(sim_mode="des"))
+                auto = run_allgather(algorithm, topology, machine, size,
+                                     options=RunOptions(sim_mode="auto"))
+                assert auto.sim_path == "fastpath"
+                assert auto.simulated_time == des.simulated_time
+                assert auto.finish_times == des.finish_times
+                assert auto.bytes_sent == des.bytes_sent
+            assert PLAN_CACHE.misses == 1
+        finally:
+            reset_plan_cache()
 
     def test_structurally_equal_schedules_share_plans(self):
         # Two Schedule objects with identical op streams (fresh algorithm
@@ -279,8 +306,9 @@ class TestPlanCacheKeying:
         assert structural_digest(sched_a) == structural_digest(sched_b)
         reset_plan_cache()
         try:
-            plan_a = batch_plan_for(sched_a, machine)
-            plan_b = batch_plan_for(sched_b, machine)
+            plan_a = multi_plan_for(sched_a, machine)
+            plan_b = multi_plan_for(sched_b, machine)
+            assert plan_a is not None
             assert plan_b is plan_a
             assert PLAN_CACHE.hits >= 1
         finally:
@@ -316,14 +344,18 @@ class TestPlanCacheBounds:
         assert cache.stats()["misses"] >= 1
 
     def test_none_results_are_cached(self):
-        # ineligibility is a compile-walk verdict worth remembering
-        schedule, machine = _schedule_for("common_neighbor", {"k": 4},
-                                          16, 2, 0.4)
+        # an unmatched receive is a matching-walk verdict worth remembering
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        ops = [
+            [("send", 1, 64, 0), ("wait",)],
+            [("recv", 0, 0), ("recv", 0, 7), ("wait",)],
+        ]
+        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
         reset_plan_cache()
         try:
-            assert batch_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine) is None
             misses = PLAN_CACHE.misses
-            assert batch_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine) is None
             assert PLAN_CACHE.misses == misses  # second call hit
             assert PLAN_CACHE.hits >= 1
         finally:
@@ -348,9 +380,9 @@ class TestPlanCacheBounds:
 
     def test_execute_schedule_uses_cached_plans(self):
         schedule, machine = _schedule_for("distance_halving", {}, 16, 2, 0.4)
-        first = execute_schedule(schedule, machine)
+        first = execute_schedule(schedule, machine, unit=MSG)
         hits_before = PLAN_CACHE.hits
-        second = execute_schedule(schedule, machine)
+        second = execute_schedule(schedule, machine, unit=MSG)
         assert PLAN_CACHE.hits > hits_before
         assert second.simulated_time == first.simulated_time
         assert second.events_processed == first.events_processed

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.verify.invariants import (
     assert_invariants,
     check_cross_algorithm,
     check_dh_structure,
+    check_hybrid_equivalence,
     check_payload_equivalence,
     check_relabel_conservation,
     check_size_monotonicity,
@@ -138,6 +140,34 @@ class TestDoctoredRuns:
             clean_trial.scenario, {"naive": doctored}
         )
         assert any(v.invariant == "size_monotonicity" for v in violations)
+
+    def test_auto_time_drift_detected(self, clean_trial):
+        # One ulp off the DES is a violation: auto is an exact replay.
+        base = clean_trial.runs["naive"]
+        doctored = dataclasses.replace(
+            base, simulated_time=math.nextafter(base.simulated_time, math.inf),
+        )
+        violations = check_hybrid_equivalence(
+            clean_trial.scenario, {"naive": doctored}
+        )
+        assert any("bit-identically" in v.detail for v in violations)
+
+    def test_auto_taking_the_analytic_path_detected(self, clean_trial,
+                                                    monkeypatch):
+        # auto never takes the closed form; a run reporting it is a
+        # violation even when its numbers match the DES.
+        from repro.exec.spec import RunSpec
+
+        run = RunSpec.run
+        monkeypatch.setattr(
+            RunSpec, "run",
+            lambda spec: dataclasses.replace(run(spec), sim_path="analytic"),
+        )
+        violations = check_hybrid_equivalence(
+            clean_trial.scenario, {"naive": clean_trial.runs["naive"]}
+        )
+        assert [v.invariant for v in violations] == ["hybrid_equivalence"]
+        assert "analytic path" in violations[0].detail
 
     def test_naive_traffic_change_detected_under_relabeling(self, clean_trial):
         topology = clean_trial.scenario.topology.build()
