@@ -466,7 +466,11 @@ def cmd_analyze(args) -> int:
     report = analyze_topology(topology, machine)
     for line in report.summary_lines():
         print(line)
-    preview = pattern_preview(topology, machine)
+    try:
+        preview = pattern_preview(topology, machine)
+    except AssertionError as exc:
+        print(f"error: Distance Halving pattern check failed: {exc}", file=sys.stderr)
+        return 1
     print(
         f"Distance Halving preview: {preview['levels']} levels, "
         f"agent success {preview['agent_success_rate']:.0%}, "

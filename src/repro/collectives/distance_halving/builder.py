@@ -8,15 +8,23 @@ shared-outgoing-neighbor scores of Matrix A.  Matched pairs exchange duty
 descriptors ``D`` (which delivery obligations move to the agent), exactly
 as Algorithm 1's Lines 25-49.
 
-State per rank (the paper's variables):
+State, as arrays over the topology's off-diagonal edges (self-loops are
+local copies, ``self_copy``):
 
-* ``duties[r][src]`` — targets rank ``r`` must still deliver ``src``'s block
-  to.  ``duties[r][r]`` starts as ``O_r``; entries for other sources are
-  the union of received descriptors (the paper's ``O_org``).  ``O_on`` of
-  the paper is ``duties[r][r]``; ``O_off`` is what a transfer removes.
+* ``holder[e]`` — the one rank that still owes edge ``e = (src, dst)`` its
+  delivery; it starts as ``src``.  The paper's per-rank duties are the
+  alive edges a rank holds: ``O_on`` those with ``src`` equal to the
+  rank, ``O_org`` the rest.  At each level a giver's alive edges whose
+  ``dst`` lies in its opposite half ``h2`` move to its agent (the
+  descriptor ``D``, ``O_off``); an edge whose ``dst`` is the agent itself
+  is delivered on receipt and dies.  All moves of a level are computed
+  from the pre-level snapshot.
 * ``blocks[r]`` — ordered contents of ``main_buf`` in ``m``-byte blocks
   (source rank per block; duplicates possible since buffers are forwarded
   wholesale).
+
+The edges still alive after the last level form the final phase: one
+combined message per (holder, dst) pair, its blocks in ``main_buf`` order.
 
 The delivery invariant — every topology edge is delivered exactly once,
 either to an agent that is itself the target (during halving) or in the
@@ -26,6 +34,7 @@ final phase — is checked by :func:`check_pattern` and property-tested.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 
 import numpy as np
 
@@ -99,156 +108,129 @@ def build_patterns(
     # rank's outgoing-neighbor list — an all-to-all of neighbor lists.
     stats.matrix_a_messages = n * (n - 1)
 
-    patterns = [RankPattern(rank=r) for r in range(n)]
-    duties: list[dict[int, set[int]]] = []
-    blocks: list[list[int]] = []
-    for r in range(n):
-        out = set(topology.out_neighbors(r))
-        if r in out:
-            patterns[r].self_copy = True
-            out.discard(r)
-        duties.append({r: out} if out else {})
-        blocks.append([r])
+    patterns = [
+        RankPattern(rank=r, self_copy=loop) for r, loop in enumerate(adj.diagonal().tolist())
+    ]
+    src, dst = np.nonzero(adj)
+    off_diagonal = src != dst
+    src = src[off_diagonal].astype(np.int32)
+    dst = dst[off_diagonal].astype(np.int32)
+    holder = src.copy()
+    alive = np.ones(src.size, dtype=bool)
+    # The pattern stores ranks as these n int objects: ndarray.tolist()
+    # would allocate a fresh int per entry.
+    rank_ids = np.array(range(n), dtype=object)
+    blocks: list[list[int]] = [[r] for r in rank_ids.tolist()]
 
     intervals: list[tuple[int, int]] = [(0, n)]  # half-open [lo, hi)
     t = 0
     while any(hi - lo > L for lo, hi in intervals):
         next_intervals: list[tuple[int, int]] = []
-        # (giver, agent, giver_h2) transfers at this level, snapshot-consistent.
-        transfers: list[tuple[int, int, tuple[int, int]]] = []
-        agents_of: dict[int, int] = {}
-        origins_of: dict[int, int] = {}
-
+        agent_of = np.full(n, -1, dtype=np.int32)
+        # Every splitting rank's opposite half h2 = [h2_lo, h2_hi); empty
+        # for the other ranks.
+        h2_lo = np.zeros(n, dtype=np.int32)
+        h2_hi = np.zeros(n, dtype=np.int32)
         for lo, hi in intervals:
             if hi - lo <= L:
                 continue  # this interval reached socket granularity earlier
             mid = (lo + hi - 1) // 2  # paper's mid_rank (inclusive midpoint)
             lower, upper = (lo, mid + 1), (mid + 1, hi)
             next_intervals.extend((lower, upper))
+            h2_lo[lo : mid + 1], h2_hi[lo : mid + 1] = upper
+            h2_lo[mid + 1 : hi], h2_hi[mid + 1 : hi] = lower
+            for searcher_iv, h2_iv in ((lower, upper), (upper, lower)):
+                matching = _match_round(adj_f32, searcher_iv, h2_iv, selection, stats, rng)
+                agent_of[list(matching)] = list(matching.values())
+                stats.agent_successes += len(matching)
 
-            m1 = _match_round(adj_f32, lower, upper, upper, selection, stats, rng)
-            m2 = _match_round(adj_f32, upper, lower, lower, selection, stats, rng)
-            stats.agent_successes += len(m1) + len(m2)
-            _count_attempts(adj, lower, upper, stats)
-            _count_attempts(adj, upper, lower, stats)
+        givers = np.flatnonzero(agent_of >= 0)
+        giver_list = rank_ids[givers].tolist()
+        agent_list = rank_ids[agent_of[givers]].tolist()
+        stats.descriptor_messages += len(giver_list)
+        # Ranks with own targets in h2 needed an agent; a giver notifies
+        # those targets of its agent (Line 30).
+        own_in_h2 = np.bincount(src[(h2_lo[src] <= dst) & (dst < h2_hi[src])], minlength=n)
+        stats.agent_attempts += int(np.count_nonzero(own_in_h2))
+        stats.notification_messages += int(own_in_h2[givers].sum())
 
-            for searcher, agent in m1.items():
-                agents_of[searcher] = agent
-                origins_of[agent] = searcher
-                transfers.append((searcher, agent, upper))
-            for searcher, agent in m2.items():
-                agents_of[searcher] = agent
-                origins_of[agent] = searcher
-                transfers.append((searcher, agent, lower))
+        # ---- snapshot-consistent descriptors (Lines 31-49) ----------------
+        moving = np.flatnonzero(
+            alive & (agent_of[holder] >= 0) & (h2_lo[holder] <= dst) & (dst < h2_hi[holder])
+        )
+        new_holder = agent_of[holder[moving]]
+        delivered = moving[dst[moving] == new_holder]
+        sent_blocks = {g: tuple(blocks[g]) for g in giver_list}
 
-        # ---- snapshot-consistent descriptor computation (Lines 31-49) ----
-        descriptors: dict[int, dict[int, set[int]]] = {}
-        sent_blocks: dict[int, tuple[int, ...]] = {}
-        for giver, agent, (h2_lo, h2_hi) in transfers:
-            d: dict[int, set[int]] = {}
-            for src, targets in duties[giver].items():
-                moved = {v for v in targets if h2_lo <= v < h2_hi}
-                if moved:
-                    d[src] = moved
-            descriptors[giver] = d
-            sent_blocks[giver] = tuple(blocks[giver])
-            stats.descriptor_messages += 1
-            # Line 30: notify outgoing neighbors in h2 about the new agent.
-            stats.notification_messages += int(
-                np.count_nonzero(adj[giver, h2_lo:h2_hi])
-            )
+        # In-flight deliveries, in the order of their blocks in main_buf.
+        d_src, d_dst = src[delivered], dst[delivered]
+        first = _first_positions(blocks, holder[delivered], d_src)
+        order = np.lexsort((first, d_dst))
+        runs, (d_src, d_dst) = _sorted_runs(rank_ids, order, d_dst, d_src, d_dst)
+        recv_for_me = {d_dst[a]: tuple(d_src[a:b]) for a, b in runs}
 
-        # ---- record steps for every participating rank --------------------
         pair_lists: dict[int, tuple[tuple[int, int], ...]] = {}
         if record_pairs:
-            for giver in descriptors:
-                pair_lists[giver] = tuple(
-                    (src, tgt)
-                    for src in sorted(descriptors[giver])
-                    for tgt in sorted(descriptors[giver][src])
-                )
+            m_holder, m_src, m_dst = holder[moving], src[moving], dst[moving]
+            order = np.lexsort((m_dst, m_src, m_holder))
+            runs, (m_holder, m_src, m_dst) = _sorted_runs(
+                rank_ids, order, m_holder, m_holder, m_src, m_dst
+            )
+            pair_lists = dict.fromkeys(giver_list, ())
+            for a, b in runs:
+                pair_lists[m_holder[a]] = tuple(zip(m_src[a:b], m_dst[a:b]))
 
-        touched = set(agents_of) | set(origins_of)
-        for r in sorted(touched):
+        # ---- record steps for every participating rank --------------------
+        agents_of = dict(zip(giver_list, agent_list))
+        origins_of = dict(zip(agent_list, giver_list))
+        for r in sorted(agents_of.keys() | origins_of.keys()):
             agent = agents_of.get(r)
             origin = origins_of.get(r)
-            recv_blocks: tuple[int, ...] = ()
-            recv_for_me: tuple[int, ...] = ()
-            if origin is not None:
-                recv_blocks = sent_blocks[origin]
-                d_in = descriptors[origin]
-                seen: set[int] = set()
-                for_me = []
-                for src in recv_blocks:
-                    if src not in seen and r in d_in.get(src, ()):
-                        for_me.append(src)
-                        seen.add(src)
-                recv_for_me = tuple(for_me)
             patterns[r].steps.append(
                 HalvingStep(
                     index=t,
                     agent=agent,
                     origin=origin,
                     send_block_count=len(sent_blocks[r]) if agent is not None else 0,
-                    recv_blocks=recv_blocks,
-                    recv_for_me=recv_for_me,
+                    recv_blocks=sent_blocks[origin] if origin is not None else (),
+                    recv_for_me=recv_for_me.get(r, ()),
                     send_pairs=pair_lists.get(r) if agent is not None else None,
                     recv_pairs=pair_lists.get(origin) if origin is not None else None,
                 )
             )
 
-        # ---- apply removals, then merges ----------------------------------
-        for giver, agent, _ in transfers:
-            d = descriptors[giver]
-            my_duties = duties[giver]
-            for src, moved in d.items():
-                remaining = my_duties[src] - moved
-                if remaining:
-                    my_duties[src] = remaining
-                else:
-                    del my_duties[src]
-        for giver, agent, _ in transfers:
-            d = descriptors[giver]
-            agent_duties = duties[agent]
-            for src, moved in d.items():
-                pending = moved - {agent}  # agent-as-target delivered on receive
-                if pending:
-                    existing = agent_duties.get(src)
-                    if existing is None:
-                        agent_duties[src] = set(pending)
-                    else:
-                        existing |= pending
+        # ---- move the descriptors' edges and buffers to the agents ---------
+        holder[moving] = new_holder
+        alive[delivered] = False
+        for giver, agent in agents_of.items():
             blocks[agent].extend(sent_blocks[giver])
 
         intervals = next_intervals
         t += 1
 
     stats.levels = t
-    _build_final_phase(patterns, duties, blocks)
+    _build_final_phase(patterns, blocks, rank_ids, holder[alive], src[alive], dst[alive])
     return CommunicationPattern(n=n, ranks_per_socket=L, ranks=patterns, stats=stats)
 
 
 def _match_round(
     adj_f32: np.ndarray,
     searcher_iv: tuple[int, int],
-    acceptor_iv: tuple[int, int],
-    half_iv: tuple[int, int],
+    h2_iv: tuple[int, int],
     selection: str,
     stats: PatternStats,
     rng: np.random.Generator,
 ) -> dict[int, int]:
-    """One matching round: searchers pick agents among acceptors.
+    """One matching round: searchers pick agents in their opposite half.
 
-    ``half_iv`` is the opposite half the shared-outgoing-neighbor scores
-    are restricted to (equal to ``acceptor_iv`` — agents always live in the
-    searcher's ``h2``).
+    Scores are shared outgoing neighbors restricted to ``h2_iv`` — agents
+    always live in the searcher's ``h2``, so the acceptors are ``h2_iv``.
     """
     s_lo, s_hi = searcher_iv
-    a_lo, a_hi = acceptor_iv
-    h_lo, h_hi = half_iv
-    scores = adj_f32[s_lo:s_hi, h_lo:h_hi] @ adj_f32[a_lo:a_hi, h_lo:h_hi].T
+    h_lo, h_hi = h2_iv
+    scores = adj_f32[s_lo:s_hi, h_lo:h_hi] @ adj_f32[h_lo:h_hi, h_lo:h_hi].T
     searchers = list(range(s_lo, s_hi))
-    acceptors = list(range(a_lo, a_hi))
+    acceptors = list(range(h_lo, h_hi))
     if selection == "protocol":
         outcome: NegotiationOutcome = protocol_matching(searchers, acceptors, scores)
         stats.protocol_messages += outcome.total_messages
@@ -258,42 +240,55 @@ def _match_round(
     return greedy_matching(searchers, acceptors, scores)
 
 
-def _count_attempts(
-    adj: np.ndarray,
-    searcher_iv: tuple[int, int],
-    h2_iv: tuple[int, int],
-    stats: PatternStats,
-) -> None:
-    """Count ranks that *needed* an agent this round (own targets in h2)."""
-    s_lo, s_hi = searcher_iv
-    h_lo, h_hi = h2_iv
-    stats.agent_attempts += int(adj[s_lo:s_hi, h_lo:h_hi].any(axis=1).sum())
+def _first_positions(
+    blocks: list[list[int]], owners: np.ndarray, srcs: np.ndarray
+) -> np.ndarray:
+    """Index of the first block from ``srcs[k]`` in ``blocks[owners[k]]``."""
+    n = len(blocks)
+    ranks = np.unique(owners).tolist()
+    lens = np.array([len(blocks[r]) for r in ranks], dtype=np.int64)
+    flat = np.fromiter(
+        chain.from_iterable(blocks[r] for r in ranks), dtype=np.int64, count=int(lens.sum())
+    )
+    keys = np.repeat(np.array(ranks, dtype=np.int64) * n, lens) + flat
+    positions = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    # return_index sorts stably, so it reports each key's first occurrence.
+    unique_keys, first = np.unique(keys, return_index=True)
+    wanted = owners.astype(np.int64) * n + srcs
+    return positions[first[np.searchsorted(unique_keys, wanted)]]
+
+
+def _sorted_runs(
+    rank_ids: np.ndarray, order: np.ndarray, key: np.ndarray, *columns: np.ndarray
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Sort ``key`` and the rank-valued ``columns`` by ``order``: the
+    ``[start, end)`` runs of equal ``key``, and the sorted columns as lists
+    of ``rank_ids``."""
+    key = key[order]
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    runs = list(zip([0, *cuts], [*cuts, key.size])) if key.size else []
+    return runs, [rank_ids[column[order]].tolist() for column in columns]
 
 
 def _build_final_phase(
     patterns: list[RankPattern],
-    duties: list[dict[int, set[int]]],
     blocks: list[list[int]],
+    rank_ids: np.ndarray,
+    holder: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
 ) -> None:
-    """Turn remaining duties into final-phase send/recv lists (Lines 19-33 of
-    Algorithm 4): one combined message per (deliverer, target) pair."""
-    recvs: dict[int, list[FinalRecv]] = defaultdict(list)
-    for c, my_duties in enumerate(duties):
-        if not my_duties:
-            continue
-        order_index: dict[int, int] = {}
-        for i, src in enumerate(blocks[c]):
-            order_index.setdefault(src, i)
-        tmap: dict[int, list[int]] = defaultdict(list)
-        for src in sorted(my_duties, key=order_index.__getitem__):
-            for v in my_duties[src]:
-                tmap[v].append(src)
-        for v in sorted(tmap):
-            fs = FinalSend(target=v, blocks=tuple(tmap[v]))
-            patterns[c].final_sends.append(fs)
-            recvs[v].append(FinalRecv(sender=c, blocks=fs.blocks))
-    for v, lst in recvs.items():
-        patterns[v].final_recvs = sorted(lst, key=lambda fr: fr.sender)
+    """Turn the undelivered edges into final-phase send/recv lists (Lines
+    19-33 of Algorithm 4): one combined message per (holder, target) pair,
+    its blocks in ``main_buf`` order, sends by target and receives by
+    sender."""
+    order = np.lexsort((_first_positions(blocks, holder, src), dst, holder))
+    key = holder.astype(np.int64) * len(blocks) + dst
+    runs, (holder, src, dst) = _sorted_runs(rank_ids, order, key, holder, src, dst)
+    for a, b in runs:
+        sender, target, packed = holder[a], dst[a], tuple(src[a:b])
+        patterns[sender].final_sends.append(FinalSend(target=target, blocks=packed))
+        patterns[target].final_recvs.append(FinalRecv(sender=sender, blocks=packed))
 
 
 def check_pattern(topology: DistGraphTopology, pattern: CommunicationPattern) -> None:

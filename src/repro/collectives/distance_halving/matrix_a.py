@@ -15,6 +15,8 @@ tests, and documentation examples.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.topology.graph import DistGraphTopology
@@ -23,11 +25,11 @@ from repro.topology.graph import DistGraphTopology
 def adjacency_matrix(topology: DistGraphTopology) -> np.ndarray:
     """Boolean ``adj[u, v] = (v in O_u)`` for the whole topology."""
     n = topology.n
+    out = [topology.out_neighbors(u) for u in range(n)]
+    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in out])
+    dst = np.fromiter(chain.from_iterable(out), dtype=np.intp, count=topology.n_edges)
     adj = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        nbrs = topology.out_neighbors(u)
-        if nbrs:
-            adj[u, list(nbrs)] = True
+    adj[src, dst] = True
     return adj
 
 

@@ -7,7 +7,9 @@ Two implementations of the same matching:
   symmetric in a and b) and lowest-rank tie-breaking, the protocol always
   matches the globally best remaining (searcher, acceptor) pair first; that
   is exactly greedy maximum-weight bipartite matching on edges sorted by
-  ``(-score, searcher, acceptor)``.  Used as the builder's fast path.
+  ``(-score, searcher, acceptor)``.  Used as the builder's fast path: one
+  stable numpy sort orders the candidates, then a scan over plain Python
+  lists takes every pair whose two ends are still free.
 
 * :func:`protocol_matching` — a faithful, message-by-message emulation of
   the REQ/ACCEPT/DROP/EXIT signal protocol, with WAITING semantics and
@@ -22,6 +24,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+#: Candidate pairs per numpy pre-filter of the greedy scan.
+_SCAN_CHUNK = 4096
 
 
 @dataclass
@@ -55,30 +61,12 @@ def greedy_matching(
     taken in order of decreasing score, ties broken by (searcher rank,
     acceptor rank) ascending — the protocol's lowest-rank tie-break.
     """
-    if scores.shape != (len(searchers), len(acceptors)):
-        raise ValueError(
-            f"scores shape {scores.shape} does not match "
-            f"({len(searchers)}, {len(acceptors)})"
-        )
+    _check_shape(searchers, acceptors, scores)
     si, aj = np.nonzero(scores > 0)
-    if si.size == 0:
-        return {}
-    weights = scores[si, aj]
-    # lexsort: last key is primary => sort by -weight, then searcher, then acceptor.
-    order = np.lexsort((aj, si, -weights))
-    matched_s: set[int] = set()
-    matched_a: set[int] = set()
-    matching: dict[int, int] = {}
-    for k in order:
-        i, j = int(si[k]), int(aj[k])
-        if i in matched_s or j in matched_a:
-            continue
-        matched_s.add(i)
-        matched_a.add(j)
-        matching[searchers[i]] = acceptors[j]
-        if len(matched_s) == min(len(searchers), len(acceptors)):
-            break
-    return matching
+    # nonzero is row-major, so the candidates arrive in (i, j) order and a
+    # stable sort by -score yields the (-score, i, j) order.
+    order = np.argsort(-scores[si, aj], kind="stable")
+    return _take_in_order(searchers, acceptors, si[order], aj[order])
 
 
 def random_matching(
@@ -93,25 +81,48 @@ def random_matching(
     matching ignores shared-neighbor counts — this isolates the value of
     the paper's load-aware agent choice.
     """
+    _check_shape(searchers, acceptors, scores)
+    si, aj = np.nonzero(scores > 0)
+    order = rng.permutation(si.size)
+    return _take_in_order(searchers, acceptors, si[order], aj[order])
+
+
+def _check_shape(searchers: list[int], acceptors: list[int], scores: np.ndarray) -> None:
     if scores.shape != (len(searchers), len(acceptors)):
         raise ValueError(
             f"scores shape {scores.shape} does not match "
             f"({len(searchers)}, {len(acceptors)})"
         )
-    si, aj = np.nonzero(scores > 0)
-    if si.size == 0:
-        return {}
-    order = rng.permutation(si.size)
-    matched_s: set[int] = set()
-    matched_a: set[int] = set()
+
+
+def _take_in_order(
+    searchers: list[int],
+    acceptors: list[int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> dict[int, int]:
+    """Scan candidate pairs ``(rows[k], cols[k])`` in order, keeping each
+    pair whose searcher and acceptor are both still free.  Per chunk, numpy
+    first drops the pairs with an end matched in earlier chunks: late in a
+    dense split, almost all of them."""
+    want = min(len(searchers), len(acceptors))
+    s_matched = bytearray(len(searchers))
+    a_matched = bytearray(len(acceptors))
+    # Views of the flags: they see every match the scan records.
+    s_view = np.frombuffer(s_matched, dtype=np.uint8)
+    a_view = np.frombuffer(a_matched, dtype=np.uint8)
     matching: dict[int, int] = {}
-    for k in order:
-        i, j = int(si[k]), int(aj[k])
-        if i in matched_s or j in matched_a:
-            continue
-        matched_s.add(i)
-        matched_a.add(j)
-        matching[searchers[i]] = acceptors[j]
+    for start in range(0, rows.size, _SCAN_CHUNK):
+        r = rows[start : start + _SCAN_CHUNK]
+        c = cols[start : start + _SCAN_CHUNK]
+        free = (s_view[r] | a_view[c]) == 0
+        for i, j in zip(r[free].tolist(), c[free].tolist()):
+            if s_matched[i] or a_matched[j]:
+                continue
+            s_matched[i] = a_matched[j] = 1
+            matching[searchers[i]] = acceptors[j]
+            if len(matching) == want:
+                return matching
     return matching
 
 
@@ -169,11 +180,7 @@ def protocol_matching(
     is interleaving-independent (see :func:`greedy_matching`); the signal
     *counts* depend mildly on interleaving, as they do on a real machine.
     """
-    if scores.shape != (len(searchers), len(acceptors)):
-        raise ValueError(
-            f"scores shape {scores.shape} does not match "
-            f"({len(searchers)}, {len(acceptors)})"
-        )
+    _check_shape(searchers, acceptors, scores)
     out = NegotiationOutcome(matching={})
 
     s_index = {r: i for i, r in enumerate(searchers)}

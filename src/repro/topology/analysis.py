@@ -127,14 +127,18 @@ def analyze_topology(
 
 
 def pattern_preview(topology: DistGraphTopology, machine: Machine) -> dict:
-    """Build the DH pattern and summarize what the collective would do.
+    """Build the DH pattern, check it, and summarize what the collective
+    would do.
 
     Returns a dict with halving levels, agent success rate, data messages
     per call (vs the naive per-edge count), and the peak buffer growth.
+    Raises :class:`AssertionError` (from :func:`check_pattern`) when the
+    pattern does not deliver every edge exactly once.
     """
-    from repro.collectives.distance_halving.builder import build_patterns
+    from repro.collectives.distance_halving.builder import build_patterns, check_pattern
 
     pattern = build_patterns(topology, machine)
+    check_pattern(topology, pattern)
     peak_blocks = max((rp.max_buffer_blocks() for rp in pattern.ranks), default=1)
     return {
         "levels": pattern.stats.levels,

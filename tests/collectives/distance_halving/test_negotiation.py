@@ -18,6 +18,29 @@ def scores_of(pairs, n_s, n_a):
     return scores
 
 
+def reference_greedy(searchers, acceptors, scores):
+    """The original greedy loop: candidates lexsorted by (-score, i, j),
+    taken one numpy scalar at a time.  The oracle for greedy_matching."""
+    si, aj = np.nonzero(scores > 0)
+    if si.size == 0:
+        return {}
+    weights = scores[si, aj]
+    order = np.lexsort((aj, si, -weights))
+    matched_s: set[int] = set()
+    matched_a: set[int] = set()
+    matching: dict[int, int] = {}
+    for k in order:
+        i, j = int(si[k]), int(aj[k])
+        if i in matched_s or j in matched_a:
+            continue
+        matched_s.add(i)
+        matched_a.add(j)
+        matching[searchers[i]] = acceptors[j]
+        if len(matched_s) == min(len(searchers), len(acceptors)):
+            break
+    return matching
+
+
 class TestGreedyMatching:
     def test_empty(self):
         assert greedy_matching([], [], np.zeros((0, 0))) == {}
@@ -136,3 +159,50 @@ def test_matchings_are_valid(n, seed):
         assert len(set(matching.values())) == len(matching)
         for s, a in matching.items():
             assert scores[searchers.index(s), acceptors.index(a)] > 0
+
+
+def _assert_same_as_reference(scores):
+    searchers = list(range(scores.shape[0]))
+    acceptors = list(range(1000, 1000 + scores.shape[1]))
+    got = greedy_matching(searchers, acceptors, scores)
+    want = reference_greedy(searchers, acceptors, scores)
+    # Equal as lists: the same pairs, taken in the same order.
+    assert list(got.items()) == list(want.items())
+
+
+_shapes = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@st.composite
+def _score_matrices(draw):
+    n_s, n_a = draw(_shapes)
+    kind = draw(st.sampled_from(["integer", "all_equal", "float_ties", "row", "column"]))
+    if kind == "row":
+        n_s, n_a = 1, max(n_a, 1)
+    elif kind == "column":
+        n_s, n_a = max(n_s, 1), 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == "all_equal":
+        return np.full((n_s, n_a), draw(st.sampled_from([0.0, 1.0, 7.0])), np.float32)
+    if kind == "float_ties":
+        # Few distinct non-integer values, so ties are common.
+        values = np.array([0.0, 0.25, 1.5, 1 / 3, 2.75], dtype=np.float32)
+        return values[rng.integers(0, values.size, (n_s, n_a))]
+    return rng.integers(0, 4, (n_s, n_a)).astype(np.float32)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_score_matrices())
+def test_greedy_equals_reference(scores):
+    """The sort-and-scan matching equals the original loop on integer scores
+    0-3, all-equal scores, tied non-integer floats, empty inputs and 1xk /
+    kx1 shapes."""
+    _assert_same_as_reference(scores)
+
+
+def test_greedy_equals_reference_on_all_tied_complete_split():
+    """A 200x200 split of a complete graph: every score ties, so rounds of
+    mutual-best pairs would match one pair per round."""
+    scores = np.full((200, 200), 198.0, dtype=np.float32)
+    _assert_same_as_reference(scores)
+    assert len(greedy_matching(list(range(200)), list(range(200, 400)), scores)) == 200

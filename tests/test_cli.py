@@ -77,6 +77,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "edge locality" in out and "Distance Halving preview" in out
 
+    def test_analyze_rejects_pattern_that_drops_edges(self, monkeypatch, capsys):
+        from repro.collectives.distance_halving import builder
+
+        real_build = builder.build_patterns
+
+        def dropping_build(topology, machine):
+            pattern = real_build(topology, machine)
+            next(rp for rp in pattern.ranks if rp.final_recvs).final_recvs.clear()
+            return pattern
+
+        monkeypatch.setattr(builder, "build_patterns", dropping_build)
+        assert main(["analyze", *SMALL, "--density", "0.4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Distance Halving pattern check failed: edges never")
+        assert err.count("\n") == 1
+
     def test_spmm_single_matrix(self, capsys):
         assert main(["spmm", *SMALL, "dwt_193"]) == 0
         out = capsys.readouterr().out
