@@ -213,7 +213,7 @@ def paper_scale_cases(repeats_density: float = 0.3,
 
 
 #: Rows kept per case when profiling (`--profile`): the top N by cumulative
-#: time, which is where an interpreter-vs-executor cost claim lives.
+#: time, which is where a fast-path cost claim lives.
 PROFILE_TOP_N = 15
 
 
@@ -292,7 +292,7 @@ def _run_case(case: WallclockCase, repeats: int, check_trace: bool,
     if profile:
         # One extra run under cProfile, never one of the timed repeats.
         # Profile the hybrid path when the case exercises it (that is where
-        # an interpreter-vs-executor cost claim lives), the DES otherwise.
+        # a fast-path cost claim lives), the DES otherwise.
         prof_options = (RunOptions(sim_mode="auto")
                         if case.sim_mode in ("compare", "auto") else options)
         pr = cProfile.Profile()

@@ -135,11 +135,13 @@ class RunOptions:
         is eligible (no fault plan, no tracing, jitter-free machine, and
         the algorithm provides a schedule), falling back to the engine
         otherwise; it never takes the closed form.  ``"analytic"``, only
-        when set explicitly, prices every message with the closed-form
-        Hockney pipeline cost, ignoring contention: exact on
-        contention-free schedules, a documented lower bound elsewhere (see
-        docs/ARCHITECTURE.md); runs with a fault plan likewise fall back
-        to the engine.
+        when set explicitly, runs the same replay with the closed-form
+        Hockney pricing: every message costs its pipeline alone, ignoring
+        contention — exact on contention-free schedules, a documented
+        lower bound elsewhere (see docs/ARCHITECTURE.md); ineligible runs
+        likewise fall back to the engine.  Either mode reports a schedule
+        that deadlocks with the engine's
+        :class:`~repro.sim.engine.DeadlockError`.
     on_failure:
         ULFM-style policy for fail-stop failures (``RankCrash`` faults that
         leave survivors stalled).  ``"abort"`` (default) propagates the

@@ -1,16 +1,16 @@
 """Cross-run compiled-plan cache for the hybrid fast path.
 
 :mod:`repro.sim.fastpath` compiles a :class:`~repro.sim.schedule.Schedule`
-into a size-free executor plan (and, for the interpreter, priced opcode
-segments).  Compilation walks every op — cheap next to a DES run, but pure
-overhead when a sweep revisits the same schedule shape on the same machine,
-which Fig. 5-style grids do constantly (every repeat, every message size of
-a pattern, every algorithm cell sharing a topology, every warm bench pass).
+into a size-free executor plan.  Compilation walks every op — cheap next to
+a DES run, but pure overhead when a sweep revisits the same schedule shape
+on the same machine, which Fig. 5-style grids do constantly (every repeat,
+every message size of a pattern, every algorithm cell sharing a topology,
+every warm bench pass).
 
-This module provides the process-wide memo for those products: a bounded
-LRU keyed on *structure*, not identity —
+This module provides the process-wide memo for those plans: a bounded LRU
+keyed on *structure*, not identity —
 
-``(schedule structural digest, machine digest, plan flavor)``
+``(schedule structural digest, machine digest)``
 
 * the schedule half is :func:`repro.sim.schedule.structural_digest`
   (rank count + full op streams: the compiler's exact input), so two
@@ -23,15 +23,14 @@ LRU keyed on *structure*, not identity —
   fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster
   shape, every Hockney constant, the network topology's constructor state
   including placement permutations) — everything that can influence a
-  plan or its prices;
-* the flavor names the product: ``"multi"`` for the executor's size-free
-  plan (priced on every call), or ``"segments"`` plus the contention mode
-  and block size for the interpreter's priced segments.
+  plan or its prices.
 
-Cached values hold only plain numbers, tuples, and numpy arrays — never a
-``Machine`` or ``Schedule`` reference — so retention cannot leak simulation
-state.  ``None`` results (a schedule with an unmatched receive) are cached
-too: deciding that costs a full matching walk.
+One plan serves every call on its pattern and machine: exact and analytic
+runs alike, every message size (a call prices the plan for its block
+size), and schedules whose run deadlocks.  Cached values hold only plain
+numbers, tuples, and numpy arrays — never a ``Machine`` or ``Schedule``
+reference — so retention cannot leak simulation state, and never ``None``,
+so :meth:`PlanCache.get` reports a miss as ``None``.
 
 Stats (hits/misses/evictions) are process-global and surfaced through
 ``repro.exec`` sweep reports and the wallclock harness payload; see
@@ -48,8 +47,6 @@ from typing import Any
 #: the bound stays modest — but it must hold a whole bench grid, and
 #: evicting mid-grid forfeits the warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
-
-_MISS = object()
 
 # Machine fingerprints, memoized per live Machine object.  Machine is a
 # frozen dataclass (attributes cannot be added), so the memo lives here,
@@ -119,7 +116,7 @@ def machine_digest(machine: Any) -> str:
 
 
 class PlanCache:
-    """Bounded LRU over ``(schedule digest, machine digest, flavor)`` keys."""
+    """Bounded LRU over ``(schedule digest, machine digest)`` keys."""
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions")
 
@@ -133,10 +130,10 @@ class PlanCache:
         self.evictions = 0
 
     def get(self, key: tuple) -> Any:
-        """Cached value for ``key``, or the module-private miss sentinel."""
+        """Cached value for ``key``, or ``None`` on a miss."""
         entries = self._entries
-        value = entries.get(key, _MISS)
-        if value is _MISS:
+        value = entries.get(key)
+        if value is None:
             self.misses += 1
         else:
             entries.move_to_end(key)

@@ -10,7 +10,7 @@ the information the discrete-event engine would discover lazily, which lets
 :mod:`repro.sim.fastpath` replay the run without generator resumes, request
 objects, or matching-table bookkeeping while staying bit-identical.
 
-Ops are plain tuples (the fast path compiles them to priced opcodes):
+Ops are plain tuples (the fast path compiles them into a size-free plan):
 
 * ``("charge", nbytes)`` — advance the local clock by a memcpy.
 * ``("send", dst, nbytes, tag)`` — post a non-blocking send.
@@ -112,7 +112,7 @@ def spawn_wake_order(schedule: Schedule) -> tuple[int, ...]:
     later wake order follows from the seq discipline — each waitall wake is
     pushed with a monotonically increasing sequence number at the moment
     its last pending receive is determined — which the fast path's
-    executors reproduce (see :mod:`repro.sim.fastpath`).
+    executor reproduces (see :mod:`repro.sim.fastpath`).
     """
     return tuple(
         rank for rank, ops in enumerate(schedule.ops) if ops is not None
@@ -136,8 +136,10 @@ def static_matching(schedule: Schedule):
     matched by the i-th send in the same enumeration order (``-1`` when no
     receive ever matches it — the engine parks such messages in the
     unexpected table forever, with no timing effect), and ``fully_matched``
-    is False when some receive has no matching send (the run deadlocks;
-    the scalar interpreter reports it exactly).
+    is False when some receive has no matching send.  Such a receive keeps
+    its slot and never completes, so its owner blocks in its waitall and
+    the run deadlocks; the fast path's executor reports it with the
+    engine's message.
     """
     recv_q: dict[tuple, deque] = {}
     n_slots = 0

@@ -1,5 +1,6 @@
 """Hybrid fast-path properties: auto/DES equivalence, the analytic
-tolerance contract, executor/interpreter agreement, and watchdog parity.
+tolerance contract, executor/engine agreement on raw schedules, and
+watchdog parity.
 
 These are the accuracy gates for ``sim_mode`` (see docs/ARCHITECTURE.md):
 
@@ -9,9 +10,9 @@ These are the accuracy gates for ``sim_mode`` (see docs/ARCHITECTURE.md):
 * an explicit ``sim_mode="analytic"`` must stay within
   :data:`~repro.sim.fastpath.ANALYTIC_RTOL` of the DES on contention-free
   schedules and never exceed it anywhere;
-* the executor must agree bit-for-bit with the generic opcode
-  interpreter (which remains the semantic reference and the fallback for
-  unmatched-recv schedules) at the block size it is priced with;
+* the executor must agree bit-for-bit with the engine replaying the same
+  schedule (:mod:`tests.sim.engine_replay`) at the block size it is priced
+  with, events included;
 * watchdog budgets must trip on the same event with the same structured
   diagnostics in both paths.
 """
@@ -24,14 +25,10 @@ from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import (
-    ANALYTIC_RTOL,
-    _interpret,
-    execute_schedule,
-    multi_plan_for,
-)
+from repro.sim.fastpath import ANALYTIC_RTOL, multi_plan_for
 from repro.sim.faults import FaultPlan, Straggler
 from repro.sim.schedule import analyze_contention, contention_free
+from tests.sim.engine_replay import assert_matches_engine
 
 ALGORITHMS = [
     ("naive", {}),
@@ -231,7 +228,7 @@ class TestAnalyticContract:
 
 class TestBatchExecutor:
     """The heap-driven executor replays single- and multi-stage schedules
-    and must agree with the generic interpreter bit-for-bit."""
+    and must agree with the engine bit-for-bit (events included)."""
 
     def test_naive_single_stage_compiles_to_a_multi_plan(self):
         topology, machine = _build(32, 2, 0.3, seed=1)
@@ -245,27 +242,14 @@ class TestBatchExecutor:
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("common_neighbor", {"k": 4}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        plan = multi_plan_for(schedule, machine)
-        assert plan is not None
-        fast = execute_schedule(schedule, machine, unit=4096)
-        interp = _interpret(schedule, machine, None, None, True, 4096)
-        assert fast.simulated_time == interp.simulated_time
-        assert fast.finish_times == interp.finish_times
-        assert fast.bytes_sent == interp.bytes_sent
-        assert fast.events_processed == interp.events_processed
+        assert assert_matches_engine(schedule, machine, 4096)[0] == "ok"
 
     def test_batch_matches_interpreter_bit_for_bit(self):
         topology, machine = _build(64, 4, 0.25, seed=6)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 8192)
-        batched = execute_schedule(schedule, machine, unit=8192)
-        # The scalar opcode interpreter is the semantic reference.
-        interp = _interpret(schedule, machine, None, None, True, 8192)
-        assert batched.simulated_time == interp.simulated_time
-        assert batched.finish_times == interp.finish_times
-        assert batched.messages_sent == interp.messages_sent
-        assert batched.bytes_sent == interp.bytes_sent
-        assert batched.events_processed == interp.events_processed
+        # The engine is the reference (the test's name predates that).
+        assert assert_matches_engine(schedule, machine, 8192)[0] == "ok"
 
 
 class TestWatchdogParity:

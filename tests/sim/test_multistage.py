@@ -1,17 +1,18 @@
 """Multi-stage executor edge cases and the compiled-plan cache.
 
-The multi-stage executor (:func:`repro.sim.fastpath._execute_multi`) is an
-exact replay of the engine over statically-matched schedules; the scalar
-opcode interpreter (:func:`repro.sim.fastpath._interpret`) is its semantic
-reference (itself pinned to the engine by ``test_hybrid`` and the
-``hybrid_equivalence`` fuzz invariant).  These tests target the places the
-replay could plausibly diverge:
+The executor (:func:`repro.sim.fastpath._execute_multi`) is an exact replay
+of the engine over statically-matched schedules; the engine itself, running
+each schedule through a timing-only program
+(:func:`tests.sim.engine_replay.run_on_engine`), is its reference.  These
+tests target the places the replay could plausibly diverge:
 
 * resource claims that bind *across* stage boundaries (a straggler's send
   delaying a later-stage message on the same port);
 * degenerate shapes — empty stages (back-to-back waitalls), single-rank
   schedules, ranks with no program (``None`` ops);
 * watchdog budgets tripping on the same event as the engine;
+* receives no send matches: the run deadlocks with the engine's report,
+  in exact and in analytic pricing;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
   regression), one size-free plan per pattern across message sizes, plus
@@ -25,13 +26,8 @@ import pytest
 from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
-from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import (
-    _execute_multi,
-    _interpret,
-    execute_schedule,
-    multi_plan_for,
-)
+from repro.sim.engine import DeadlockError, SimTimeoutError
+from repro.sim.fastpath import FastRunOutcome, execute_schedule, multi_plan_for
 from repro.sim.plancache import (
     PLAN_CACHE,
     PlanCache,
@@ -45,6 +41,7 @@ from repro.sim.schedule import (
     static_matching,
     structural_digest,
 )
+from tests.sim.engine_replay import assert_deadlocks_like_engine, assert_matches_engine
 
 
 def _machine(nodes=2, sockets=2, rps=4):
@@ -70,19 +67,10 @@ def _schedule_for(name, kwargs, n, nodes, density, msg=MSG, seed=3):
 
 
 def _assert_identical(schedule, machine, unit=1, **budgets):
-    """The multi executor must match the interpreter field-for-field."""
-    ref = _interpret(schedule, machine, budgets.get("max_sim_time"),
-                     budgets.get("max_events"), True, unit)
-    plan = multi_plan_for(schedule, machine)
-    assert plan is not None
-    out = _execute_multi(plan, unit, budgets.get("max_sim_time"),
-                         budgets.get("max_events"))
-    assert out.simulated_time == ref.simulated_time
-    assert out.finish_times == ref.finish_times
-    assert out.messages_sent == ref.messages_sent
-    assert out.bytes_sent == ref.bytes_sent
-    assert out.events_processed == ref.events_processed
-    return out
+    """The executor must match the engine field-for-field."""
+    status, fields = assert_matches_engine(schedule, machine, unit, **budgets)
+    assert status == "ok", fields
+    return FastRunOutcome(*fields)
 
 
 class TestExecutorEdgeCases:
@@ -162,9 +150,10 @@ class TestExecutorEdgeCases:
         with pytest.raises(ValueError, match="unit"):
             execute_schedule(schedule, machine, unit=-8)
 
-    def test_unmatched_recv_bails_to_interpreter(self):
-        # A receive with no sender deadlocks; the multi executor refuses to
-        # compile (fully_matched False) so the interpreter reports it.
+    def test_unmatched_recv_deadlocks_like_engine(self):
+        # A receive with no sender keeps its slot and its owner blocks: the
+        # executor reports the engine's deadlock after the same events, in
+        # exact and in analytic pricing.
         machine = _machine(nodes=1, sockets=1, rps=2)
         ops = [
             [("send", 1, 64, 0), ("wait",)],
@@ -172,15 +161,21 @@ class TestExecutorEdgeCases:
         ]
         schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
         assert static_matching(schedule)[2] is False
-        assert multi_plan_for(schedule, machine) is None
-        from repro.sim.engine import DeadlockError
-        with pytest.raises(DeadlockError):
-            execute_schedule(schedule, machine)
+        blocked = r"blocked processes: rank 1 \(waitall\(1 pending\)\)$"
+        for model_contention in (True, False):
+            events = assert_deadlocks_like_engine(
+                schedule, machine, model_contention=model_contention,
+            )
+            assert events == 3  # two spawns and rank 0's wake
+            with pytest.raises(DeadlockError, match=blocked):
+                execute_schedule(schedule, machine,
+                                 model_contention=model_contention)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("common_neighbor", {"k": 4}), ("distance_halving", {}), ("bruck", {}),
     ])
     def test_multistage_algorithms_match_interpreter(self, name, kwargs):
+        # The engine is the reference (the test's name predates that).
         schedule, machine = _schedule_for(name, kwargs, 48, 3, 0.3)
         _assert_identical(schedule, machine, unit=MSG)
 
@@ -266,7 +261,7 @@ class TestPlanCacheKeying:
                 assert multi_plan_for(schedule, machine_b) is plan_b
         finally:
             reset_plan_cache()
-        # and the results per machine stay bit-identical to the interpreter
+        # and the results per machine stay bit-identical to the engine
         for machine in (machine_a, machine_b):
             _assert_identical(schedule, machine, unit=MSG)
 
@@ -342,24 +337,6 @@ class TestPlanCacheBounds:
         assert stats["size"] == 2
         assert cache.get(("b",)) is not cache.get(("a",))  # "b" is a miss
         assert cache.stats()["misses"] >= 1
-
-    def test_none_results_are_cached(self):
-        # an unmatched receive is a matching-walk verdict worth remembering
-        machine = _machine(nodes=1, sockets=1, rps=2)
-        ops = [
-            [("send", 1, 64, 0), ("wait",)],
-            [("recv", 0, 0), ("recv", 0, 7), ("wait",)],
-        ]
-        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
-        reset_plan_cache()
-        try:
-            assert multi_plan_for(schedule, machine) is None
-            misses = PLAN_CACHE.misses
-            assert multi_plan_for(schedule, machine) is None
-            assert PLAN_CACHE.misses == misses  # second call hit
-            assert PLAN_CACHE.hits >= 1
-        finally:
-            reset_plan_cache()
 
     def test_stats_snapshot_shape(self):
         stats = plan_cache_stats()

@@ -181,8 +181,13 @@ class TestExecFlags:
         self, isolated_results, tmp_path, capsys, monkeypatch
     ):
         import json
+        import types
 
         monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
+        # save_results stamps each archive to the second: pin that clock so
+        # two writes that straddle a second still compare whole.
+        monkeypatch.setattr(reporting, "time", types.SimpleNamespace(
+            strftime=lambda fmt: "2024-01-01T00:00:00"))
         cache = tmp_path / "figcache"
         assert main(["bench", "fig2", "--cache-dir", str(cache),
                      "--workers", "2"]) == 0
@@ -190,6 +195,7 @@ class TestExecFlags:
         assert main(["bench", "fig2", "--cache-dir", str(cache),
                      "--workers", "2"]) == 0
         second = json.loads((isolated_results / "fig2_model.json").read_text())
+        assert first["timestamp"] == "2024-01-01T00:00:00"
         assert first == second
 
 
