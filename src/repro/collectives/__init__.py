@@ -14,14 +14,23 @@ The algorithm zoo, in registration order:
 * :class:`LocalityAwareBruckAllgather` — rotation-indexed log-round Bruck
   between socket/node leaders (Bienz et al., arXiv:2206.03564).
 
+Every backend defines its operation once, as one op stream per rank
+(:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.rank_ops`).
+The discrete-event engine runs the streams through the base class's
+generic rank program, which moves block ids as message payloads and checks
+every send, receive and delivery against them; the hybrid fast path
+materialises the same streams as a static schedule.  So every backend,
+``hierarchical`` included, runs under both ``sim_mode="des"`` and
+``"auto"`` with bit-identical results.
+
 Every backend registers through the capability-aware registry in
 :mod:`repro.collectives.base`: benches, the differential fuzzer, and the
 CLI query :func:`list_algorithms` for the capabilities they need
-(``oracle``, ``bench``, ``schedule``, ...) instead of hardcoding names, so
+(``oracle``, ``bench``, ``replan``, ...) instead of hardcoding names, so
 registering a backend enrolls it everywhere at once.  All oracle-capable
-algorithms run as rank programs on the discrete-event simulator through
-:func:`run_allgather` and produce byte-identical receive buffers
-(property-tested), differing only in messaging schedule and cost.
+algorithms run through :func:`run_allgather` and produce byte-identical
+receive buffers (property-tested), differing only in messaging schedule
+and cost.
 """
 
 from repro.collectives.base import (

@@ -1,16 +1,27 @@
 """Algorithm interface, registry, and execution context.
 
 An algorithm separates *pattern creation* (:meth:`setup`, the work MPI does
-once inside ``MPI_Dist_graph_create_adjacent``) from *operation*
-(:meth:`program`, executed on every ``MPI_Neighbor_allgather`` call).  The
-paper measures both: Figs. 4-7 time the operation; Fig. 8 the setup.
+once inside ``MPI_Dist_graph_create_adjacent``) from *operation*, executed
+on every ``MPI_Neighbor_allgather`` call.  The paper measures both: Figs.
+4-7 time the operation; Fig. 8 the setup.
+
+A backend defines the operation once, as one op stream per rank
+(:meth:`~NeighborhoodAllgatherAlgorithm.rank_ops`) that walks the plan
+``setup()`` built.  Both execution paths read that stream:
+
+* :meth:`~NeighborhoodAllgatherAlgorithm.program` pulls it lazily through
+  one generic generator on the discrete-event engine, moving block ids as
+  payloads and checking them as it goes;
+* :meth:`~NeighborhoodAllgatherAlgorithm.build_schedule` materialises every
+  rank's stream into the :class:`~repro.sim.schedule.Schedule` the fast path
+  compiles.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, ClassVar, Generator
+from typing import Any, Callable, ClassVar, Generator, Iterator
 
 from repro.cluster.machine import Machine
 from repro.sim.communicator import SimCommunicator
@@ -65,8 +76,8 @@ class ExecutionContext:
 class NeighborhoodAllgatherAlgorithm(abc.ABC):
     """A neighborhood-allgather implementation.
 
-    Subclasses set :attr:`name`, build their plan in :meth:`setup`, and
-    emit per-rank simulator programs from :meth:`program`.
+    Subclasses set :attr:`name`, build their plan in :meth:`_build` (run by
+    :meth:`setup`), and emit each rank's op stream from :meth:`rank_ops`.
     """
 
     name: ClassVar[str] = "abstract"
@@ -97,26 +108,74 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         """Subclass hook: build internal plan, return its cost."""
 
     @abc.abstractmethod
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
-        """The rank's simulator program for one allgather call.
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple] | None:
+        """Rank ``rank``'s op stream for one allgather call, or ``None``.
 
-        May return ``None`` when the rank has nothing to do.
+        ``None`` marks a rank the engine must not spawn (no events, no
+        sequence number).  Otherwise the iterator yields, in the rank's
+        program order:
+
+        * ``("charge", nbytes)`` — a memcpy on the rank's clock;
+        * ``("send", dst, nbytes, tag, blocks)`` — a non-blocking send of
+          the source-rank block ids ``blocks`` (a tuple), ``nbytes`` of them;
+        * ``("recv", src, tag, nbytes)`` — a non-blocking receive of a
+          message expected to carry ``nbytes``;
+        * ``("wait",)`` — waitall over every request posted since the last
+          wait;
+        * ``("deliver", blocks)`` — copy these blocks into the rank's receive
+          buffer.
+
+        Byte fields come from ``ctx.size_of``/``ctx.sizes_of`` only (never
+        ``ctx.msg_size``), which is what lets :meth:`schedule_for` build in
+        block counts.  ``deliver`` points are part of the algorithm: under
+        fail-stop faults the blocks delivered before a crash decide the
+        residual topology of the recovery round.
         """
+
+    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
+        """The rank's simulator program: its :meth:`rank_ops` stream, run.
+
+        Returns ``None`` when the stream is ``None``.  The generic program
+        keeps the set of block ids the rank holds (its own, plus every
+        received message's ``blocks``), sends each op's ``blocks`` tuple as
+        the message payload, and at ``deliver`` sets
+        ``results[src] = ctx.payloads[src]``.  It raises an
+        :class:`AssertionError` naming the rank when a send carries a block
+        the rank does not hold, a received message's size differs from its
+        ``recv`` op, or a delivered block never arrived.
+        """
+        stream = self.rank_ops(ctx, comm.rank)
+        if stream is None:
+            return None
+        return _run(comm, ctx, stream)
 
     def build_schedule(self, ctx: ExecutionContext):
-        """Static op schedule equivalent to :meth:`program`, or ``None``.
+        """Every rank's :meth:`rank_ops` stream, materialised as a
+        :class:`~repro.sim.schedule.Schedule`.
 
-        Algorithms whose programs are pure plan interpreters (all three
-        shipped ones) override this to emit a
-        :class:`~repro.sim.schedule.Schedule` describing exactly the ops
-        their generators would perform, enabling the engine-free fast path
-        (``sim_mode="auto"``/``"analytic"``).  Op byte fields must come from
-        ``ctx.size_of``/``ctx.sizes_of`` only (never ``ctx.msg_size``), which
-        is what lets :meth:`schedule_for` build in block counts.  The
-        default ``None`` means "no static schedule available" and forces
-        the discrete-event path.
+        ``deliver`` ops become ``Schedule.deliveries``, in stream order; the
+        other ops, unchanged, become ``Schedule.ops``.
         """
-        return None
+        from repro.sim.schedule import Schedule
+
+        all_ops: list[list[tuple] | None] = []
+        deliveries: list[list[int]] = []
+        for rank in range(ctx.topology.n):
+            stream = self.rank_ops(ctx, rank)
+            if stream is None:
+                all_ops.append(None)
+                deliveries.append([])
+                continue
+            ops: list[tuple] = []
+            delivered: list[int] = []
+            for op in stream:
+                if op[0] == "deliver":
+                    delivered.extend(op[1])
+                else:
+                    ops.append(op)
+            all_ops.append(ops)
+            deliveries.append(delivered)
+        return Schedule(ctx.topology.n, all_ops, deliveries)
 
     def schedule_for(self, ctx: ExecutionContext):
         """Memoized :meth:`build_schedule`, in block counts for uniform sizes.
@@ -191,12 +250,65 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r}, {state})"
 
 
+def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) -> Generator:
+    """Run one rank's op stream on the engine (see :meth:`~NeighborhoodAllgatherAlgorithm.program`)."""
+    rank = comm.rank
+    isend = comm.isend
+    irecv = comm.irecv
+    charge = comm.charge_memcpy
+    results = ctx.results[rank]
+    payloads = ctx.payloads
+    held = {rank}
+    # Requests and expected receive sizes since the last wait, in parallel
+    # lists: a container per receive would live until the wait, and
+    # thousands of them alive at once make the garbage collector a large
+    # share of a dense naive run.
+    reqs: list = []
+    recv_reqs: list = []
+    recv_sizes: list[int] = []
+    for op in stream:
+        kind = op[0]
+        if kind == "send":
+            blocks = op[4]
+            if not held.issuperset(blocks):
+                raise AssertionError(
+                    f"rank {rank}: send to {op[1]} (tag {op[3]}) carries "
+                    f"block(s) {sorted(set(blocks) - held)} it does not hold"
+                )
+            reqs.append(isend(op[1], op[2], op[3], blocks))
+        elif kind == "recv":
+            req = irecv(op[1], op[2])
+            reqs.append(req)
+            recv_reqs.append(req)
+            recv_sizes.append(op[3])
+        elif kind == "charge":
+            charge(op[1])
+        elif kind == "wait":
+            yield comm.waitall(reqs)
+            reqs = []
+            for req, nbytes in zip(recv_reqs, recv_sizes):
+                if req.nbytes != nbytes:
+                    raise AssertionError(
+                        f"rank {rank}: message from {req.source} (tag {req.tag}) "
+                        f"has {req.nbytes} bytes, expected {nbytes}"
+                    )
+                held.update(req.payload)
+            recv_reqs = []
+            recv_sizes = []
+        else:  # deliver
+            for src in op[1]:
+                if src not in held:
+                    raise AssertionError(
+                        f"rank {rank}: delivers block {src}, which never arrived"
+                    )
+                results[src] = payloads[src]
+
+
 #: The capability vocabulary.  Registration validates declared capabilities
 #: against this set, so a typo ("shedule") fails at import time, not when a
 #: bench silently skips the backend.  See docs/ARCHITECTURE.md ("the
 #: algorithm zoo") for what each flag promises.
 CAPABILITIES = frozenset({
-    "schedule",    # exports a static Schedule (overrides build_schedule)
     "replan",      # supports on_failure="shrink" over a residual topology
     "setup_free",  # zero pattern-creation cost; usable as a degrade target
     "oracle",      # enrolled as a mutual oracle in repro.verify fuzzing
@@ -256,7 +368,7 @@ def register_algorithm(
     Usable bare (``@register_algorithm``, no capabilities — the backend is
     lookup-only) or with arguments.  Declarations are validated here so a
     broken registration fails at import time: unknown capability names,
-    ``schedule``/``replan`` without the matching method override, ``tunable``
+    ``replan`` without the matching method override, ``tunable``
     without a grid (or a grid without ``tunable``), ``bench_kwargs`` the
     constructor rejects, and a :data:`SETUP_FREE_FALLBACK` registration
     that is not actually setup-free are all errors.
@@ -274,12 +386,7 @@ def register_algorithm(
                 f"{cls.name!r} declares unknown capabilities {sorted(unknown)}; "
                 f"known: {sorted(CAPABILITIES)}"
             )
-        base = NeighborhoodAllgatherAlgorithm
-        if "schedule" in caps and cls.build_schedule is base.build_schedule:
-            raise ValueError(
-                f"{cls.name!r} declares 'schedule' but does not override build_schedule"
-            )
-        if "replan" in caps and cls.replan is base.replan:
+        if "replan" in caps and cls.replan is NeighborhoodAllgatherAlgorithm.replan:
             raise ValueError(
                 f"{cls.name!r} declares 'replan' but does not override replan"
             )

@@ -25,16 +25,16 @@ The round count is topology-independent (``O(log S)`` latency terms versus
 the naive design's per-edge messages), bandwidth is paid for the *active*
 blocks only, and all inter-group traffic flows leader-to-leader — the same
 socket/node locality hierarchy the paper's designs exploit.  Like the
-other backends the program is a pure plan interpreter, so the static
-:class:`~repro.sim.schedule.Schedule` export mirrors it op for op and the
-hybrid fast path replays it bit-identically.
+other backends it is defined once, as the per-rank op stream of
+:meth:`~LocalityAwareBruckAllgather.rank_ops`, which the engine runs and the
+hybrid fast path replays bit-identically.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Generator
+from typing import Iterator
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
@@ -44,7 +44,6 @@ from repro.collectives.base import (
     SetupStats,
     register_algorithm,
 )
-from repro.sim.communicator import SimCommunicator
 from repro.topology.graph import DistGraphTopology
 
 #: Tags: gather and redistribution stages, plus one tag per rotation round
@@ -103,7 +102,7 @@ def _rotation_offsets(n_groups: int) -> tuple[tuple[int, int], ...]:
 
 
 @register_algorithm(
-    capabilities=("schedule", "replan", "oracle", "bench"),
+    capabilities=("replan", "oracle", "bench"),
     label="bruck",
 )
 class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
@@ -219,147 +218,60 @@ class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
             },
         )
 
-    def build_schedule(self, ctx: ExecutionContext):
-        """Static schedule mirroring :meth:`_run` op for op."""
-        from repro.sim.schedule import Schedule
-
-        self.require_setup()
-        assert self.plans is not None
-        n = ctx.topology.n
-        all_ops: list[list[tuple] | None] = []
-        deliveries: list[list[int]] = []
-        for rank in range(n):
-            plan = self.plans[rank]
-            if not plan.has_work:
-                all_ops.append(None)
-                deliveries.append([])
-                continue
-            my_size = ctx.size_of(rank)
-            ops: list[tuple] = []
-            dels: list[int] = []
-            if plan.self_copy:
-                ops.append(("charge", my_size))
-                dels.append(rank)
-            # Stage 1 — gather into the leader's rotation store.
-            for src in plan.gather_recvs:
-                ops.append(("recv", src, BRUCK_GATHER_TAG))
-            if plan.gather_send >= 0:
-                ops.append(("send", plan.gather_send, my_size, BRUCK_GATHER_TAG))
-            if plan.gather_recvs or plan.gather_send >= 0:
-                ops.append(("wait",))
-            for src in plan.gather_recvs:
-                ops.append(("charge", ctx.size_of(src)))  # stage into store
-            # Stage 2 — rotation rounds.
-            for send_to, send_blocks, recv_from, recv_blocks, tag in plan.rounds:
-                if recv_from >= 0:
-                    ops.append(("recv", recv_from, tag))
-                if send_to >= 0:
-                    nbytes = ctx.sizes_of(send_blocks)
-                    ops.append(("charge", nbytes))  # pack rotation message
-                    ops.append(("send", send_to, nbytes, tag))
-                ops.append(("wait",))
-                if recv_from >= 0:
-                    ops.append(("charge", ctx.sizes_of(recv_blocks)))  # unpack
-            # Stage 3 — redistribute to members / local copies.
-            for member, blocks in plan.dist_sends:
-                nbytes = ctx.sizes_of(blocks)
-                ops.append(("charge", nbytes))  # pack
-                ops.append(("send", member, nbytes, BRUCK_DIST_TAG))
-            if plan.dist_recv is not None:
-                ops.append(("recv", plan.dist_recv[0], BRUCK_DIST_TAG))
-            if plan.dist_sends or plan.dist_recv is not None:
-                ops.append(("wait",))
-            if plan.dist_recv is not None:
-                ops.append(("charge", ctx.sizes_of(plan.dist_recv[1])))  # unpack
-                dels.extend(plan.dist_recv[1])
-            dels.extend(plan.self_needs)
-            all_ops.append(ops)
-            deliveries.append(dels)
-        return Schedule(n, all_ops, deliveries)
-
     # -------------------------------------------------------------- operation
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple] | None:
         self.require_setup()
         assert self.plans is not None
-        plan = self.plans[comm.rank]
+        plan = self.plans[rank]
         if not plan.has_work:
             return None
-        return self._run(comm, ctx, plan)
+        return self._ops(ctx, rank, plan)
 
-    def _run(self, comm: SimCommunicator, ctx: ExecutionContext, plan: _BruckPlan) -> Generator:
-        rank = comm.rank
+    @staticmethod
+    def _ops(ctx: ExecutionContext, rank: int, plan: _BruckPlan) -> Iterator[tuple]:
         my_size = ctx.size_of(rank)
-        results = ctx.results[rank]
-        payload = ctx.payloads[rank]
-
         if plan.self_copy:
-            comm.charge_memcpy(my_size)
-            results[rank] = payload
-
-        store: dict[int, object] = {rank: payload}
+            yield ("charge", my_size)
+            yield ("deliver", (rank,))
 
         # Stage 1 — gather into the leader's rotation store.
-        g_recv = [comm.irecv(src, tag=BRUCK_GATHER_TAG) for src in plan.gather_recvs]
-        g_send = []
+        for src in plan.gather_recvs:
+            yield ("recv", src, BRUCK_GATHER_TAG, ctx.size_of(src))
         if plan.gather_send >= 0:
-            g_send.append(
-                comm.isend(plan.gather_send, my_size, tag=BRUCK_GATHER_TAG,
-                           payload=payload)
-            )
-        if g_recv or g_send:
-            yield comm.waitall(g_recv + g_send)
-        for req in g_recv:
-            comm.charge_memcpy(req.nbytes)  # stage into store
-            store[req.source] = req.payload
+            yield ("send", plan.gather_send, my_size, BRUCK_GATHER_TAG, (rank,))
+        if plan.gather_recvs or plan.gather_send >= 0:
+            yield ("wait",)
+        for src in plan.gather_recvs:
+            yield ("charge", ctx.size_of(src))  # stage into store
 
         # Stage 2 — rotation rounds.
         for send_to, send_blocks, recv_from, recv_blocks, tag in plan.rounds:
-            reqs = []
-            rreq = None
             if recv_from >= 0:
-                rreq = comm.irecv(recv_from, tag=tag)
-                reqs.append(rreq)
+                yield ("recv", recv_from, tag, ctx.sizes_of(recv_blocks))
             if send_to >= 0:
                 nbytes = ctx.sizes_of(send_blocks)
-                comm.charge_memcpy(nbytes)  # pack rotation message
-                out_payload = tuple((src, store[src]) for src in send_blocks)
-                reqs.append(comm.isend(send_to, nbytes, tag=tag, payload=out_payload))
-            yield comm.waitall(reqs)
-            if rreq is not None:
-                expected = ctx.sizes_of(recv_blocks)
-                if rreq.nbytes != expected:
-                    raise AssertionError(
-                        f"rank {rank}: rotation message from {recv_from} has "
-                        f"{rreq.nbytes} bytes, expected {expected}"
-                    )
-                comm.charge_memcpy(rreq.nbytes)  # unpack
-                for src, pay in rreq.payload:
-                    store[src] = pay
+                yield ("charge", nbytes)  # pack rotation message
+                yield ("send", send_to, nbytes, tag, send_blocks)
+            yield ("wait",)
+            if recv_from >= 0:
+                yield ("charge", ctx.sizes_of(recv_blocks))  # unpack
 
         # Stage 3 — redistribute to members / local copies.
-        d_send = []
         for member, blocks in plan.dist_sends:
             nbytes = ctx.sizes_of(blocks)
-            comm.charge_memcpy(nbytes)  # pack
-            out_payload = tuple((src, store[src]) for src in blocks)
-            d_send.append(
-                comm.isend(member, nbytes, tag=BRUCK_DIST_TAG, payload=out_payload)
-            )
-        d_recv = None
+            yield ("charge", nbytes)  # pack
+            yield ("send", member, nbytes, BRUCK_DIST_TAG, blocks)
         if plan.dist_recv is not None:
-            d_recv = comm.irecv(plan.dist_recv[0], tag=BRUCK_DIST_TAG)
-        if d_send or d_recv is not None:
-            yield comm.waitall(d_send + ([d_recv] if d_recv is not None else []))
-        if d_recv is not None:
             leader, blocks = plan.dist_recv
-            expected = ctx.sizes_of(blocks)
-            if d_recv.nbytes != expected:
-                raise AssertionError(
-                    f"rank {rank}: redistribution message from {leader} has "
-                    f"{d_recv.nbytes} bytes, expected {expected}"
-                )
-            comm.charge_memcpy(d_recv.nbytes)  # unpack into rbuf
-            for src, pay in d_recv.payload:
-                results[src] = pay
-        for src in plan.self_needs:
-            results[src] = store[src]
+            yield ("recv", leader, BRUCK_DIST_TAG, ctx.sizes_of(blocks))
+        if plan.dist_sends or plan.dist_recv is not None:
+            yield ("wait",)
+        if plan.dist_recv is not None:
+            blocks = plan.dist_recv[1]
+            yield ("charge", ctx.sizes_of(blocks))  # unpack into rbuf
+            yield ("deliver", blocks)
+        # A leader copies its own in-neighbours' blocks from the store only
+        # after redistribution: under a crash, what was delivered by then
+        # shapes the recovery round's residual topology.
+        if plan.self_needs:
+            yield ("deliver", plan.self_needs)

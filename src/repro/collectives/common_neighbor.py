@@ -15,8 +15,8 @@ best; the benchmarks do the same (see ``repro.bench``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Generator
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cluster.machine import Machine
 from repro.collectives.base import (
@@ -26,7 +26,6 @@ from repro.collectives.base import (
     register_algorithm,
 )
 from repro.cluster.spec import LinkClass
-from repro.sim.communicator import SimCommunicator
 from repro.topology.graph import DistGraphTopology
 from repro.utils.validation import check_positive
 
@@ -49,7 +48,7 @@ class _RankPlan:
 
 
 @register_algorithm(
-    capabilities=("schedule", "replan", "oracle", "bench", "tunable"),
+    capabilities=("replan", "oracle", "bench", "tunable"),
     label="cn",
     bench_kwargs=(("k", 4),),
     tuning=(("k", (2, 4, 8)),),
@@ -178,98 +177,38 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
             )
             plan.phase2_sends = tuple(p2_send[g])
 
-    def build_schedule(self, ctx: ExecutionContext):
-        """Static schedule mirroring :meth:`_run` op for op."""
-        from repro.sim.schedule import Schedule
-
-        self.require_setup()
-        assert self.plans is not None
-        n = ctx.topology.n
-        all_ops: list[list[tuple] | None] = []
-        deliveries: list[list[int]] = []
-        for rank in range(n):
-            plan = self.plans[rank]
-            my_size = ctx.size_of(rank)
-            ops: list[tuple] = []
-            dels: list[int] = []
-            if plan.self_copy:
-                ops.append(("charge", my_size))
-                dels.append(rank)
-            # Phase 1: exchange blocks within the group.
-            for src in plan.phase1_recvs:
-                ops.append(("recv", src, P1_TAG))
-            for dst in plan.phase1_sends:
-                ops.append(("send", dst, my_size, P1_TAG))
-            if plan.phase1_recvs or plan.phase1_sends:
-                ops.append(("wait",))
-            for src in plan.phase1_recvs:
-                ops.append(("charge", ctx.size_of(src)))  # combining-buffer stage
-            dels.extend(plan.phase1_for_me)
-            # Phase 2: one combined message per assigned external target.
-            for target, blocks in plan.phase2_sends:
-                nbytes = ctx.sizes_of(blocks)
-                ops.append(("charge", nbytes))  # pack
-                ops.append(("send", target, nbytes, P2_TAG))
-            for sender, _ in plan.phase2_recvs:
-                ops.append(("recv", sender, P2_TAG))
-            if plan.phase2_sends or plan.phase2_recvs:
-                ops.append(("wait",))
-            for _, blocks in plan.phase2_recvs:
-                ops.append(("charge", ctx.sizes_of(blocks)))  # unpack into rbuf
-                dels.extend(blocks)
-            all_ops.append(ops)
-            deliveries.append(dels)
-        return Schedule(n, all_ops, deliveries)
-
     # -------------------------------------------------------------- operation
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple]:
         self.require_setup()
         assert self.plans is not None
-        return self._run(comm, ctx, self.plans[comm.rank])
-
-    def _run(self, comm: SimCommunicator, ctx: ExecutionContext, plan: _RankPlan) -> Generator:
-        rank = comm.rank
+        plan = self.plans[rank]
         my_size = ctx.size_of(rank)
-        results = ctx.results[rank]
-        payload = ctx.payloads[rank]
-
+        own = (rank,)
         if plan.self_copy:
-            comm.charge_memcpy(my_size)
-            results[rank] = payload
+            yield ("charge", my_size)
+            yield ("deliver", own)
 
         # Phase 1: exchange blocks within the group.
-        p1_recv = [comm.irecv(src, tag=P1_TAG) for src in plan.phase1_recvs]
-        p1_send = [
-            comm.isend(dst, my_size, tag=P1_TAG, payload=payload) for dst in plan.phase1_sends
-        ]
-        if p1_recv or p1_send:
-            yield comm.waitall(p1_recv + p1_send)
-
-        group_blocks: dict[int, object] = {rank: payload}
-        for req in p1_recv:
-            comm.charge_memcpy(req.nbytes)  # stage into the combining buffer
-            group_blocks[req.source] = req.payload
-        for src in plan.phase1_for_me:
-            results[src] = group_blocks[src]
+        for src in plan.phase1_recvs:
+            yield ("recv", src, P1_TAG, ctx.size_of(src))
+        for dst in plan.phase1_sends:
+            yield ("send", dst, my_size, P1_TAG, own)
+        if plan.phase1_recvs or plan.phase1_sends:
+            yield ("wait",)
+        for src in plan.phase1_recvs:
+            yield ("charge", ctx.size_of(src))  # stage into the combining buffer
+        if plan.phase1_for_me:
+            yield ("deliver", plan.phase1_for_me)
 
         # Phase 2: one combined message per assigned external target.
-        p2_send = []
         for target, blocks in plan.phase2_sends:
             nbytes = ctx.sizes_of(blocks)
-            comm.charge_memcpy(nbytes)  # pack
-            out_payload = tuple((src, group_blocks[src]) for src in blocks)
-            p2_send.append(comm.isend(target, nbytes, tag=P2_TAG, payload=out_payload))
-        p2_recv = [comm.irecv(sender, tag=P2_TAG) for sender, _ in plan.phase2_recvs]
-        if p2_send or p2_recv:
-            yield comm.waitall(p2_send + p2_recv)
-
-        for (sender, blocks), req in zip(plan.phase2_recvs, p2_recv):
-            expected = ctx.sizes_of(blocks)
-            if req.nbytes != expected:
-                raise AssertionError(
-                    f"rank {rank}: phase-2 message from {sender} has {req.nbytes} "
-                    f"bytes, expected {expected}"
-                )
-            comm.charge_memcpy(req.nbytes)  # unpack into rbuf
-            for src, pay in req.payload:
-                results[src] = pay
+            yield ("charge", nbytes)  # pack
+            yield ("send", target, nbytes, P2_TAG, blocks)
+        for sender, blocks in plan.phase2_recvs:
+            yield ("recv", sender, P2_TAG, ctx.sizes_of(blocks))
+        if plan.phase2_sends or plan.phase2_recvs:
+            yield ("wait",)
+        for _, blocks in plan.phase2_recvs:
+            yield ("charge", ctx.sizes_of(blocks))  # unpack into rbuf
+            yield ("deliver", blocks)

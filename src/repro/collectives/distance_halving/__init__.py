@@ -11,7 +11,7 @@ Module map (mirroring the paper's Section VI):
 * :mod:`builder` — Algorithm 1: recursive halving, duty offloading,
   bookkeeping of ``O_on``/``O_off``/``O_org``/``I_on``.
 * :mod:`operation` — Algorithm 4: the halving phase and the intra-socket
-  phase as a simulator rank program.
+  phase as each rank's op stream.
 """
 
 from repro.collectives.distance_halving.algorithm import DistanceHalvingAllgather

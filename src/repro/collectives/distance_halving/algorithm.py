@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Generator
+from typing import Iterator
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
@@ -14,14 +14,13 @@ from repro.collectives.base import (
     register_algorithm,
 )
 from repro.collectives.distance_halving.builder import build_patterns
-from repro.collectives.distance_halving.operation import distance_halving_program
+from repro.collectives.distance_halving.operation import distance_halving_ops
 from repro.collectives.distance_halving.pattern import CommunicationPattern
-from repro.sim.communicator import SimCommunicator
 from repro.topology.graph import DistGraphTopology
 
 
 @register_algorithm(
-    capabilities=("schedule", "replan", "oracle", "bench"),
+    capabilities=("replan", "oracle", "bench"),
     label="dh",
 )
 class DistanceHalvingAllgather(NeighborhoodAllgatherAlgorithm):
@@ -95,60 +94,7 @@ class DistanceHalvingAllgather(NeighborhoodAllgatherAlgorithm):
             },
         )
 
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple]:
         self.require_setup()
         assert self.pattern is not None
-        return distance_halving_program(comm, ctx, self.pattern[comm.rank])
-
-    def build_schedule(self, ctx: ExecutionContext):
-        """Static schedule mirroring :func:`distance_halving_program`."""
-        from repro.collectives.distance_halving.operation import FINAL_TAG
-        from repro.sim.schedule import Schedule
-
-        self.require_setup()
-        assert self.pattern is not None
-        n = ctx.topology.n
-        all_ops: list[list[tuple] | None] = []
-        deliveries: list[list[int]] = []
-        for rank in range(n):
-            rp = self.pattern[rank]
-            my_size = ctx.size_of(rank)
-            ops: list[tuple] = []
-            dels: list[int] = []
-            if rp.self_copy:
-                ops.append(("charge", my_size))
-                dels.append(rank)
-            ops.append(("charge", my_size))  # Line 3: copy sbuf into main_buf
-            buf_bytes = my_size
-            for step in rp.steps:
-                n_reqs = 0
-                if step.agent is not None:
-                    ops.append(("send", step.agent, buf_bytes, step.index))
-                    n_reqs += 1
-                if step.origin is not None:
-                    ops.append(("recv", step.origin, step.index))
-                    n_reqs += 1
-                if not n_reqs:
-                    continue
-                ops.append(("wait",))
-                if step.origin is not None:
-                    recv_bytes = ctx.sizes_of(step.recv_blocks)
-                    ops.append(("charge", recv_bytes))  # append into main_buf
-                    buf_bytes += recv_bytes
-                    if step.recv_for_me:
-                        dels.extend(step.recv_for_me)
-                        ops.append(("charge", ctx.sizes_of(step.recv_for_me)))
-            if rp.final_sends or rp.final_recvs:
-                for fs in rp.final_sends:
-                    nbytes = ctx.sizes_of(fs.blocks)
-                    ops.append(("charge", nbytes))  # pack into temp buffer
-                    ops.append(("send", fs.target, nbytes, FINAL_TAG))
-                for fr in rp.final_recvs:
-                    ops.append(("recv", fr.sender, FINAL_TAG))
-                ops.append(("wait",))
-                for fr in rp.final_recvs:
-                    ops.append(("charge", ctx.sizes_of(fr.blocks)))
-                    dels.extend(fr.blocks)
-            all_ops.append(ops)
-            deliveries.append(dels)
-        return Schedule(n, all_ops, deliveries)
+        return distance_halving_ops(ctx, rank, self.pattern[rank])

@@ -1,110 +1,78 @@
 """Algorithm 4: executing ``MPI_Neighbor_allgather`` from a built pattern.
 
-The program interprets a :class:`RankPattern`: per halving step it forwards
-its ``main_buf`` to the step's agent while receiving (and appending) the
-origin's buffer, copying any blocks destined to itself into the receive
-buffer; the final intra-socket phase packs per-target combined messages and
-drains the expected final receives.
+:func:`distance_halving_ops` walks a :class:`RankPattern` as the rank's op
+stream (see :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.rank_ops`):
+per halving step it forwards its ``main_buf`` to the step's agent while
+receiving (and appending) the origin's buffer, copying any blocks destined
+to itself into the receive buffer; the final intra-socket phase packs
+per-target combined messages and drains the expected final receives.
 
-Payloads travel as tuples of ``(source_rank, payload)`` blocks so block
-identity is verifiable end-to-end; byte counts use the pattern's block
-arithmetic (``blocks * m``).  Memory-copy costs — the buffer staging the
-paper blames for the large-message decline — are charged to the rank's
-clock at every pack/append/rbuf copy.
+``main_buf`` is tracked as the block ids the pattern says it holds, and
+every send carries those ids, so the engine checks the pattern against the
+blocks that really arrived; byte counts use the pattern's block arithmetic
+(``blocks * m``).  Memory-copy costs — the buffer staging the paper blames
+for the large-message decline — are charged to the rank's clock at every
+pack/append/rbuf copy.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Iterator
 
 from repro.collectives.base import ExecutionContext
 from repro.collectives.distance_halving.pattern import RankPattern
-from repro.sim.communicator import SimCommunicator
 
 #: Tag for final (intra-socket / leftover direct) phase messages; halving
 #: steps use their level index as the tag.
 FINAL_TAG = 1 << 20
 
 
-def distance_halving_program(
-    comm: SimCommunicator, ctx: ExecutionContext, rp: RankPattern
-) -> Generator:
-    rank = comm.rank
+def distance_halving_ops(ctx: ExecutionContext, rank: int, rp: RankPattern) -> Iterator[tuple]:
     my_size = ctx.size_of(rank)
-    results = ctx.results[rank]
-    payload = ctx.payloads[rank]
-
     if rp.self_copy:
-        comm.charge_memcpy(my_size)
-        results[rank] = payload
+        yield ("charge", my_size)
+        yield ("deliver", (rank,))
 
     # Line 3: copy sbuf into main_buf.
-    comm.charge_memcpy(my_size)
-    buf: list[tuple[int, object]] = [(rank, payload)]
+    yield ("charge", my_size)
+    buf: list[int] = [rank]
     buf_bytes = my_size
 
     # ---------------------------------------------------------- halving phase
     for step in rp.steps:
-        reqs = []
-        rreq = None
+        if step.agent is None and step.origin is None:
+            continue
         if step.agent is not None:
             if len(buf) != step.send_block_count:
                 raise AssertionError(
                     f"rank {rank} step {step.index}: buffer has {len(buf)} blocks, "
                     f"pattern says {step.send_block_count}"
                 )
-            reqs.append(
-                comm.isend(step.agent, buf_bytes, tag=step.index, payload=tuple(buf))
-            )
+            yield ("send", step.agent, buf_bytes, step.index, tuple(buf))
         if step.origin is not None:
-            rreq = comm.irecv(step.origin, tag=step.index)
-            reqs.append(rreq)
-        if not reqs:
-            continue
-        yield comm.waitall(reqs)
+            recv_bytes = ctx.sizes_of(step.recv_blocks)
+            yield ("recv", step.origin, step.index, recv_bytes)
+        yield ("wait",)
 
-        if rreq is not None:
-            incoming: tuple[tuple[int, object], ...] = rreq.payload
-            expected_bytes = ctx.sizes_of(step.recv_blocks)
-            if rreq.nbytes != expected_bytes:
-                raise AssertionError(
-                    f"rank {rank} step {step.index}: received {rreq.nbytes} bytes "
-                    f"from {step.origin}, expected {expected_bytes}"
-                )
-            comm.charge_memcpy(rreq.nbytes)  # append into main_buf (Line 8)
-            buf.extend(incoming)
-            buf_bytes += rreq.nbytes
-            if step.recv_for_me:
-                lookup: dict[int, object] = {}
-                for src, pay in incoming:
-                    lookup.setdefault(src, pay)
-                for src in step.recv_for_me:  # Lines 15-17: copy to rbuf
-                    results[src] = lookup[src]
-                comm.charge_memcpy(ctx.sizes_of(step.recv_for_me))
+        if step.origin is not None:
+            yield ("charge", recv_bytes)  # append into main_buf (Line 8)
+            buf.extend(step.recv_blocks)
+            buf_bytes += recv_bytes
+            if step.recv_for_me:  # Lines 15-17: copy to rbuf
+                yield ("deliver", step.recv_for_me)
+                yield ("charge", ctx.sizes_of(step.recv_for_me))
 
     # ------------------------------------------------------ intra-socket phase
     if not rp.final_sends and not rp.final_recvs:
         return
-    block_payload: dict[int, object] = {}
-    for src, pay in buf:
-        block_payload.setdefault(src, pay)
-
-    send_reqs = []
     for fs in rp.final_sends:  # Lines 21-28: pack into temp buffer, send
         nbytes = ctx.sizes_of(fs.blocks)
-        comm.charge_memcpy(nbytes)
-        out_payload = tuple((src, block_payload[src]) for src in fs.blocks)
-        send_reqs.append(comm.isend(fs.target, nbytes, tag=FINAL_TAG, payload=out_payload))
-    recv_reqs = [comm.irecv(fr.sender, tag=FINAL_TAG) for fr in rp.final_recvs]
-    yield comm.waitall(send_reqs + recv_reqs)
+        yield ("charge", nbytes)
+        yield ("send", fs.target, nbytes, FINAL_TAG, fs.blocks)
+    for fr in rp.final_recvs:
+        yield ("recv", fr.sender, FINAL_TAG, ctx.sizes_of(fr.blocks))
+    yield ("wait",)
 
-    for fr, rq in zip(rp.final_recvs, recv_reqs):  # Line 33: copy to rbuf
-        expected = ctx.sizes_of(fr.blocks)
-        if rq.nbytes != expected:
-            raise AssertionError(
-                f"rank {rank} final phase: received {rq.nbytes} bytes from "
-                f"{fr.sender}, expected {expected}"
-            )
-        comm.charge_memcpy(rq.nbytes)
-        for src, pay in rq.payload:
-            results[src] = pay
+    for fr in rp.final_recvs:  # Line 33: copy to rbuf
+        yield ("charge", ctx.sizes_of(fr.blocks))
+        yield ("deliver", fr.blocks)

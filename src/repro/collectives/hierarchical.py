@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Generator
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
@@ -37,7 +37,6 @@ from repro.collectives.base import (
     SetupStats,
     register_algorithm,
 )
-from repro.sim.communicator import SimCommunicator
 from repro.topology.graph import DistGraphTopology
 from repro.utils.validation import check_positive
 
@@ -161,76 +160,58 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
         )
 
     # -------------------------------------------------------------- operation
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple]:
         self.require_setup()
         assert self.plans is not None
-        return self._run(comm, ctx, self.plans[comm.rank])
-
-    def _run(self, comm: SimCommunicator, ctx: ExecutionContext, plan: _HierPlan) -> Generator:
-        rank = comm.rank
+        plan = self.plans[rank]
         my_size = ctx.size_of(rank)
-        results = ctx.results[rank]
-        payload = ctx.payloads[rank]
-
+        own = (rank,)
         if plan.self_copy:
-            comm.charge_memcpy(my_size)
-            results[rank] = payload
+            yield ("charge", my_size)
+            yield ("deliver", own)
 
         # Phase 0+1: direct intra-node edges and aggregation to leaders.
-        reqs = []
-        agg_recv = [comm.irecv(m, tag=AGG_TAG) for m in plan.agg_recvs]
-        local_recv = [comm.irecv(u, tag=LOCAL_TAG) for u in plan.local_recvs]
+        for m in plan.agg_recvs:
+            yield ("recv", m, AGG_TAG, ctx.size_of(m))
+        for u in plan.local_recvs:
+            yield ("recv", u, LOCAL_TAG, ctx.size_of(u))
         if plan.agg_send:
-            reqs.append(comm.isend(plan.leader, my_size, tag=AGG_TAG, payload=payload))
+            yield ("send", plan.leader, my_size, AGG_TAG, own)
         for v in plan.local_sends:
-            reqs.append(comm.isend(v, my_size, tag=LOCAL_TAG, payload=payload))
-        if reqs or agg_recv or local_recv:
-            yield comm.waitall(reqs + agg_recv + local_recv)
-        for req in local_recv:
-            results[req.source] = req.payload
-
-        blocks: dict[int, object] = {rank: payload}
-        for req in agg_recv:
-            comm.charge_memcpy(req.nbytes)  # stage into the node buffer
-            blocks[req.source] = req.payload
+            yield ("send", v, my_size, LOCAL_TAG, own)
+        if plan.agg_send or plan.agg_recvs or plan.local_sends or plan.local_recvs:
+            yield ("wait",)
+        if plan.local_recvs:
+            yield ("deliver", plan.local_recvs)
+        for m in plan.agg_recvs:
+            yield ("charge", ctx.size_of(m))  # stage into the node buffer
 
         # Phase 2: leader-to-leader combined exchange.
-        exch_send = []
         for peer, block_ids in plan.exch_sends:
             nbytes = ctx.sizes_of(block_ids)
-            comm.charge_memcpy(nbytes)
-            out = tuple((src, blocks[src]) for src in block_ids)
-            exch_send.append(comm.isend(peer, nbytes, tag=EXCH_TAG, payload=out))
-        exch_recv = [comm.irecv(peer, tag=EXCH_TAG) for peer, _ in plan.exch_recvs]
-        if exch_send or exch_recv:
-            yield comm.waitall(exch_send + exch_recv)
-
-        remote: dict[int, object] = {}
-        for (peer, block_ids), req in zip(plan.exch_recvs, exch_recv):
-            if req.nbytes != ctx.sizes_of(block_ids):
-                raise AssertionError(
-                    f"rank {rank}: exchange from {peer} has {req.nbytes} bytes, "
-                    f"expected {ctx.sizes_of(block_ids)}"
-                )
-            comm.charge_memcpy(req.nbytes)
-            for src, pay in req.payload:
-                remote[src] = pay
-                # The leader may itself be a target of src.
-                if rank in ctx.topology.out_neighbors(src):
-                    results[src] = pay
+            yield ("charge", nbytes)
+            yield ("send", peer, nbytes, EXCH_TAG, block_ids)
+        for peer, block_ids in plan.exch_recvs:
+            yield ("recv", peer, EXCH_TAG, ctx.sizes_of(block_ids))
+        if plan.exch_sends or plan.exch_recvs:
+            yield ("wait",)
+        out_neighbors = ctx.topology.out_neighbors
+        for _, block_ids in plan.exch_recvs:
+            yield ("charge", ctx.sizes_of(block_ids))
+            # The leader may itself be a target of a block it forwards.
+            mine = tuple(src for src in block_ids if rank in out_neighbors(src))
+            if mine:
+                yield ("deliver", mine)
 
         # Phase 3: distribute to local targets.
-        dist_send = []
         for target, block_ids in plan.dist_sends:
             nbytes = ctx.sizes_of(block_ids)
-            comm.charge_memcpy(nbytes)
-            out = tuple((src, remote[src] if src in remote else blocks[src])
-                        for src in block_ids)
-            dist_send.append(comm.isend(target, nbytes, tag=DIST_TAG, payload=out))
-        dist_recv = [comm.irecv(leader, tag=DIST_TAG) for leader, _ in plan.dist_recvs]
-        if dist_send or dist_recv:
-            yield comm.waitall(dist_send + dist_recv)
-        for req in dist_recv:
-            comm.charge_memcpy(req.nbytes)
-            for src, pay in req.payload:
-                results[src] = pay
+            yield ("charge", nbytes)
+            yield ("send", target, nbytes, DIST_TAG, block_ids)
+        for leader, block_ids in plan.dist_recvs:
+            yield ("recv", leader, DIST_TAG, ctx.sizes_of(block_ids))
+        if plan.dist_sends or plan.dist_recvs:
+            yield ("wait",)
+        for _, block_ids in plan.dist_recvs:
+            yield ("charge", ctx.sizes_of(block_ids))
+            yield ("deliver", block_ids)

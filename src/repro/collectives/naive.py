@@ -9,7 +9,7 @@ There is no setup cost: the virtual topology itself is the plan.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Iterator
 
 from repro.cluster.machine import Machine
 from repro.collectives.base import (
@@ -18,7 +18,6 @@ from repro.collectives.base import (
     SetupStats,
     register_algorithm,
 )
-from repro.sim.communicator import SimCommunicator
 from repro.topology.graph import DistGraphTopology
 
 #: Tag used by all naive data messages.
@@ -26,7 +25,7 @@ NAIVE_TAG = 0
 
 
 @register_algorithm(
-    capabilities=("schedule", "replan", "setup_free", "oracle", "bench"),
+    capabilities=("replan", "setup_free", "oracle", "bench"),
     label="naive",
 )
 class NaiveAllgather(NeighborhoodAllgatherAlgorithm):
@@ -41,63 +40,29 @@ class NaiveAllgather(NeighborhoodAllgatherAlgorithm):
         """Setup-free: a fresh instance is a complete replan."""
         return NaiveAllgather()
 
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
-        rank = comm.rank
+    def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple] | None:
         topo = ctx.topology
         out_nbrs = topo.out_neighbors(rank)
         in_nbrs = topo.in_neighbors(rank)
         if not out_nbrs and not in_nbrs:
             return None
-        return self._run(comm, ctx, out_nbrs, in_nbrs)
+        return self._ops(ctx, rank, out_nbrs, in_nbrs)
 
-    def build_schedule(self, ctx: ExecutionContext):
-        """Static schedule mirroring :meth:`_run` op for op."""
-        from repro.sim.schedule import Schedule
-
-        topo = ctx.topology
-        n = topo.n
-        all_ops: list[list[tuple] | None] = []
-        deliveries: list[list[int]] = []
-        for rank in range(n):
-            out_nbrs = topo.out_neighbors(rank)
-            in_nbrs = topo.in_neighbors(rank)
-            if not out_nbrs and not in_nbrs:
-                all_ops.append(None)
-                deliveries.append([])
-                continue
-            m = ctx.size_of(rank)
-            ops: list[tuple] = [
-                ("recv", src, NAIVE_TAG) for src in in_nbrs if src != rank
-            ]
-            dels: list[int] = [src for src in in_nbrs if src != rank]
-            n_reqs = len(ops)
-            for dst in out_nbrs:
-                if dst != rank:
-                    ops.append(("send", dst, m, NAIVE_TAG))
-                    n_reqs += 1
-            if rank in out_nbrs:  # MPI self-edge: local copy into own recvbuf
-                ops.append(("charge", m))
-                dels.append(rank)
-            if n_reqs:
-                ops.append(("wait",))
-            all_ops.append(ops)
-            deliveries.append(dels)
-        return Schedule(n, all_ops, deliveries)
-
-    def _run(self, comm: SimCommunicator, ctx: ExecutionContext, out_nbrs, in_nbrs) -> Generator:
-        rank = comm.rank
-        results = ctx.results[rank]
+    @staticmethod
+    def _ops(ctx: ExecutionContext, rank: int, out_nbrs, in_nbrs) -> Iterator[tuple]:
         m = ctx.size_of(rank)
-        payload = ctx.payloads[rank]
-
-        recv_reqs = [comm.irecv(src, tag=NAIVE_TAG) for src in in_nbrs if src != rank]
-        send_reqs = [
-            comm.isend(dst, m, tag=NAIVE_TAG, payload=payload) for dst in out_nbrs if dst != rank
-        ]
+        own = (rank,)
+        srcs = tuple(src for src in in_nbrs if src != rank)
+        for src in srcs:
+            yield ("recv", src, NAIVE_TAG, ctx.size_of(src))
+        posted = bool(srcs)
+        for dst in out_nbrs:
+            if dst != rank:
+                yield ("send", dst, m, NAIVE_TAG, own)
+                posted = True
         if rank in out_nbrs:  # MPI self-edge: local copy into own recvbuf
-            comm.charge_memcpy(m)
-            results[rank] = payload
-        if recv_reqs or send_reqs:
-            yield comm.waitall(recv_reqs + send_reqs)
-        for req in recv_reqs:
-            results[req.source] = req.payload
+            yield ("charge", m)
+            yield ("deliver", own)
+        if posted:
+            yield ("wait",)
+        yield ("deliver", srcs)

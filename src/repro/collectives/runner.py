@@ -132,15 +132,15 @@ class RunOptions:
         discrete-event engine.  ``"auto"`` replays the algorithm's static
         schedule exactly through :mod:`repro.sim.fastpath` — bit-identical
         results, typically an order of magnitude faster — whenever the run
-        is eligible (no fault plan, no tracing, jitter-free machine, and
-        the algorithm provides a schedule), falling back to the engine
-        otherwise; it never takes the closed form.  ``"analytic"``, only
-        when set explicitly, runs the same replay with the closed-form
-        Hockney pricing: every message costs its pipeline alone, ignoring
-        contention — exact on contention-free schedules, a documented
-        lower bound elsewhere (see docs/ARCHITECTURE.md); ineligible runs
-        likewise fall back to the engine.  Either mode reports a schedule
-        that deadlocks with the engine's
+        is eligible (no fault plan, no tracing, jitter-free machine; every
+        algorithm's op streams materialise as a schedule), falling back to
+        the engine otherwise; it never takes the closed form.
+        ``"analytic"``, only when set explicitly, runs the same replay with
+        the closed-form Hockney pricing: every message costs its pipeline
+        alone, ignoring contention — exact on contention-free schedules, a
+        documented lower bound elsewhere (see docs/ARCHITECTURE.md);
+        ineligible runs likewise fall back to the engine.  Either mode
+        reports a schedule that deadlocks with the engine's
         :class:`~repro.sim.engine.DeadlockError`.
     on_failure:
         ULFM-style policy for fail-stop failures (``RankCrash`` faults that
@@ -408,10 +408,10 @@ def run_allgather(
 
     # Hybrid fast path: replay the algorithm's static schedule instead of
     # running the engine.  Eligibility is conservative — any feature the
-    # replay does not model (fault injection, tracing, machine jitter, or
-    # an algorithm without a schedule) falls back to the DES, so "auto"
-    # never changes results and "analytic" honors the contract that faulty
-    # runs always go through the full simulation.
+    # replay does not model (fault injection, tracing, machine jitter)
+    # falls back to the DES, so "auto" never changes results and "analytic"
+    # honors the contract that faulty runs always go through the full
+    # simulation.
     if (
         opts.sim_mode != "des"
         and fault_plan is None
@@ -420,41 +420,40 @@ def run_allgather(
     ):
         wall_start = time.perf_counter()
         schedule = algorithm.schedule_for(ctx)
-        if schedule is not None:
-            # "auto" always replays exactly; the closed-form Hockney costing
-            # runs only when asked for.  A uniform-size schedule counts
-            # blocks (see schedule_for), so it is priced per msg_size.
-            analytic = opts.sim_mode == "analytic"
-            outcome = execute_schedule(
-                schedule,
-                machine,
-                unit=msg_size if block_sizes is None else 1,
-                max_sim_time=opts.max_sim_time,
-                max_events=opts.max_events,
-                model_contention=not analytic,
-            )
-            results = ctx.results
-            get_payload = payloads.__getitem__
-            for dst, srcs in enumerate(schedule.deliveries):
-                if srcs:
-                    results[dst] = dict(zip(srcs, map(get_payload, srcs)))
-            run = AllgatherRun(
-                algorithm=algorithm.name,
-                msg_size=msg_size,
-                simulated_time=outcome.simulated_time,
-                finish_times=outcome.finish_times,
-                messages_sent=outcome.messages_sent,
-                bytes_sent=outcome.bytes_sent,
-                setup_stats=setup_stats,
-                results=results,
-                wall_time=time.perf_counter() - wall_start,
-                block_sizes=block_sizes,
-                requested_algorithm=requested_algorithm,
-                sim_path="analytic" if analytic else "fastpath",
-            )
-            if opts.verify:
-                verify_allgather(topology, run, expected_payloads=payloads)
-            return run
+        # "auto" always replays exactly; the closed-form Hockney costing
+        # runs only when asked for.  A uniform-size schedule counts blocks
+        # (see schedule_for), so it is priced per msg_size.
+        analytic = opts.sim_mode == "analytic"
+        outcome = execute_schedule(
+            schedule,
+            machine,
+            unit=msg_size if block_sizes is None else 1,
+            max_sim_time=opts.max_sim_time,
+            max_events=opts.max_events,
+            model_contention=not analytic,
+        )
+        results = ctx.results
+        get_payload = payloads.__getitem__
+        for dst, srcs in enumerate(schedule.deliveries):
+            if srcs:
+                results[dst] = dict(zip(srcs, map(get_payload, srcs)))
+        run = AllgatherRun(
+            algorithm=algorithm.name,
+            msg_size=msg_size,
+            simulated_time=outcome.simulated_time,
+            finish_times=outcome.finish_times,
+            messages_sent=outcome.messages_sent,
+            bytes_sent=outcome.bytes_sent,
+            setup_stats=setup_stats,
+            results=results,
+            wall_time=time.perf_counter() - wall_start,
+            block_sizes=block_sizes,
+            requested_algorithm=requested_algorithm,
+            sim_path="analytic" if analytic else "fastpath",
+        )
+        if opts.verify:
+            verify_allgather(topology, run, expected_payloads=payloads)
+        return run
 
     if fault_plan is not None and fault_plan.crashes and opts.on_failure != "abort":
         run = _run_with_recovery(

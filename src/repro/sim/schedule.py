@@ -1,31 +1,34 @@
 """Static communication schedules: the hybrid fast path's input.
 
 A :class:`Schedule` is a rank-by-rank, stage-by-stage transcript of every
-operation a collective's simulator programs would perform — memcpy charges,
-non-blocking sends/receives, and waitall boundaries — derived purely from an
-algorithm's setup-time plan (the shared stage plans), never from running the
-generators.  Because the three allgather algorithms are data-driven (their
-programs interpret a plan built in ``setup()``), the schedule carries exactly
-the information the discrete-event engine would discover lazily, which lets
-:mod:`repro.sim.fastpath` replay the run without generator resumes, request
-objects, or matching-table bookkeeping while staying bit-identical.
+operation a collective performs — memcpy charges, non-blocking
+sends/receives, and waitall boundaries.  It is every rank's op stream
+(:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.rank_ops`)
+materialised: the same stream the engine runs through the generic rank
+program, so the schedule carries exactly the information the
+discrete-event engine discovers lazily, which lets :mod:`repro.sim.fastpath`
+replay the run without generator resumes, request objects, or
+matching-table bookkeeping while staying bit-identical.
 
 Ops are plain tuples (the fast path compiles them into a size-free plan):
 
 * ``("charge", nbytes)`` — advance the local clock by a memcpy.
-* ``("send", dst, nbytes, tag)`` — post a non-blocking send.
-* ``("recv", src, tag)`` — post a non-blocking receive.
+* ``("send", dst, nbytes, tag, blocks)`` — post a non-blocking send of the
+  source-rank block ids ``blocks``.
+* ``("recv", src, tag, nbytes)`` — post a non-blocking receive of a message
+  expected to carry ``nbytes``.
 * ``("wait",)`` — waitall over every request posted since the last wait.
 
 ``nbytes`` counts blocks of the size the schedule is priced with
 (``execute_schedule(..., unit=...)``): a uniform-size schedule is built in
 1-byte blocks and priced per message size, an allgatherv one in raw bytes.
+The stream's ``("deliver", blocks)`` ops are not in ``ops``; they become
+``deliveries``.
 
-Op order must mirror the generator's call order exactly (post order is what
-determines resource-claim order and therefore timing).  A rank whose program
-would return ``None`` (nothing to do) gets ``None`` instead of an op list —
-the engine never spawns such ranks, and event sequence parity depends on
-reproducing that.
+Op order is the stream's program order (post order is what determines
+resource-claim order and therefore timing).  A rank whose stream is ``None``
+gets ``None`` instead of an op list — the engine never spawns such ranks,
+and event sequence parity depends on reproducing that.
 
 The module also hosts the per-stage contention analyzer
 (:func:`analyze_contention`), a diagnostic: stage ``k`` is the cohort of
@@ -40,6 +43,7 @@ docs/ARCHITECTURE.md).
 from __future__ import annotations
 
 import hashlib
+import marshal
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -57,10 +61,12 @@ class Schedule:
     """Per-rank op lists plus the result-buffer contents they imply.
 
     ``ops[r]`` is rank ``r``'s operation list (``None`` when the rank's
-    program would be ``None`` — no events, no engine sequence number);
+    stream is ``None`` — no events, no engine sequence number);
     ``deliveries[r]`` lists the source ranks whose block lands in rank
-    ``r``'s receive buffer (``results[r][src] = payloads[src]``), which is
-    plan-determined and therefore needs no payload objects in flight.
+    ``r``'s receive buffer (``results[r][src] = payloads[src]``), in the
+    order of the stream's ``deliver`` ops.  The fast path copies them as
+    declared; on the engine the generic program checks each one against
+    the blocks that really arrived.
     """
 
     n_ranks: int
@@ -85,21 +91,24 @@ def structural_digest(schedule: Schedule) -> str:
 
     Two schedules with equal digests compile to identical fast-path plans on
     the same machine: the digest covers the rank count and every rank's op
-    stream (kinds, endpoints, block counts, tags, ``None`` ranks) — exactly
-    the compiler's inputs.  ``deliveries`` is excluded on purpose: it names
-    result-buffer contents, which no plan depends on.  This is the
-    schedule half of the compiled-plan cache key (the machine half is
+    stream (kinds, endpoints, block counts, tags, block ids, ``None``
+    ranks) — the compiler's inputs, plus the block ids it ignores.
+    ``deliveries`` is excluded on purpose: it names result-buffer contents,
+    which no plan depends on.  The ops are hashed as
+    ``marshal.dumps((n_ranks, ops), 2)``: format version 2 encodes every
+    value in full, with no references between equal objects, so the bytes
+    depend only on the ops' values, and it is several times cheaper than
+    ``repr`` on block-carrying sends.  This is the schedule half of the
+    compiled-plan cache key (the machine half is
     :func:`repro.sim.plancache.machine_digest`), realizing the
     isomorphic-neighborhood observation: sweep cells whose schedules are
     structurally identical share one compilation.
     """
     digest = getattr(schedule, "_structural_digest", None)
     if digest is None:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str(schedule.n_ranks).encode())
-        for ops in schedule.ops:
-            h.update(b"|N" if ops is None else repr(ops).encode())
-        digest = schedule._structural_digest = h.hexdigest()
+        encoded = marshal.dumps((schedule.n_ranks, schedule.ops), 2)
+        digest = hashlib.blake2b(encoded, digest_size=16).hexdigest()
+        schedule._structural_digest = digest
     return digest
 
 

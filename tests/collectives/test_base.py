@@ -42,7 +42,7 @@ class TestRegistry:
             def _build(self, topology, machine):
                 return SetupStats()
 
-            def program(self, comm, ctx):
+            def rank_ops(self, ctx, rank):
                 return None
 
         with pytest.raises(ValueError, match="already registered"):
@@ -53,7 +53,7 @@ class TestRegistry:
             def _build(self, topology, machine):
                 return SetupStats()
 
-            def program(self, comm, ctx):
+            def rank_ops(self, ctx, rank):
                 return None
 
         with pytest.raises(ValueError, match="non-abstract name"):
@@ -106,7 +106,7 @@ class TestCapabilityDeclarations:
             def _build(self, topology, machine):
                 return SetupStats()
 
-            def program(self, comm, ctx):
+            def rank_ops(self, ctx, rank):
                 return None
 
         Minimal.name = name
@@ -116,11 +116,6 @@ class TestCapabilityDeclarations:
         with pytest.raises(ValueError, match="unknown capabilities"):
             register_algorithm(self._minimal("scratch_typo"),
                                capabilities=("shedule",))
-
-    def test_schedule_requires_build_schedule_override(self):
-        with pytest.raises(ValueError, match="does not override build_schedule"):
-            register_algorithm(self._minimal("scratch_sched"),
-                               capabilities=("schedule",))
 
     def test_replan_requires_replan_override(self):
         with pytest.raises(ValueError, match="does not override replan"):
@@ -204,9 +199,3 @@ class TestRegistryCompleteness:
 
         info = algorithm_info(SETUP_FREE_FALLBACK)
         assert info.has("setup_free")
-
-    def test_every_schedule_algorithm_also_replans(self):
-        # The shrink path replays a schedule-capable backend over the
-        # residual topology; all current schedule exporters support it.
-        for info in list_algorithms(requires={"schedule"}):
-            assert info.has("replan"), info.name

@@ -1,4 +1,4 @@
-"""The size-free schedule assumption, pinned for every schedule backend.
+"""The size-free schedule assumption, pinned for every backend.
 
 ``schedule_for`` builds a uniform-size schedule once, on a copy of the
 context with ``msg_size=1``, so its byte fields are block counts; the fast
@@ -16,12 +16,13 @@ from repro.collectives.base import ExecutionContext, get_algorithm, list_algorit
 from repro.exec.spec import MachineSpec, TopologySpec
 
 SIZES = (0, 8, 4096, 4 << 20)
-SCHEDULED = [info.name for info in list_algorithms(requires={"schedule"})]
+SCHEDULED = [info.name for info in list_algorithms()]
 N = 24
 
 
 def _scaled(schedule, m):
-    """``schedule`` with every charge and send byte field multiplied by ``m``."""
+    """``schedule`` with every charge, send and receive byte field multiplied
+    by ``m`` (a send keeps its block ids)."""
     out = []
     for ops in schedule.ops:
         if ops is None:
@@ -29,7 +30,8 @@ def _scaled(schedule, m):
             continue
         out.append([
             ("charge", op[1] * m) if op[0] == "charge"
-            else ("send", op[1], op[2] * m, op[3]) if op[0] == "send"
+            else ("send", op[1], op[2] * m, op[3], op[4]) if op[0] == "send"
+            else ("recv", op[1], op[2], op[3] * m) if op[0] == "recv"
             else op
             for op in ops
         ])
@@ -101,3 +103,22 @@ def test_allgatherv_schedule_keeps_raw_bytes(name, cell):
     assert again.ops == algorithm.build_schedule(
         _context(topology, machine, max(other), block_sizes=other),
     ).ops
+
+
+@pytest.mark.parametrize("sizes", ["uniform", "allgatherv"])
+@pytest.mark.parametrize("name", SCHEDULED)
+def test_stream_invariants(name, sizes, cell):
+    """Every backend's op streams deliver each rank exactly its in-neighbours'
+    blocks, and every send is sized by the blocks it carries."""
+    topology, machine = cell
+    algorithm = get_algorithm(name)
+    algorithm.setup(topology, machine)
+    block_sizes = None if sizes == "uniform" else [(r % 5) * 128 + 8 for r in range(N)]
+    ctx = _context(topology, machine, 64 if block_sizes is None else max(block_sizes),
+                   block_sizes=block_sizes)
+    schedule = algorithm.build_schedule(ctx)
+    for rank in range(N):
+        assert sorted(schedule.deliveries[rank]) == sorted(topology.in_neighbors(rank))
+        for op in schedule.ops[rank] or ():
+            if op[0] == "send":
+                assert op[2] == ctx.sizes_of(op[4]), f"{name}: rank {rank} {op}"

@@ -1,9 +1,9 @@
 """Failure injection: corrupted plans and misbehaving programs are detected.
 
-The executors carry runtime assertions (buffer block counts, received byte
-counts, destination checks) precisely so that a corrupted or stale
-communication pattern fails loudly instead of silently delivering wrong
-data.  These tests corrupt patterns/plans on purpose and assert the failure
+The executors carry runtime assertions (buffer block counts, sends of
+blocks the sender does not hold, received byte counts, deliveries of blocks
+that never arrived) precisely so that a corrupted or stale communication
+pattern fails loudly instead of silently delivering wrong data.  These tests corrupt patterns/plans on purpose and assert the failure
 is caught — either by the executor's own checks or by result verification.
 """
 
@@ -85,6 +85,77 @@ class TestCorruptedPatterns:
         with pytest.raises((AssertionError, DeadlockError)):
             run = run_allgather(alg, topo, machine, 128)
             verify_allgather(topo, run)
+
+
+@pytest.fixture
+def planned(small_machine):
+    """``planned(name)``: ``(topology, machine, algorithm)``, set up."""
+    topo = erdos_renyi_topology(small_machine.spec.n_ranks, 0.4, seed=71)
+
+    def _planned(name):
+        alg = get_algorithm(name)
+        alg.setup(topo, small_machine)
+        return topo, small_machine, alg
+
+    return _planned
+
+
+class TestCorruptedPlans:
+    """Each check of the generic rank program, tripped by a corrupted plan
+    outside Distance Halving: the engine run fails naming the rank."""
+
+    def test_cn_phase2_send_of_unheld_block(self, planned):
+        topo, machine, alg = planned("common_neighbor")
+        rank, plan = next((r, p) for r, p in enumerate(alg.plans) if p.phase2_sends)
+        target, blocks = plan.phase2_sends[0]
+        stranger = next(u for u in range(topo.n) if u not in plan.group)
+        plan.phase2_sends = ((target, (stranger, *blocks[1:])), *plan.phase2_sends[1:])
+        unheld = rf"rank {rank}: .*\[{stranger}\] it does not hold"
+        with pytest.raises(AssertionError, match=unheld):
+            run_allgather(alg, topo, machine, 128)
+
+    def test_bruck_rotation_send_of_unheld_block(self, planned):
+        topo, machine, alg = planned("bruck")
+        rank, plan = next(
+            (r, p) for r, p in enumerate(alg.plans) if p.rounds and p.rounds[0][0] >= 0
+        )
+        send_to, send_blocks, recv_from, recv_blocks, tag = plan.rounds[0]
+        held = {rank, *plan.gather_recvs}
+        stranger = next(u for u in range(topo.n) if u not in held)
+        plan.rounds = (
+            (send_to, (stranger, *send_blocks[1:]), recv_from, recv_blocks, tag),
+            *plan.rounds[1:],
+        )
+        unheld = rf"rank {rank}: .*\[{stranger}\] it does not hold"
+        with pytest.raises(AssertionError, match=unheld):
+            run_allgather(alg, topo, machine, 128)
+
+    def test_cn_phase2_recv_one_block_off(self, planned):
+        topo, machine, alg = planned("common_neighbor")
+        rank, plan = next((r, p) for r, p in enumerate(alg.plans) if p.phase2_recvs)
+        sender, blocks = plan.phase2_recvs[0]
+        plan.phase2_recvs = ((sender, (*blocks, blocks[0])), *plan.phase2_recvs[1:])
+        wrong_size = rf"rank {rank}: message from {sender} .*expected"
+        with pytest.raises(AssertionError, match=wrong_size):
+            run_allgather(alg, topo, machine, 128)
+
+    def test_hierarchical_exch_recv_one_block_off(self, planned):
+        topo, machine, alg = planned("hierarchical")
+        rank, plan = next((r, p) for r, p in enumerate(alg.plans) if p.exch_recvs)
+        peer, blocks = plan.exch_recvs[0]
+        plan.exch_recvs = ((peer, blocks[1:]), *plan.exch_recvs[1:])
+        wrong_size = rf"rank {rank}: message from {peer} .*expected"
+        with pytest.raises(AssertionError, match=wrong_size):
+            run_allgather(alg, topo, machine, 128)
+
+    def test_cn_delivery_of_block_from_outside_the_group(self, planned):
+        topo, machine, alg = planned("common_neighbor")
+        rank, plan = 0, alg.plans[0]
+        stranger = next(u for u in range(topo.n) if u not in plan.group)
+        plan.phase1_for_me = (*plan.phase1_for_me, stranger)
+        never_arrived = rf"rank {rank}: delivers block {stranger}, which never arrived"
+        with pytest.raises(AssertionError, match=never_arrived):
+            run_allgather(alg, topo, machine, 128)
 
 
 class TestCorruptedAlltoall:

@@ -35,6 +35,7 @@ ALGORITHMS = [
     ("common_neighbor", {"k": 4}),
     ("distance_halving", {}),
     ("bruck", {}),
+    ("hierarchical", {}),
 ]
 
 
