@@ -13,12 +13,16 @@ Uncontended, this reduces exactly to Hockney's ``alpha + m/beta``; under
 load, queueing at ports/NICs/global links produces the serialization and
 congestion effects the paper's Section IV describes.
 
-Hot-path design: everything about a message's pipeline except its byte count
-and the adaptive lane choice is determined by the (socket, socket) pair, so
-:class:`Fabric` caches one :class:`_StagePlan` per socket pair — resolved
-resource objects, link class, alpha, inverse betas — and ``transmit`` runs a
-branch-light, allocation-free claim sequence against it.  This is what keeps
-paper-scale sweeps (millions of messages) feasible in pure Python.
+Everything about a message's pipeline except its byte count and the
+adaptive lane choice is determined by its (socket, socket) pair: its
+:class:`Route`.  :func:`routes_for` resolves each route once per
+:class:`Machine` object, and the three readers of the pipeline take it
+from there: :class:`Fabric` (the engine's claims), the fast path's compiler
+(:mod:`repro.sim.fastpath`) and the contention analyzer
+(:func:`repro.sim.schedule.analyze_contention`).  A claim reads and writes
+plain floats in flat lists indexed by rank, node and lane id — the fast
+path executor's state layout — which keeps paper-scale sweeps (millions of
+messages) feasible in pure Python.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
-from repro.sim.resources import ResourcePool, SerialResource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.faults import FaultInjector
@@ -57,107 +60,127 @@ class MessageTiming:
         return self.arrival == math.inf
 
 
-def _next_free(res: SerialResource) -> float:
-    """Adaptive-routing sort key (module-level: no per-call closure)."""
-    return res.next_free
+#: :attr:`Route.lane_mode` values: how a message claims the route's lanes.
+LANES_NONE = 0       #: no shared link
+LANES_OBLIVIOUS = 1  #: every lane of ``lanes`` (hash routing)
+LANES_PAIR = 2       #: the less loaded of the two lanes in ``lanes``
+LANES_GROUP = 3      #: the least loaded lane in ``lanes``
+LANES_PER_HOP = 4    #: the least loaded lane of each group in ``lanes``
 
 
-#: Machine-determined plan costs, shared across every Fabric built over the
-#: same :class:`Machine` object.  Each ``run_allgather`` constructs a fresh
-#: Engine/Fabric, but link classes, alphas, hop surcharges and link keys are
-#: functions of the machine alone — resolving them once per machine instead
-#: of once per run keeps repeated sweeps off the ``link_class``/``node_of``
-#: slow path.  Entries map a socket-pair key to ``(link_class, alpha,
-#: hop_extra, inv_beta, link_inv_beta, node_src, node_dst, group_keys,
-#: fixed_keys)`` with ``node_src == -1`` marking intra-node paths.  Keyed by
-#: ``id()`` with a weakref guard: a dead Machine's entry is dropped by the
-#: callback, and the identity re-check protects against id reuse.
-_COSTS_BY_MACHINE: dict[int, tuple[weakref.ref, dict[int, tuple]]] = {}
+@dataclass(slots=True)
+class Route:
+    """The pipeline of every message from one socket to another.
+
+    ``tx``/``rx`` are the sending and receiving node's NIC ids, ``-1`` on an
+    intra-node path.  ``lanes`` holds ids into :attr:`RouteTable.lane_keys`
+    (a tuple of lane groups under ``LANES_PER_HOP``), claimed as
+    ``lane_mode`` says; adaptive routing picks the least loaded lane, the
+    first one on ties.  ``hashed_lanes`` are the lanes oblivious routing
+    would claim (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`)
+    on an inter-group path, under either routing mode.
+    """
+
+    link_class: LinkClass
+    alpha: float
+    hop_extra: float
+    inv_beta: float
+    link_inv_beta: float
+    tx: int
+    rx: int
+    lane_mode: int
+    lanes: tuple
+    hashed_lanes: tuple[int, ...]
 
 
-def _machine_cost_table(machine: Machine) -> dict[int, tuple]:
+class RouteTable:
+    """One machine's routes, resolved lazily, one per socket pair.
+
+    ``rows`` maps ``src_socket * n_sockets + dst_socket`` to its
+    :class:`Route`; ``lane_keys[i]`` is the network's key of lane id ``i``.
+    The table holds no reference to its machine, so the memo in
+    :func:`routes_for` never keeps one alive.
+    """
+
+    __slots__ = ("rows", "lane_keys", "_lane_ids")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, Route] = {}
+        self.lane_keys: list[Hashable] = []
+        self._lane_ids: dict[Hashable, int] = {}
+
+    def _ids(self, keys) -> tuple[int, ...]:
+        ids = self._lane_ids
+        out = []
+        for k in keys:
+            i = ids.get(k)
+            if i is None:
+                ids[k] = i = len(self.lane_keys)
+                self.lane_keys.append(k)
+            out.append(i)
+        return tuple(out)
+
+    def resolve(self, machine: Machine, src: int, dst: int, key: int) -> Route:
+        """Resolve and store the route of ``src``'s socket to ``dst``'s.
+
+        ``src != dst``; ``key`` is their socket-pair key.
+        """
+        params = machine.params
+        cls = machine.link_class(src, dst)
+        cost = params.cost(cls)
+        tx = rx = -1
+        link_inv_beta = 0.0
+        mode = LANES_NONE
+        lanes: tuple = ()
+        hashed: tuple[int, ...] = ()
+        if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
+            spec = machine.spec
+            tx, rx = spec.node_of(src), spec.node_of(dst)
+            if cls is LinkClass.INTER_GROUP:
+                link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
+                network = machine.network
+                hashed = self._ids(network.shared_link_keys(tx, rx))
+                if not params.adaptive_routing:
+                    if hashed:
+                        mode, lanes = LANES_OBLIVIOUS, hashed
+                else:
+                    groups = tuple(self._ids(g) for g in network.link_choices(tx, rx))
+                    if len(groups) != 1:
+                        mode, lanes = LANES_PER_HOP, groups
+                    else:
+                        (lanes,) = groups
+                        mode = LANES_PAIR if len(lanes) == 2 else LANES_GROUP
+        route = Route(cls, cost.alpha, machine.hop_extra_alpha(src, dst),
+                      1.0 / cost.beta, link_inv_beta, tx, rx, mode, lanes, hashed)
+        self.rows[key] = route
+        return route
+
+
+#: Route tables by ``id(machine)``, with a weakref guard: a dead Machine's
+#: entry is dropped by the callback, and the identity re-check protects
+#: against id reuse.  (Machine is a frozen dataclass with an unhashable
+#: field, so neither an attribute nor a WeakKeyDictionary can hold it.)
+_ROUTE_TABLES: dict[int, tuple[weakref.ref, RouteTable]] = {}
+
+
+def routes_for(machine: Machine) -> RouteTable:
+    """The route table shared by every reader of ``machine``'s pipeline."""
     key = id(machine)
-    entry = _COSTS_BY_MACHINE.get(key)
+    entry = _ROUTE_TABLES.get(key)
     if entry is not None and entry[0]() is machine:
         return entry[1]
-    table: dict[int, tuple] = {}
+    table = RouteTable()
 
-    def _drop(_ref, _key=key):
-        _COSTS_BY_MACHINE.pop(_key, None)
+    def _drop(_ref, _key=key, _tables=_ROUTE_TABLES):
+        _tables.pop(_key, None)
 
-    _COSTS_BY_MACHINE[key] = (weakref.ref(machine, _drop), table)
+    _ROUTE_TABLES[key] = (weakref.ref(machine, _drop), table)
     return table
 
 
-def _resolve_machine_costs(machine: Machine, adaptive: bool, src: int, dst: int) -> tuple:
-    """Machine-determined half of a stage plan (no resource objects).
-
-    Shared between :class:`Fabric` and the schedule fast path
-    (:mod:`repro.sim.fastpath`): both must price a ``(src, dst)`` pair with
-    byte-for-byte identical constants, so the resolution lives here once and
-    the results are memoized per machine in :data:`_COSTS_BY_MACHINE`.
-    """
-    params = machine.params
-    cls = machine.link_class(src, dst)
-    cost = params.cost(cls)
-    hop_extra = machine.hop_extra_alpha(src, dst)
-    inv_beta = 1.0 / cost.beta
-
-    node_src = node_dst = -1
-    group_keys = None
-    fixed_keys: tuple = ()
-    link_inv_beta = 0.0
-    if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-        spec = machine.spec
-        node_src, node_dst = spec.node_of(src), spec.node_of(dst)
-        if cls is LinkClass.INTER_GROUP:
-            link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
-            if adaptive:
-                group_keys = tuple(
-                    tuple(group)
-                    for group in machine.network.link_choices(node_src, node_dst)
-                )
-            else:
-                fixed_keys = tuple(
-                    machine.network.shared_link_keys(node_src, node_dst)
-                )
-    return (cls, cost.alpha, hop_extra, inv_beta, link_inv_beta,
-            node_src, node_dst, group_keys, fixed_keys)
-
-
-class _StagePlan:
-    """Everything fixed about a (socket, socket) pair's message pipeline.
-
-    ``link_groups`` is non-None for adaptive routing (one tuple of
-    interchangeable lane resources per bottleneck crossed); ``fixed_links``
-    is the oblivious (hash-routed) lane set.  Both are empty/None for paths
-    that cross no shared bottleneck.  ``nic_tx``/``nic_rx`` are None for
-    intra-node classes.
-    """
-
-    __slots__ = (
-        "link_class",
-        "alpha",
-        "hop_extra",
-        "inv_beta",
-        "nic_tx",
-        "nic_rx",
-        "fixed_links",
-        "link_groups",
-        "link_inv_beta",
-    )
-
-    def __init__(self, link_class, alpha, hop_extra, inv_beta, nic_tx, nic_rx,
-                 fixed_links, link_groups, link_inv_beta):
-        self.link_class = link_class
-        self.alpha = alpha
-        self.hop_extra = hop_extra
-        self.inv_beta = inv_beta
-        self.nic_tx = nic_tx
-        self.nic_rx = nic_rx
-        self.fixed_links = fixed_links
-        self.link_groups = link_groups
-        self.link_inv_beta = link_inv_beta
+#: Next-free time of a resource no message has listed yet.  It claims like
+#: 0.0, since every post time is >= 0.0.
+_UNLISTED = -math.inf
 
 
 class Fabric:
@@ -169,9 +192,8 @@ class Fabric:
 
     ``faults`` installs a :class:`~repro.sim.faults.FaultInjector`: every
     transmission is routed through :meth:`_transmit_faulty` (perturbed
-    costs, probabilistic drop, timeout/backoff retransmission) instead of
-    the pristine inline fast path.  With no injector the hot path is
-    exactly the PR-1 optimized sequence.
+    costs, probabilistic drop, timeout/backoff retransmission).  Both paths
+    claim the pipeline through :meth:`_claim`.
     """
 
     def __init__(
@@ -184,62 +206,54 @@ class Fabric:
         params = machine.params
         self._jitter = params.jitter
         self._noise = np.random.default_rng(noise_seed) if self._jitter > 0 else None
-        #: Fault injector (None = pristine fabric; the fast path is untouched).
+        #: Fault injector (None = pristine fabric).
         self._faults = faults
-        self._send_ports = ResourcePool()
-        self._recv_ports = ResourcePool()
-        self._nic_tx = ResourcePool()
-        self._nic_rx = ResourcePool()
-        self._links = ResourcePool()
-
         spec = machine.spec
         self._ranks_per_socket = spec.ranks_per_socket
-        self._sockets_per_node = spec.sockets_per_node
         self._n_sockets = spec.n_sockets
         self._memcpy_beta = params.memcpy_beta
         self._nic_overhead = params.nic_message_overhead
         self._link_overhead = params.link_message_overhead
-        self._adaptive = params.adaptive_routing
-        # Per-(socket, socket) pipeline plans, keyed by the flat socket-pair
-        # index; rank-pair space can be huge, the socket pair fully
-        # determines every per-message cost and resource except byte count.
-        # Resource objects are per-Fabric; the cost half of each plan comes
-        # from the machine-wide shared table.
-        self._plans: dict[int, _StagePlan] = {}
-        self._shared_costs = _machine_cost_table(machine)
-        # Lazy per-rank port caches (list index beats dict hashing; the pool
-        # stays authoritative so utilization() reports only touched ports).
-        self._send_fast: list[SerialResource | None] = [None] * spec.n_ranks
-        self._recv_fast: list[SerialResource | None] = [None] * spec.n_ranks
+        self._table = routes_for(machine)
+        # The routes this fabric has used, by socket-pair key.
+        self._routes: dict[int, Route] = {}
+        # Next-free and busy time per send port, receive port, TX NIC, RX
+        # NIC and lane id.  A resource is listed (reported by utilization())
+        # once its next-free time is finite: ports and NICs from their first
+        # claim, lanes from their route's first use — every lane an adaptive
+        # route could choose, as the lanes it competes for.
+        n, nodes = spec.n_ranks, spec.nodes
+        self._send_next = [_UNLISTED] * n
+        self._send_busy = [0.0] * n
+        self._recv_next = [_UNLISTED] * n
+        self._recv_busy = [0.0] * n
+        self._tx_next = [_UNLISTED] * nodes
+        self._tx_busy = [0.0] * nodes
+        self._rx_next = [_UNLISTED] * nodes
+        self._rx_busy = [0.0] * nodes
+        self._lane_next: list[float] = []
+        self._lane_busy: list[float] = []
 
-    # ----------------------------------------------------------------- plans
-    def _build_plan(self, src: int, dst: int, key: int) -> _StagePlan:
-        """Resolve the full pipeline for ``src``'s and ``dst``'s socket pair."""
-        entry = self._shared_costs.get(key)
-        if entry is None:
-            entry = self._resolve_costs(src, dst)
-            self._shared_costs[key] = entry
-        (cls, alpha, hop_extra, inv_beta, link_inv_beta,
-         node_src, node_dst, group_keys, fixed_keys) = entry
-
-        nic_tx = nic_rx = None
-        fixed_links: tuple[SerialResource, ...] = ()
-        link_groups = None
-        if node_src >= 0:
-            nic_tx = self._nic_tx.get(node_src)
-            nic_rx = self._nic_rx.get(node_dst)
-            if group_keys is not None:
-                link_groups = tuple(
-                    tuple(self._links.get(k) for k in group) for group in group_keys
-                )
-            elif fixed_keys:
-                fixed_links = tuple(self._links.get(k) for k in fixed_keys)
-        return _StagePlan(cls, alpha, hop_extra, inv_beta,
-                          nic_tx, nic_rx, fixed_links, link_groups, link_inv_beta)
-
-    def _resolve_costs(self, src: int, dst: int) -> tuple:
-        """Machine-determined half of a plan (no resource objects)."""
-        return _resolve_machine_costs(self.machine, self._adaptive, src, dst)
+    def _use_route(self, src: int, dst: int, key: int) -> Route:
+        """First use of a socket pair's route by this fabric: list its lanes."""
+        table = self._table
+        route = table.rows.get(key)
+        if route is None:
+            route = table.resolve(self.machine, src, dst, key)
+        if route.lane_mode:
+            lane_next = self._lane_next
+            grow = len(table.lane_keys) - len(lane_next)
+            if grow > 0:
+                lane_next.extend([_UNLISTED] * grow)
+                self._lane_busy.extend([0.0] * grow)
+            lanes = route.lanes
+            if route.lane_mode == LANES_PER_HOP:
+                lanes = [ln for group in lanes for ln in group]
+            for ln in lanes:
+                if lane_next[ln] == _UNLISTED:
+                    lane_next[ln] = 0.0
+        self._routes[key] = route
+        return route
 
     # --------------------------------------------------------------- schedule
     def transmit(self, src: int, dst: int, nbytes: int, post_time: float) -> MessageTiming:
@@ -251,11 +265,6 @@ class Fabric:
         Node NICs serialize ``nic_message_overhead + m/beta`` (message-rate
         limit), producing the node-level serialization of the paper's
         Eq. (5); shared global links serialize bandwidth.
-
-        Invariants (see docs/ARCHITECTURE.md): claims are made in event
-        order, stages are claimed upstream-to-downstream, and a stage
-        extended by upstream streaming (cut-through) credits the extension
-        to its ``busy_time`` so utilization reflects true occupancy.
         """
         if src == dst:
             dur = nbytes / self._memcpy_beta
@@ -264,117 +273,28 @@ class Fabric:
 
         rps = self._ranks_per_socket
         key = (src // rps) * self._n_sockets + (dst // rps)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._build_plan(src, dst, key)
-            self._plans[key] = plan
+        route = self._routes.get(key)
+        if route is None:
+            route = self._use_route(src, dst, key)
 
         if self._faults is not None:
-            return self._transmit_faulty(plan, src, dst, nbytes, post_time)
+            return self._transmit_faulty(route, src, dst, nbytes, post_time)
 
-        alpha = plan.alpha
-        hop_extra = plan.hop_extra
+        alpha = route.alpha
+        hop_extra = route.hop_extra
         if self._noise is not None:
             noise = 1.0 + self._jitter * float(self._noise.random())
             alpha *= noise
             hop_extra *= noise
-        dur = nbytes * plan.inv_beta
-        port_dur = alpha + dur
-
-        # Stage 1: sender port.  The first stage can never be outrun by
-        # upstream data, so no cut-through adjustment is needed here.
-        res = self._send_fast[src]
-        if res is None:
-            self._send_fast[src] = res = self._send_ports.get(src)
-        start = post_time if post_time > res.next_free else res.next_free
-        end = start + port_dur
-        res.next_free = end
-        res.busy_time += port_dur
-        res.claims += 1
-        send_complete = end
-        prev_start = start
-        pipeline_end = end
-
-        nic = plan.nic_tx
-        if nic is not None:
-            nic_dur = self._nic_overhead + dur
-            # TX NIC.
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
-            # Shared bottleneck links (inter-group only).
-            groups = plan.link_groups
-            if groups is not None or plan.fixed_links:
-                link_dur = self._link_overhead + nbytes * plan.link_inv_beta
-                if groups is None:
-                    lanes = plan.fixed_links
-                elif len(groups) == 1:
-                    # Adaptive (UGAL-like): least-loaded lane, first minimal
-                    # on ties.  One bottleneck with two lanes is the common
-                    # Dragonfly+ case; avoid min()'s key-fn calls there.
-                    group = groups[0]
-                    if len(group) == 2:
-                        a = group[0]
-                        b = group[1]
-                        lanes = ((a if a.next_free <= b.next_free else b),)
-                    else:
-                        lanes = (min(group, key=_next_free),)
-                else:
-                    # Pick every lane before claiming any.
-                    lanes = [min(group, key=_next_free) for group in groups]
-                for res in lanes:
-                    start = prev_start if prev_start > res.next_free else res.next_free
-                    end = start + link_dur
-                    res.busy_time += link_dur
-                    res.claims += 1
-                    if end < pipeline_end:
-                        res.busy_time += pipeline_end - end
-                        end = pipeline_end
-                    res.next_free = end
-                    prev_start = start
-                    pipeline_end = end
-            # RX NIC.
-            nic = plan.nic_rx
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
-
-        # Final stage: receiver port.
-        res = self._recv_fast[dst]
-        if res is None:
-            self._recv_fast[dst] = res = self._recv_ports.get(dst)
-        start = prev_start if prev_start > res.next_free else res.next_free
-        end = start + port_dur
-        res.busy_time += port_dur
-        res.claims += 1
-        if end < pipeline_end:
-            # A faster downstream stage cannot finish before upstream data
-            # has fully streamed through; the port stays occupied while it
-            # drains, so the extension counts as busy time.
-            res.busy_time += pipeline_end - end
-            end = pipeline_end
-        res.next_free = end
-        pipeline_end = end
-
-        return MessageTiming(send_complete, pipeline_end + hop_extra, plan.link_class)
+        send_complete, pipeline_end = self._claim(
+            route, src, dst, nbytes, post_time, alpha, route.inv_beta,
+            route.link_inv_beta,
+        )
+        return MessageTiming(send_complete, pipeline_end + hop_extra, route.link_class)
 
     # ----------------------------------------------------------------- faults
     def _transmit_faulty(
-        self, plan: _StagePlan, src: int, dst: int, nbytes: int, post_time: float
+        self, route: Route, src: int, dst: int, nbytes: int, post_time: float
     ) -> MessageTiming:
         """Fault-aware transmit: perturbed costs, drop + timeout/backoff retry.
 
@@ -385,20 +305,21 @@ class Fabric:
         ``inf`` and the engine never delivers it.
         """
         faults = self._faults
-        cls = plan.link_class
+        cls = route.link_class
         retry = faults.retry
         attempt = 1
         t = post_time
         while True:
             alpha, hop_extra, inv_beta, link_inv_beta = faults.perturb(
-                cls, t, plan.alpha, plan.hop_extra, plan.inv_beta, plan.link_inv_beta
+                cls, t, route.alpha, route.hop_extra, route.inv_beta,
+                route.link_inv_beta,
             )
             if self._noise is not None:
                 noise = 1.0 + self._jitter * float(self._noise.random())
                 alpha *= noise
                 hop_extra *= noise
             send_complete, pipeline_end = self._claim(
-                plan, src, dst, nbytes, t, alpha, inv_beta, link_inv_beta
+                route, src, dst, nbytes, t, alpha, inv_beta, link_inv_beta
             )
             if not faults.should_drop(cls, t):
                 if attempt > 1:
@@ -415,7 +336,7 @@ class Fabric:
 
     def _claim(
         self,
-        plan: _StagePlan,
+        route: Route,
         src: int,
         dst: int,
         nbytes: int,
@@ -424,101 +345,108 @@ class Fabric:
         inv_beta: float,
         link_inv_beta: float,
     ) -> tuple[float, float]:
-        """One pipeline claim pass with explicit (possibly perturbed) costs.
+        """Claim ``route``'s pipeline once; returns ``(send_complete, end)``.
 
-        Mirror of :meth:`transmit`'s inline claim sequence — keep the two in
-        sync (the golden-grid no-op regression test pins their arithmetic
-        equivalence; ``transmit`` stays inlined because the pristine path is
-        the wall-clock hot path).
+        Invariants (see docs/ARCHITECTURE.md): claims are made in event
+        order, stages are claimed upstream-to-downstream, and a stage
+        extended by upstream streaming (cut-through) credits the extension
+        to its busy time, added after the stage's own duration.  Each
+        stage is the fast path executor's recurrence, bit for bit.
         """
         dur = nbytes * inv_beta
         port_dur = alpha + dur
 
-        res = self._send_fast[src]
-        if res is None:
-            self._send_fast[src] = res = self._send_ports.get(src)
-        start = post_time if post_time > res.next_free else res.next_free
+        # Sender port.  The first stage can never be outrun by upstream
+        # data, so no cut-through adjustment is needed here.
+        nf = self._send_next[src]
+        start = post_time if post_time > nf else nf
         end = start + port_dur
-        res.next_free = end
-        res.busy_time += port_dur
-        res.claims += 1
+        self._send_next[src] = end
+        self._send_busy[src] += port_dur
         send_complete = end
-        prev_start = start
-        pipeline_end = end
 
-        nic = plan.nic_tx
-        if nic is not None:
+        tx = route.tx
+        if tx >= 0:
             nic_dur = self._nic_overhead + dur
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
-            groups = plan.link_groups
-            if groups is not None or plan.fixed_links:
+            nf = self._tx_next[tx]
+            s = start if start > nf else nf
+            e = s + nic_dur
+            self._tx_busy[tx] += nic_dur
+            if e < end:
+                self._tx_busy[tx] += end - e
+                e = end
+            self._tx_next[tx] = e
+            start = s
+            end = e
+            mode = route.lane_mode
+            if mode:
                 link_dur = self._link_overhead + nbytes * link_inv_beta
-                if groups is None:
-                    lanes = plan.fixed_links
-                elif len(groups) == 1:
-                    group = groups[0]
-                    if len(group) == 2:
-                        a = group[0]
-                        b = group[1]
-                        lanes = ((a if a.next_free <= b.next_free else b),)
-                    else:
-                        lanes = (min(group, key=_next_free),)
-                else:
-                    lanes = [min(group, key=_next_free) for group in groups]
-                for res in lanes:
-                    start = prev_start if prev_start > res.next_free else res.next_free
-                    end = start + link_dur
-                    res.busy_time += link_dur
-                    res.claims += 1
-                    if end < pipeline_end:
-                        res.busy_time += pipeline_end - end
-                        end = pipeline_end
-                    res.next_free = end
-                    prev_start = start
-                    pipeline_end = end
-            nic = plan.nic_rx
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
+                lane_next = self._lane_next
+                lane_busy = self._lane_busy
+                lanes = route.lanes
+                if mode == LANES_PAIR:
+                    a, b = lanes
+                    lanes = (a if lane_next[a] <= lane_next[b] else b,)
+                elif mode == LANES_GROUP:
+                    lanes = (min(lanes, key=lane_next.__getitem__),)
+                elif mode == LANES_PER_HOP:  # pick every lane before claiming any
+                    lanes = [min(g, key=lane_next.__getitem__) for g in lanes]
+                for ln in lanes:
+                    nf = lane_next[ln]
+                    s = start if start > nf else nf
+                    e = s + link_dur
+                    lane_busy[ln] += link_dur
+                    if e < end:
+                        lane_busy[ln] += end - e
+                        e = end
+                    lane_next[ln] = e
+                    start = s
+                    end = e
+            rx = route.rx
+            nf = self._rx_next[rx]
+            s = start if start > nf else nf
+            e = s + nic_dur
+            self._rx_busy[rx] += nic_dur
+            if e < end:
+                self._rx_busy[rx] += end - e
+                e = end
+            self._rx_next[rx] = e
+            start = s
+            end = e
 
-        res = self._recv_fast[dst]
-        if res is None:
-            self._recv_fast[dst] = res = self._recv_ports.get(dst)
-        start = prev_start if prev_start > res.next_free else res.next_free
-        end = start + port_dur
-        res.busy_time += port_dur
-        res.claims += 1
-        if end < pipeline_end:
-            res.busy_time += pipeline_end - end
-            end = pipeline_end
-        res.next_free = end
-        pipeline_end = end
-
-        return send_complete, pipeline_end
+        # Receiver port.  A faster downstream stage cannot finish before
+        # upstream data has fully streamed through; the port stays occupied
+        # while it drains, so the extension counts as busy time.
+        nf = self._recv_next[dst]
+        s = start if start > nf else nf
+        e = s + port_dur
+        self._recv_busy[dst] += port_dur
+        if e < end:
+            self._recv_busy[dst] += end - e
+            e = end
+        self._recv_next[dst] = e
+        return send_complete, e
 
     # -------------------------------------------------------------- reporting
     def utilization(self, horizon: float) -> dict[str, dict]:
-        """Busy fractions per resource family over ``[0, horizon]``."""
+        """Busy fractions per resource family over ``[0, horizon]``.
+
+        Each family maps every listed resource (by rank, node or the
+        network's lane key) to its busy time over ``horizon``.
+        """
+        def family(keys, next_free, busy):
+            return {
+                keys[i]: (b / horizon if horizon > 0 else 0.0)
+                for i, (nf, b) in enumerate(zip(next_free, busy))
+                if nf != _UNLISTED
+            }
+
+        ranks = range(len(self._send_next))
+        nodes = range(len(self._tx_next))
         return {
-            "send_ports": self._send_ports.utilization(horizon),
-            "recv_ports": self._recv_ports.utilization(horizon),
-            "nic_tx": self._nic_tx.utilization(horizon),
-            "nic_rx": self._nic_rx.utilization(horizon),
-            "links": self._links.utilization(horizon),
+            "send_ports": family(ranks, self._send_next, self._send_busy),
+            "recv_ports": family(ranks, self._recv_next, self._recv_busy),
+            "nic_tx": family(nodes, self._tx_next, self._tx_busy),
+            "nic_rx": family(nodes, self._rx_next, self._rx_busy),
+            "links": family(self._table.lane_keys, self._lane_next, self._lane_busy),
         }

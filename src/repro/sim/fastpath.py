@@ -3,11 +3,12 @@
 :func:`execute_schedule` replays a static :class:`~repro.sim.schedule.Schedule`
 with exactly the discrete-event engine's semantics — same event heap ordering
 ``(time, seq, rank)``, same sequence-number allocation, same FIFO matching,
-same resource-claim arithmetic (shared with :class:`~repro.sim.fabric.Fabric`
-via :func:`~repro.sim.fabric._resolve_machine_costs`) — but without generator
-resumes, :class:`~repro.sim.request.Request` objects, or per-message method
-dispatch.  The result is bit-identical to the engine for every pristine run
-(no faults, no jitter, no tracing): ``sim_mode="auto"`` is a pure speedup.
+same resource-claim arithmetic over the same route rows
+(:func:`~repro.sim.fabric.routes_for`) as :class:`~repro.sim.fabric.Fabric`
+— but without generator resumes, :class:`~repro.sim.request.Request`
+objects, or per-message method dispatch.  The result is bit-identical to
+the engine for every pristine run (no faults, no jitter, no tracing):
+``sim_mode="auto"`` is a pure speedup.
 
 Schedules are priced per call: every op's byte field is a count of
 ``unit``-byte blocks (``execute_schedule(..., unit=m)``), so the uniform-size
@@ -17,9 +18,9 @@ Three ideas make replay fast:
 
 * **Compile once per pattern.**  :func:`multi_plan_for` turns a schedule
   into a size-free :class:`_MultiStagePlan` — static send→receive matching,
-  per-socket-pair costs and lanes, and per-op ids into the distinct
-  pricing cohorts — cached per ``(structural digest, machine digest)`` in
-  :mod:`repro.sim.plancache`.
+  each send's NIC ids and lanes from its socket pair's route row, and
+  per-op ids into the distinct pricing cohorts — cached per
+  ``(structural digest, machine digest)`` in :mod:`repro.sim.plancache`.
 * **Price each call, vectorized.**  A call prices the cohorts (distinct
   ``(socket pair, block count)`` sends, distinct charge counts) in one
   numpy pass over ``nb = count * unit`` — ``alpha + nb*inv_beta``, NIC and
@@ -62,7 +63,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.engine import DeadlockError, SimTimeoutError
-from repro.sim.fabric import _machine_cost_table, _resolve_machine_costs
+from repro.sim.fabric import (
+    LANES_GROUP,
+    LANES_NONE,
+    LANES_OBLIVIOUS,
+    LANES_PAIR,
+    routes_for,
+)
 from repro.sim.plancache import PLAN_CACHE, machine_digest
 from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
 
@@ -121,9 +128,10 @@ class _MultiStagePlan:
     * every send carries its pre-resolved receive slot
       (:func:`repro.sim.schedule.static_matching` — FIFO matching is a
       compile-time function of the schedule), its endpoints, its socket
-      pair's NIC ids and lanes, and the id of its pricing cohort: a distinct
-      ``(socket pair, block count)`` whose costs a call computes from
-      ``cohort_counts`` and the pair's ``alpha``/``inv_beta``/
+      pair's NIC ids, lane mode and lane ids (from its
+      :class:`~repro.sim.fabric.Route`), and the id of its pricing cohort:
+      a distinct ``(socket pair, block count)`` whose costs a call computes
+      from ``cohort_counts`` and the route's ``alpha``/``inv_beta``/
       ``link_inv_beta`` (a self-send carries a charge id instead).  Each
       cohort also keeps its ``hop_extra`` and its ``shape`` — 1 same node
       (ports only), 2 cross node (+ NICs), 3 cross group (+ shared-link
@@ -153,25 +161,17 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     spec = machine.spec
     rps = spec.ranks_per_socket
     n_sockets = spec.n_sockets
-    adaptive = params.adaptive_routing
-    costs = _machine_cost_table(machine)
+    table = routes_for(machine)
+    routes = table.rows
 
     charge_ids: dict[int, int] = {}            # block count -> delta id
     cohort_ids: dict[tuple[int, int], int] = {}  # (socket key, count) -> cohort
-    cohorts: list[tuple[int, tuple, int]] = []  # (count, cost entry, shape)
-    lane_index: dict = {}
-    lanes_by_key: dict[int, tuple] = {}        # socket key -> (lmode, lspec)
+    cohorts: list[tuple] = []                  # (count, route, shape)
 
     def _charge(count):
         i = charge_ids.get(count)
         if i is None:
             charge_ids[count] = i = len(charge_ids) + 1
-        return i
-
-    def _lane(k):
-        i = lane_index.get(k)
-        if i is None:
-            lane_index[k] = i = len(lane_index)
         return i
 
     rank_segs: list[tuple | None] = []
@@ -215,42 +215,27 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
                 sends.append((0, pos, sl, _charge(count)))
                 continue
             skey = src_base + dst // rps
-            entry = costs.get(skey)
-            if entry is None:
-                entry = _resolve_machine_costs(machine, adaptive, rank, dst)
-                costs[skey] = entry
-            hop_extra, nsrc, ndst = entry[2], entry[5], entry[6]
-            group_keys, fixed_keys = entry[7], entry[8]
-            if nsrc < 0:
+            route = routes.get(skey)
+            if route is None:
+                route = table.resolve(machine, rank, dst, skey)
+            if route.tx < 0:
                 shape = 1  # same node: send port -> recv port
-            elif group_keys is None and not fixed_keys:
+            elif route.lane_mode == LANES_NONE:
                 shape = 2  # cross-node: + NIC tx/rx
             else:
                 shape = 3  # cross-group: + shared-link lanes
             ci = cohort_ids.get((skey, count))
             if ci is None:
                 ci = cohort_ids[(skey, count)] = len(cohorts)
-                cohorts.append((count, entry, shape))
+                cohorts.append((count, route, shape))
             if shape == 1:
-                sends.append((1, pos, sl, dst, ci, hop_extra))
+                sends.append((1, pos, sl, dst, ci, route.hop_extra))
             elif shape == 2:
-                sends.append((2, pos, sl, dst, ci, hop_extra, nsrc, ndst))
-            else:  # pre-classify the lane choice shape
-                lanes = lanes_by_key.get(skey)
-                if lanes is None:
-                    if group_keys is None:
-                        lanes = (0, tuple(_lane(k) for k in fixed_keys))
-                    elif len(group_keys) == 1:
-                        g = tuple(_lane(k) for k in group_keys[0])
-                        # adaptive: the 2-lane pair (Dragonfly+ default)
-                        # gets its own inlined fast case at runtime
-                        lanes = (1 if len(g) == 2 else 2, g)
-                    else:  # per-hop choices
-                        lanes = (3, tuple(tuple(_lane(k) for k in g)
-                                          for g in group_keys))
-                    lanes_by_key[skey] = lanes
-                sends.append((3, pos, sl, dst, ci, hop_extra, nsrc, ndst,
-                              lanes[0], lanes[1]))
+                sends.append((2, pos, sl, dst, ci, route.hop_extra,
+                              route.tx, route.rx))
+            else:
+                sends.append((3, pos, sl, dst, ci, route.hop_extra,
+                              route.tx, route.rx, route.lane_mode, route.lanes))
         if ids or not segs:
             segs.append((ids, sends, recvs, False))
         compiled: list[tuple] = []
@@ -269,16 +254,17 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     plan.rank_segs = rank_segs
     plan.wake_order = spawn_wake_order(schedule)
     plan.n_slots = n_slots
-    plan.n_lanes = len(lane_index)
+    plan.n_lanes = len(table.lane_keys)
     plan.n_nodes = spec.nodes
     plan.messages = messages
     plan.blocks = blocks
     plan.charge_counts = np.asarray(list(charge_ids), dtype=np.float64)
     plan.cohort_counts = np.asarray([c for c, _, _ in cohorts], dtype=np.float64)
-    plan.alpha = np.asarray([e[1] for _, e, _ in cohorts], dtype=np.float64)
-    plan.inv_beta = np.asarray([e[3] for _, e, _ in cohorts], dtype=np.float64)
-    plan.link_inv_beta = np.asarray([e[4] for _, e, _ in cohorts], dtype=np.float64)
-    plan.hop_extra = np.asarray([e[2] for _, e, _ in cohorts], dtype=np.float64)
+    plan.alpha = np.asarray([r.alpha for _, r, _ in cohorts], dtype=np.float64)
+    plan.inv_beta = np.asarray([r.inv_beta for _, r, _ in cohorts], dtype=np.float64)
+    plan.link_inv_beta = np.asarray([r.link_inv_beta for _, r, _ in cohorts],
+                                    dtype=np.float64)
+    plan.hop_extra = np.asarray([r.hop_extra for _, r, _ in cohorts], dtype=np.float64)
     plan.shape = np.asarray([sh for _, _, sh in cohorts], dtype=np.int8)
     plan.call_overhead = params.call_overhead
     plan.memcpy_beta = params.memcpy_beta
@@ -517,9 +503,9 @@ def _execute_multi(
                     nic_tx_next[nsrc] = e
                     prev = s
                     pe = e
-                    if lmode == 1:
+                    if lmode == LANES_PAIR:
                         # Adaptive 2-lane pair: least-loaded lane, first
-                        # minimal on ties (same tie-break as Fabric.transmit),
+                        # minimal on ties (same tie-break as Fabric._claim),
                         # claim inlined.
                         a, b = lspec
                         ln = a if lane_next[a] <= lane_next[b] else b
@@ -532,11 +518,11 @@ def _execute_multi(
                         prev = s
                         pe = e
                     else:
-                        if lmode == 0:
+                        if lmode == LANES_OBLIVIOUS:
                             lanes = lspec
-                        elif lmode == 2:
+                        elif lmode == LANES_GROUP:
                             lanes = (min(lspec, key=lane_next.__getitem__),)
-                        else:
+                        else:  # LANES_PER_HOP
                             lanes = [min(g, key=lane_next.__getitem__)
                                      for g in lspec]
                         for ln in lanes:

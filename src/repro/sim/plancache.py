@@ -39,7 +39,6 @@ Stats (hits/misses/evictions) are process-global and surfaced through
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Any
 
@@ -47,12 +46,6 @@ from typing import Any
 #: the bound stays modest — but it must hold a whole bench grid, and
 #: evicting mid-grid forfeits the warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
-
-# Machine fingerprints, memoized per live Machine object.  Machine is a
-# frozen dataclass (attributes cannot be added), so the memo lives here,
-# keyed by id() with a weakref guard against id reuse — the same idiom as
-# fabric._COSTS_BY_MACHINE.
-_MACHINE_DIGESTS: dict[int, tuple[weakref.ref, str]] = {}
 
 
 def _network_fingerprint(net: Any) -> str:
@@ -74,7 +67,17 @@ def _network_fingerprint(net: Any) -> str:
     return f"{type(net).__name__}{{{';'.join(parts)}}}"
 
 
-def _machine_fingerprint(machine: Any) -> str:
+def machine_digest(machine: Any) -> str:
+    """Structural digest of a Machine — the cache key's machine half.
+
+    Covers every input the fast-path compiler reads: the cluster shape,
+    all Hockney link/host constants, routing mode, jitter, and the full
+    network topology state (recursively, so a placement permutation or a
+    non-default ``links_per_pair`` yields a distinct digest).  Two
+    structurally identical machines share a digest and therefore share
+    cached plans.  Not memoized: it costs tens of microseconds, once per
+    fast-path call.
+    """
     spec = machine.spec
     params = machine.params
     links = ";".join(
@@ -90,29 +93,6 @@ def _machine_fingerprint(machine: Any) -> str:
         f"{params.adaptive_routing!r}",
         f"net:{_network_fingerprint(machine.network)}",
     ))
-
-
-def machine_digest(machine: Any) -> str:
-    """Structural digest of a Machine — the cache key's machine half.
-
-    Covers every input the fast-path compiler reads: the cluster shape,
-    all Hockney link/host constants, routing mode, jitter, and the full
-    network topology state (recursively, so a placement permutation or a
-    non-default ``links_per_pair`` yields a distinct digest).  Memoized
-    per live object; two structurally identical machines share a digest
-    and therefore share cached plans.
-    """
-    key = id(machine)
-    entry = _MACHINE_DIGESTS.get(key)
-    if entry is not None and entry[0]() is machine:
-        return entry[1]
-    digest = _machine_fingerprint(machine)
-    _MACHINE_DIGESTS[key] = (weakref.ref(machine), digest)
-    if len(_MACHINE_DIGESTS) > 256:  # drop entries whose machine was collected
-        dead = [k for k, (ref, _) in _MACHINE_DIGESTS.items() if ref() is None]
-        for k in dead:
-            del _MACHINE_DIGESTS[k]
-    return digest
 
 
 class PlanCache:

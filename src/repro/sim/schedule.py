@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.spec import LinkClass
+from repro.sim.fabric import routes_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
@@ -219,13 +219,17 @@ def analyze_contention(schedule: Schedule, machine: "Machine") -> list[StageRepo
     """Classify every stage of ``schedule`` on ``machine``.
 
     Claim multiplicities are exact for endpoint ports and node NICs
-    (messages map to them statically); for shared inter-group links the
-    analyzer counts messages per bottleneck *group* — adaptive lane choice
-    can only spread load within a group, so a group total of <= 1 is a
-    sound (and tight) contention-free criterion.
+    (messages map to them statically).  For shared inter-group links the
+    analyzer counts messages per *oblivious* lane — the lanes hash routing
+    would claim (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`,
+    a route's ``hashed_lanes``) — under either routing mode; it does not
+    model adaptive lane choice.  Ports, NICs and lanes come from the
+    machine's route rows (:func:`repro.sim.fabric.routes_for`).
     """
-    spec = machine.spec
-    node_of = spec.node_of
+    table = routes_for(machine)
+    routes = table.rows
+    rps = machine.spec.ranks_per_socket
+    n_sockets = machine.spec.n_sockets
     reports: list[StageReport] = []
     for stage, msgs in enumerate(_stage_messages(schedule)):
         report = StageReport(stage=stage, messages=len(msgs))
@@ -237,20 +241,20 @@ def analyze_contention(schedule: Schedule, machine: "Machine") -> list[StageRepo
         recv_ports: list[int] = []
         nic_tx: list[int] = []
         nic_rx: list[int] = []
-        link_groups: dict = {}
+        lanes: list[int] = []
         for src, dst, _nbytes in msgs:
             if src == dst:
                 continue  # local memcpy: no shared resource
             send_ports.append(src)
             recv_ports.append(dst)
-            cls = machine.link_class(src, dst)
-            if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-                ns, nd = node_of(src), node_of(dst)
-                nic_tx.append(ns)
-                nic_rx.append(nd)
-                if cls is LinkClass.INTER_GROUP:
-                    for key in machine.network.shared_link_keys(ns, nd):
-                        link_groups[key] = link_groups.get(key, 0) + 1
+            key = (src // rps) * n_sockets + dst // rps
+            route = routes.get(key)
+            if route is None:
+                route = table.resolve(machine, src, dst, key)
+            if route.tx >= 0:
+                nic_tx.append(route.tx)
+                nic_rx.append(route.rx)
+                lanes.extend(route.hashed_lanes)
 
         def _max_count(values: list[int]) -> int:
             if not values:
@@ -262,7 +266,7 @@ def analyze_contention(schedule: Schedule, machine: "Machine") -> list[StageRepo
             "recv_ports": _max_count(recv_ports),
             "nic_tx": _max_count(nic_tx),
             "nic_rx": _max_count(nic_rx),
-            "links": max(link_groups.values(), default=0),
+            "links": _max_count(lanes),
         }
         reports.append(report)
     return reports

@@ -1,10 +1,20 @@
 """Unit tests for the fabric's message-timing model."""
 
-import pytest
+import dataclasses
+import gc
+import math
+import weakref
 
-from repro.cluster import Machine
-from repro.cluster.spec import LinkClass
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import DragonflyPlus, FatTree, Machine, Torus
+from repro.cluster.hockney import NIAGARA_LIKE
+from repro.cluster.spec import ClusterSpec, LinkClass
+from repro.sim import fabric as fabric_module
 from repro.sim.fabric import Fabric
+from repro.sim.fastpath import _compile_multi
+from repro.sim.schedule import Schedule
 
 
 @pytest.fixture
@@ -126,11 +136,101 @@ class TestUtilization:
 
         fabric = Fabric(machine)
         fabric.transmit(src, dst, nbytes, post_time=0.0)
-        nic = fabric._nic_tx.get(machine.spec.node_of(src))
+        node = machine.spec.node_of(src)
+        busy, next_free = fabric._tx_busy[node], fabric._tx_next[node]
         # Single message from t=0: the TX NIC starts with the send port and
         # cannot release before the port stops streaming into it.
-        assert nic.busy_time == pytest.approx(port_dur)
-        assert nic.next_free == pytest.approx(nic.busy_time)
+        assert busy == pytest.approx(port_dur)
+        assert next_free == pytest.approx(busy)
         util = fabric.utilization(horizon=port_dur)
         (frac,) = util["nic_tx"].values()
         assert frac == pytest.approx(1.0)
+
+
+def _property_machines():
+    """Adaptive and oblivious Dragonfly+, fat-tree and torus, 32 ranks each."""
+    spec = ClusterSpec(nodes=8, sockets_per_node=2, ranks_per_socket=2)
+    networks = (
+        DragonflyPlus(nodes_per_group=2, links_per_pair=2),
+        FatTree(nodes_per_leaf=2, taper=1.0),
+        Torus(dims=(4, 2), bisection_ways=2),
+    )
+    return [
+        Machine(spec=spec, network=network,
+                params=dataclasses.replace(NIAGARA_LIKE, adaptive_routing=adaptive))
+        for network in networks
+        for adaptive in (True, False)
+    ]
+
+
+PROPERTY_MACHINES = _property_machines()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    machine=st.sampled_from(PROPERTY_MACHINES),
+    messages=st.lists(
+        st.tuples(
+            st.integers(0, 31),                     # src
+            st.integers(0, 31),                     # dst
+            st.integers(0, 1 << 20),                # nbytes
+            st.floats(0.0, 2e-5, allow_nan=False),  # gap since the last post
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_claims_never_overlap(machine, messages):
+    """Random transmit sequences with non-decreasing post times: every
+    listed resource is busy for no longer than its claims span, no send
+    completes before its uncontended Hockney cost, and nothing arrives
+    before its send completes."""
+    fabric = Fabric(machine)
+    post = 0.0
+    for src, dst, nbytes, gap in messages:
+        post += gap
+        t = fabric.transmit(src, dst, nbytes, post)
+        cost = machine.params.cost(t.link_class)
+        # 1e-12 absorbs one rounding: the fabric multiplies by 1/beta.
+        assert t.send_complete >= (post + cost.alpha + nbytes / cost.beta) * (1 - 1e-12)
+        assert t.arrival >= t.send_complete
+
+    families = (
+        (fabric._send_next, fabric._send_busy),
+        (fabric._recv_next, fabric._recv_busy),
+        (fabric._tx_next, fabric._tx_busy),
+        (fabric._rx_next, fabric._rx_busy),
+        (fabric._lane_next, fabric._lane_busy),
+    )
+    listed = 0
+    for next_free, busy in families:
+        for nf, b in zip(next_free, busy):
+            if nf != -math.inf:
+                listed += 1
+                # Busy time sums each claim's duration and cut-through
+                # extension; 1e-12 absorbs the rounding of those sums.
+                assert b <= nf * (1 + 1e-12)
+    util = fabric.utilization(0.0)
+    assert sum(len(family) for family in util.values()) == listed
+    assert all(v == 0.0 for family in util.values() for v in family.values())
+
+
+def test_route_memo_does_not_keep_machines_alive():
+    machine = Machine.niagara_like(nodes=4, ranks_per_socket=2, nodes_per_group=2)
+    key = id(machine)
+    dst = 2 * machine.spec.ranks_per_node  # another Dragonfly+ group
+    fabric = Fabric(machine)
+    fabric.transmit(0, dst, 64, post_time=0.0)
+    ops = [None] * machine.spec.n_ranks
+    ops[0] = [("send", dst, 1, 0, (0,)), ("wait",)]
+    ops[dst] = [("recv", 0, 0, 1), ("wait",)]
+    deliveries = [[] for _ in ops]
+    deliveries[dst] = [0]
+    plan = _compile_multi(Schedule(len(ops), ops, deliveries), machine)
+    assert key in fabric_module._ROUTE_TABLES
+    alive = weakref.ref(machine)
+
+    del machine, fabric, plan
+    gc.collect()
+    assert alive() is None
+    assert key not in fabric_module._ROUTE_TABLES

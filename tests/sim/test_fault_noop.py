@@ -2,9 +2,10 @@
 
 A :class:`FaultPlan` whose specs all carry unit factors / zero
 probabilities / zero delays routes every message through the fault-aware
-transmit path (``Fabric._transmit_faulty`` + ``Fabric._claim``) — so this
-grid also pins that path's arithmetic to the inlined fast path, bit for
-bit, against the archived seed-engine golden times.
+transmit path (``Fabric._transmit_faulty``), which claims through the same
+``Fabric._claim`` as the pristine path — so this grid pins the perturb /
+drop pass-through: the zero-valued specs must hand the claim the route's
+own costs, bit for bit against the archived seed-engine golden times.
 """
 
 import json

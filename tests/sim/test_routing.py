@@ -73,12 +73,15 @@ class TestAdaptiveRouting:
         assert a2 <= o2
 
     def test_adaptive_uses_both_lanes(self):
+        """Both global lanes of the group pair carry traffic: the fabric
+        lists every lane a route may choose, so check busy time, not keys."""
         fabric = Fabric(dragonfly_machine(True, links_per_pair=2))
         rpn = 4
         for i in range(4):
             fabric.transmit(i, 4 * rpn + i, 1 << 20, post_time=0.0)
-        lanes = {key for key, _ in fabric._links.items()}
-        assert len(lanes) == 2
+        links = fabric.utilization(horizon=1.0)["links"]
+        assert len(links) == 2
+        assert all(frac > 0 for frac in links.values())
 
     def test_oblivious_is_hash_deterministic(self):
         f1 = Fabric(dragonfly_machine(False))
