@@ -251,21 +251,32 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
 
 
 def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) -> Generator:
-    """Run one rank's op stream on the engine (see :meth:`~NeighborhoodAllgatherAlgorithm.program`)."""
+    """Run one rank's op stream on the engine (see :meth:`~NeighborhoodAllgatherAlgorithm.program`).
+
+    Ops post straight into the engine, charging the call overhead and
+    memcpys on the rank's clock as :class:`SimCommunicator` does.  Sends
+    keep no request: a wait lists the receives only, with the latest send
+    completion since the last wait as its floor.
+    """
     rank = comm.rank
-    isend = comm.isend
-    irecv = comm.irecv
-    charge = comm.charge_memcpy
+    engine = comm.engine
+    send = engine.send
+    post_recv = engine.post_recv
+    waitall = engine.waitall_condition
+    clock = engine.rank_now
+    params = engine.machine.params
+    overhead = params.call_overhead
+    memcpy_beta = params.memcpy_beta
     results = ctx.results[rank]
     payloads = ctx.payloads
     held = {rank}
-    # Requests and expected receive sizes since the last wait, in parallel
+    # Receives and their expected sizes since the last wait, in parallel
     # lists: a container per receive would live until the wait, and
     # thousands of them alive at once make the garbage collector a large
     # share of a dense naive run.
-    reqs: list = []
     recv_reqs: list = []
     recv_sizes: list[int] = []
+    floor = 0.0
     for op in stream:
         kind = op[0]
         if kind == "send":
@@ -275,17 +286,22 @@ def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) 
                     f"rank {rank}: send to {op[1]} (tag {op[3]}) carries "
                     f"block(s) {sorted(set(blocks) - held)} it does not hold"
                 )
-            reqs.append(isend(op[1], op[2], op[3], blocks))
+            clock[rank] += overhead
+            done = send(rank, op[1], op[2], op[3], blocks).send_complete
+            if done > floor:
+                floor = done
         elif kind == "recv":
-            req = irecv(op[1], op[2])
-            reqs.append(req)
-            recv_reqs.append(req)
+            clock[rank] += overhead
+            recv_reqs.append(post_recv(rank, op[1], op[2]))
             recv_sizes.append(op[3])
         elif kind == "charge":
-            charge(op[1])
+            nbytes = op[1]
+            if nbytes < 0:
+                raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+            clock[rank] += nbytes / memcpy_beta
         elif kind == "wait":
-            yield comm.waitall(reqs)
-            reqs = []
+            yield waitall(recv_reqs, floor)
+            floor = 0.0
             for req, nbytes in zip(recv_reqs, recv_sizes):
                 if req.nbytes != nbytes:
                     raise AssertionError(

@@ -1,19 +1,26 @@
 """The discrete-event engine: processes, matching, waits, barriers.
 
 Each rank runs a *program*: a generator that posts operations through its
-:class:`~repro.sim.communicator.SimCommunicator` and yields wait conditions.
+:class:`~repro.sim.communicator.SimCommunicator` (the collectives' generic
+program posts straight into the engine) and yields wait conditions.
 The engine is fully deterministic — events are ordered by ``(time, seq)``
 where ``seq`` is allocation order — and detects deadlock (all processes
 blocked with an empty event heap).
 
-Hot-path notes: matching tables hold plain deques keyed per destination and
-are pruned as soon as a queue drains (long sweeps must not accumulate empty
-deques or consumed-message tombstones); unexpected messages live in one
-``(src, tag)`` table with a delivery stamp, and ANY_SOURCE receives match
-the minimum stamp over queue heads instead of maintaining a second queue
-per tag.  Blocked-state diagnostics are built lazily (only when a deadlock
-is actually reported), and request completion assigns ``completion_time``
-directly for engine-owned requests instead of going through the guarded
+Hot-path notes: :meth:`Engine.send` is the one send path and allocates no
+request (:meth:`Engine.post_send` wraps it for programs that want one); a
+delivered message completes a matched posted receive in place, waking its
+waiter in the same call, and a wait may carry a ``floor`` — the latest
+completion of sends it does not list — so a program need not keep a
+request per send just to wait on it.  Matching tables hold plain deques
+keyed per destination and are pruned as soon as a queue drains (long
+sweeps must not accumulate empty deques or consumed-message tombstones);
+unexpected messages live in one ``(src, tag)`` table with a delivery
+stamp, and ANY_SOURCE receives match the minimum stamp over queue heads
+instead of maintaining a second queue per tag.  Blocked-state diagnostics
+are built lazily (only when a deadlock is actually reported), and request
+completion assigns ``completion_time`` directly for engine-owned requests
+instead of going through the guarded
 :meth:`~repro.sim.request.Request.complete`.
 """
 
@@ -120,12 +127,14 @@ class SimTimeoutError(RuntimeError):
 
 
 class _WaitAll:
-    """Condition: resume when every request in ``requests`` has completed."""
+    """Condition: resume when every request in ``requests`` has completed,
+    and not before ``floor``."""
 
-    __slots__ = ("requests",)
+    __slots__ = ("requests", "floor")
 
-    def __init__(self, requests: Iterable[Request]):
+    def __init__(self, requests: Iterable[Request], floor: float = 0.0):
         self.requests = tuple(requests)
+        self.floor = floor
 
 
 class _Compute:
@@ -218,7 +227,7 @@ class Engine:
         self._compute_scale: list[float] | None = None
         if faults is not None and faults.has_stragglers:
             self._compute_scale = [faults.compute_factor(r) for r in range(n_ranks)]
-        # Fail-stop state.  An empty crash table keeps _resume and post_send
+        # Fail-stop state.  An empty crash table keeps _resume and send
         # branch-cheap for crash-free plans.
         self._crash_times: dict[int, float] = (
             dict(faults.crash_times) if faults is not None else {}
@@ -459,7 +468,7 @@ class Engine:
             return
         cls = condition.__class__
         if cls is _WaitAll:
-            self._begin_wait(rank, condition.requests)
+            self._begin_wait(rank, condition)
         elif cls is _Compute:
             self._blocked[rank] = "compute"
             duration = condition.duration
@@ -480,7 +489,7 @@ class Engine:
                 duration *= self._compute_scale[rank]
             self._schedule(self.rank_now[rank] + duration, rank)
         elif isinstance(condition, _WaitAll):
-            self._begin_wait(rank, condition.requests)
+            self._begin_wait(rank, condition)
         elif isinstance(condition, _Barrier):
             self._enter_barrier(rank)
         else:
@@ -489,11 +498,13 @@ class Engine:
                 "from SimCommunicator (waitall/wait/compute/memcpy/barrier)"
             )
 
-    def _begin_wait(self, rank: int, requests: tuple[Request, ...]) -> None:
+    def _begin_wait(self, rank: int, condition: _WaitAll) -> None:
         state = _WaitState(rank, self.rank_now[rank])
         latest = state.latest
+        if condition.floor > latest:
+            latest = condition.floor
         remaining = 0
-        for req in requests:
+        for req in condition.requests:
             if req.owner != rank:
                 raise ValueError(f"rank {rank} waiting on request owned by rank {req.owner}")
             t = req.completion_time
@@ -511,19 +522,6 @@ class Engine:
         else:
             state.remaining = remaining
             self._blocked[rank] = state
-
-    def _request_determined(self, req: Request) -> None:
-        """A pending request just completed; unblock its waiter if any."""
-        state = req._waiter
-        if state is None:
-            return
-        req._waiter = None
-        if req.completion_time > state.latest:
-            state.latest = req.completion_time
-        state.remaining -= 1
-        if state.remaining == 0:
-            self._blocked.pop(state.rank, None)
-            self._schedule(state.latest, state.rank)
 
     def _enter_barrier(self, rank: int) -> None:
         """MPI-style barrier over the engine's processes.
@@ -562,44 +560,48 @@ class Engine:
             self._barrier_latest = 0.0
 
     # -------------------------------------------------------------- messaging
-    def post_send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> Request:
-        """Schedule a message; returns the (already determined) send request."""
+    def send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> MessageTiming:
+        """Send a message from ``src`` at its clock; returns its timing.
+
+        The one send path: it claims the fabric, drops the bytes of a
+        sender that dies before they land (``arrival`` is then ``inf``),
+        counts and traces the message, and delivers ``payload`` into a
+        matching posted receive or the unexpected queue.  A message whose
+        retry budget runs out raises :class:`RetriesExhaustedError`, with
+        the counters already updated.
+        """
         if not 0 <= dst < self.n_ranks:
             raise ValueError(f"destination rank {dst} out of range [0, {self.n_ranks})")
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         post_time = self.rank_now[src]
         timing = self.fabric.transmit(src, dst, nbytes, post_time)
+        arrival = timing.arrival
         crash_dropped = False
-        if self._crash_times and timing.arrival != _INF:
+        if self._crash_times and arrival != _INF:
             crash_at = self._crash_times.get(src)
-            if crash_at is not None and timing.arrival > crash_at:
+            if crash_at is not None and arrival > crash_at:
                 # In-flight send from a rank that dies before delivery: the
                 # data never lands.  Recorded in the trace as lost (inf
                 # arrival) so conservation laws still balance.
                 timing = MessageTiming(timing.send_complete, _INF,
                                        timing.link_class, timing.attempts)
+                arrival = _INF
                 crash_dropped = True
-        req = Request(_SEND, src, dst, tag, post_time)
-        req.completion_time = timing.send_complete  # fresh request: no guard needed
-        req.attempts = timing.attempts
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if self.trace is not None:
             self.trace.record(src, dst, nbytes, tag, timing, post_time)
-        if timing.arrival != _INF:
-            self._deliver(src, dst, tag, nbytes, payload, timing.arrival)
-        elif crash_dropped:
-            req.lost = True
+        if arrival == _INF:
             self.messages_lost += 1
-            self.faults.crash_dropped += 1
-            self._crash_dropped_senders.add(src)
-        else:
-            # Retry budget exhausted: the message is permanently lost.  The
-            # sender's request still completes (it gave up after its last
-            # timeout), but instead of letting the starved receiver drain
-            # the heap into an anonymous DeadlockError the failure is
-            # reported at its source, with the transfer named.
-            req.lost = True
-            self.messages_lost += 1
+            if crash_dropped:
+                self.faults.crash_dropped += 1
+                self._crash_dropped_senders.add(src)
+                return timing
+            # Retry budget exhausted: the message is permanently lost.
+            # Instead of letting the starved receiver drain the heap into an
+            # anonymous DeadlockError, the failure is reported at its
+            # source, with the transfer named.
             retry = self.faults.retry
             raise RetriesExhaustedError(
                 f"message {src} -> {dst} ({nbytes} B, tag {tag}) lost: all "
@@ -609,10 +611,47 @@ class Engine:
                 rank=src, peer=dst, attempts=timing.attempts,
                 last_timeout=retry.delay_after(timing.attempts),
             )
+        # Deliver: complete the oldest matching posted receive, else queue
+        # the message as unexpected.
+        key = (src, tag)
+        table = self._posted[dst]
+        posted = table.get(key)
+        if posted:
+            req = posted.popleft()
+            if not posted:
+                del table[key]
+            self._complete_recv(req, src, nbytes, payload, arrival)
+            return timing
+        table_any = self._posted_any[dst]
+        if table_any:
+            posted = table_any.get(tag)
+            if posted:
+                req = posted.popleft()
+                if not posted:
+                    del table_any[tag]
+                self._complete_recv(req, src, nbytes, payload, arrival)
+                return timing
+        self._useq = seq = self._useq + 1
+        table_u = self._unexpected[dst]
+        queue = table_u.get(key)
+        if queue is None:
+            table_u[key] = queue = deque()
+        queue.append(_Unexpected(src, tag, nbytes, payload, arrival, seq))
+        return timing
+
+    def post_send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> Request:
+        """:meth:`send`, returning the (already determined) send request."""
+        req = Request(_SEND, src, dst, tag, self.rank_now[src])
+        timing = self.send(src, dst, nbytes, tag, payload)
+        req.completion_time = timing.send_complete  # fresh request: no guard needed
+        req.attempts = timing.attempts
+        req.lost = timing.arrival == _INF
         return req
 
     def post_recv(self, dst: int, src: int | None, tag: int) -> Request:
         """Post a receive; ``src=None`` matches any source (MPI_ANY_SOURCE)."""
+        if src is not None and not 0 <= src < self.n_ranks:
+            raise ValueError(f"source rank {src} out of range [0, {self.n_ranks})")
         now = self.rank_now[dst]
         req = Request(_RECV, dst, src, tag, now)
         msg = None
@@ -669,43 +708,28 @@ class Engine:
         return best
 
     def _complete_recv(self, req: Request, src: int, nbytes: int, payload, arrival: float) -> None:
+        """Complete a matched receive; unblock its waiter if this was the
+        last request it waited on."""
         req.source = src
         req.nbytes = nbytes
         req.payload = payload
-        req.completion_time = arrival if arrival > req.post_time else req.post_time
-        self._request_determined(req)
-
-    def _deliver(self, src: int, dst: int, tag: int, nbytes: int, payload, arrival: float) -> None:
-        table = self._posted[dst]
-        key = (src, tag)
-        posted = table.get(key)
-        if posted:
-            req = posted.popleft()
-            if not posted:
-                del table[key]
-            self._complete_recv(req, src, nbytes, payload, arrival)
+        t = arrival if arrival > req.post_time else req.post_time
+        req.completion_time = t
+        state = req._waiter
+        if state is None:
             return
-        table_any = self._posted_any[dst]
-        if table_any:
-            posted_any = table_any.get(tag)
-            if posted_any:
-                req = posted_any.popleft()
-                if not posted_any:
-                    del table_any[tag]
-                self._complete_recv(req, src, nbytes, payload, arrival)
-                return
-        self._useq = seq = self._useq + 1
-        msg = _Unexpected(src, tag, nbytes, payload, arrival, seq)
-        table_u = self._unexpected[dst]
-        queue = table_u.get(key)
-        if queue is None:
-            table_u[key] = queue = deque()
-        queue.append(msg)
+        req._waiter = None
+        if t > state.latest:
+            state.latest = t
+        state.remaining -= 1
+        if state.remaining == 0:
+            self._blocked.pop(state.rank, None)
+            self._schedule(state.latest, state.rank)
 
     # ------------------------------------------------------------- conditions
     @staticmethod
-    def waitall_condition(requests: Iterable[Request]) -> _WaitAll:
-        return _WaitAll(requests)
+    def waitall_condition(requests: Iterable[Request], floor: float = 0.0) -> _WaitAll:
+        return _WaitAll(requests, floor)
 
     @staticmethod
     def compute_condition(duration: float) -> _Compute:

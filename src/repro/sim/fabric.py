@@ -15,9 +15,10 @@ congestion effects the paper's Section IV describes.
 
 Everything about a message's pipeline except its byte count and the
 adaptive lane choice is determined by its (socket, socket) pair: its
-:class:`Route`.  :func:`routes_for` resolves each route once per
-:class:`Machine` object, and the three readers of the pipeline take it
-from there: :class:`Fabric` (the engine's claims), the fast path's compiler
+:class:`Route`.  :func:`routes_for` resolves each route once per machine
+structure (:func:`~repro.sim.plancache.machine_digest`), so equal machines
+share one table, and the three readers of the pipeline take it from
+there: :class:`Fabric` (the engine's claims), the fast path's compiler
 (:mod:`repro.sim.fastpath`) and the contention analyzer
 (:func:`repro.sim.schedule.analyze_contention`).  A claim reads and writes
 plain floats in flat lists indexed by rank, node and lane id — the fast
@@ -28,7 +29,7 @@ messages) feasible in pure Python.
 from __future__ import annotations
 
 import math
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
+from repro.sim.plancache import machine_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.faults import FaultInjector
@@ -97,9 +99,9 @@ class RouteTable:
     """One machine's routes, resolved lazily, one per socket pair.
 
     ``rows`` maps ``src_socket * n_sockets + dst_socket`` to its
-    :class:`Route`; ``lane_keys[i]`` is the network's key of lane id ``i``.
-    The table holds no reference to its machine, so the memo in
-    :func:`routes_for` never keeps one alive.
+    :class:`Route`; ``lane_keys[i]`` is the network's key of lane id ``i``,
+    numbered in first-resolution order.  The table holds no reference to
+    its machine, so the memo in :func:`routes_for` never keeps one alive.
     """
 
     __slots__ = ("rows", "lane_keys", "_lane_ids")
@@ -156,25 +158,23 @@ class RouteTable:
         return route
 
 
-#: Route tables by ``id(machine)``, with a weakref guard: a dead Machine's
-#: entry is dropped by the callback, and the identity re-check protects
-#: against id reuse.  (Machine is a frozen dataclass with an unhashable
-#: field, so neither an attribute nor a WeakKeyDictionary can hold it.)
-_ROUTE_TABLES: dict[int, tuple[weakref.ref, RouteTable]] = {}
+#: Route tables by machine digest, least recently used first.  Every
+#: structurally equal machine shares one table; the bound keeps digests of
+#: machines long gone from holding tables forever.
+_ROUTE_TABLES: OrderedDict[str, RouteTable] = OrderedDict()
+_ROUTE_TABLES_MAX = 8
 
 
 def routes_for(machine: Machine) -> RouteTable:
     """The route table shared by every reader of ``machine``'s pipeline."""
-    key = id(machine)
-    entry = _ROUTE_TABLES.get(key)
-    if entry is not None and entry[0]() is machine:
-        return entry[1]
-    table = RouteTable()
-
-    def _drop(_ref, _key=key, _tables=_ROUTE_TABLES):
-        _tables.pop(_key, None)
-
-    _ROUTE_TABLES[key] = (weakref.ref(machine, _drop), table)
+    key = machine_digest(machine)
+    table = _ROUTE_TABLES.get(key)
+    if table is not None:
+        _ROUTE_TABLES.move_to_end(key)
+        return table
+    table = _ROUTE_TABLES[key] = RouteTable()
+    if len(_ROUTE_TABLES) > _ROUTE_TABLES_MAX:
+        _ROUTE_TABLES.popitem(last=False)
     return table
 
 

@@ -75,8 +75,9 @@ def machine_digest(machine: Any) -> str:
     network topology state (recursively, so a placement permutation or a
     non-default ``links_per_pair`` yields a distinct digest).  Two
     structurally identical machines share a digest and therefore share
-    cached plans.  Not memoized: it costs tens of microseconds, once per
-    fast-path call.
+    cached plans and route rows (:func:`repro.sim.fabric.routes_for`).
+    Not memoized: it costs tens of microseconds, once per fast-path call
+    and per engine run.
     """
     spec = machine.spec
     params = machine.params

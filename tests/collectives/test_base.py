@@ -3,6 +3,7 @@
 import pytest
 
 from repro.collectives.base import (
+    ExecutionContext,
     NeighborhoodAllgatherAlgorithm,
     SetupStats,
     algorithm_info,
@@ -11,6 +12,7 @@ from repro.collectives.base import (
     list_algorithms,
     register_algorithm,
 )
+from repro.sim.engine import Engine
 from repro.topology import erdos_renyi_topology
 
 
@@ -85,6 +87,46 @@ class TestLifecycle:
         topo = erdos_renyi_topology(100, 0.1, seed=0)
         with pytest.raises(ValueError, match="machine only"):
             alg.setup(topo, tiny_machine)
+
+
+class _Scripted(NeighborhoodAllgatherAlgorithm):
+    """Rank 0 runs ``ops``; no other rank has a stream."""
+
+    name = "scripted"
+
+    def __init__(self, ops):
+        super().__init__()
+        self.ops = ops
+
+    def _build(self, topology, machine):
+        return SetupStats()
+
+    def rank_ops(self, ctx, rank):
+        return iter(self.ops) if rank == 0 else None
+
+
+class TestGenericProgramValidation:
+    """The generic program posts straight into the engine, which rejects
+    what SimCommunicator rejects, with the communicator's text."""
+
+    @pytest.mark.parametrize("ops,comm_call", [
+        ([("send", 1, -64, 0, (0,))], lambda comm: comm.isend(1, -64)),
+        ([("charge", -8)], lambda comm: comm.charge_memcpy(-8)),
+        ([("recv", 9, 0, 64), ("wait",)], lambda comm: comm.irecv(9)),
+    ])
+    def test_bad_op_raises_communicator_error(self, tiny_machine, ops, comm_call):
+        with pytest.raises(ValueError) as expected:
+            comm_call(Engine(n_ranks=8, machine=tiny_machine).comms[0])
+        topology = erdos_renyi_topology(8, 0.5, seed=3)
+        alg = _Scripted(ops)
+        alg.setup(topology, tiny_machine)
+        ctx = ExecutionContext(topology, tiny_machine, 64, list(range(8)),
+                               [{} for _ in range(8)])
+        engine = Engine(n_ranks=8, machine=tiny_machine)
+        engine.spawn_all(alg.program_factory(ctx))
+        with pytest.raises(ValueError) as raised:
+            engine.run()
+        assert str(raised.value) == str(expected.value)
 
 
 class TestCapabilityDeclarations:

@@ -82,6 +82,21 @@ class TestEngineKill:
         assert engine.faults.crash_dropped == 1
         assert engine.messages_lost == 1
 
+    def test_crash_dropped_send_returns_lost_timing(self):
+        plan = FaultPlan(crashes=(RankCrash(rank=1, time=1e-9),), detector=None)
+        engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
+        recv = engine.post_recv(0, 1, 0)
+        timing = engine.send(1, 0, 4096, 0, "lost")
+        assert timing.arrival == math.inf
+        assert timing.send_complete < math.inf
+        assert engine.messages_sent == 1
+        assert engine.messages_lost == 1
+        assert engine.faults.crash_dropped == 1
+        # Nothing was delivered, nor queued for a later receive.
+        assert recv.completion_time is None
+        assert recv.payload is None
+        assert engine.post_recv(0, 1, 0).completion_time is None
+
     def test_late_crash_is_a_noop(self):
         topology = small_topology()
         machine = small_machine()

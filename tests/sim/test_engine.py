@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import Machine
 from repro.sim.communicator import ANY_SOURCE
 from repro.sim.engine import DeadlockError, Engine
+from repro.sim.fabric import Fabric, MessageTiming
 
 
 @pytest.fixture
@@ -97,6 +98,21 @@ class TestBasicExchange:
             engine.spawn(r, lambda comm: None)
         engine.run()
         assert got == ["me"]
+
+
+class TestSend:
+    def test_returns_timing_and_lands_payload_in_posted_receive(self, machine):
+        engine = make_engine(machine)
+        recv = engine.post_recv(1, 0, 7)
+        timing = engine.send(0, 1, 100, 7, {"k": 3})
+        assert isinstance(timing, MessageTiming)
+        assert timing == Fabric(machine).transmit(0, 1, 100, 0.0)
+        assert recv.payload == {"k": 3}
+        assert recv.source == 0
+        assert recv.nbytes == 100
+        assert recv.completion_time == timing.arrival
+        assert engine.messages_sent == 1
+        assert engine.bytes_sent == 100
 
 
 class TestMatchingSemantics:
@@ -228,6 +244,19 @@ class TestErrorsAndEdges:
         engine.spawn(1, lambda comm: None)
         with pytest.raises(ValueError, match="destination rank"):
             engine.run()
+
+    def test_negative_size_send_rejected(self, machine):
+        engine = make_engine(machine)
+        with pytest.raises(ValueError, match=r"^nbytes must be >= 0, got -4096$"):
+            engine.post_send(0, 5, -4096, 0, None)
+        assert engine.messages_sent == 0
+        assert engine.bytes_sent == 0
+
+    def test_out_of_range_receive_source_rejected(self, machine):
+        engine = make_engine(machine)
+        with pytest.raises(ValueError, match=r"^source rank 99 out of range \[0, 8\)$"):
+            engine.post_recv(1, 99, 0)
+        assert not any(engine._posted)
 
     def test_too_many_ranks_rejected(self, machine):
         with pytest.raises(ValueError, match="exceeds machine capacity"):

@@ -11,10 +11,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import DragonflyPlus, FatTree, Machine, Torus
 from repro.cluster.hockney import NIAGARA_LIKE
 from repro.cluster.spec import ClusterSpec, LinkClass
+from repro.collectives.base import ExecutionContext, get_algorithm
+from repro.collectives.runner import RunOptions, run_allgather
+from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim import fabric as fabric_module
-from repro.sim.fabric import Fabric
+from repro.sim.fabric import Fabric, routes_for
 from repro.sim.fastpath import _compile_multi
+from repro.sim.plancache import plan_cache_stats, reset_plan_cache
 from repro.sim.schedule import Schedule
+from repro.topology.graph import DistGraphTopology
 
 
 @pytest.fixture
@@ -215,9 +220,48 @@ def test_claims_never_overlap(machine, messages):
     assert all(v == 0.0 for family in util.values() for v in family.values())
 
 
+def _machine(**kw):
+    return MachineSpec(nodes=8, sockets_per_node=2, ranks_per_socket=2, **kw).build()
+
+
+def test_equal_machines_share_one_route_table():
+    a, b = _machine(), _machine()
+    assert a is not b
+    table = routes_for(a)
+    assert routes_for(b) is table
+    # A route resolved through one machine serves the other's fabric.
+    dst = 3 * a.spec.ranks_per_node  # another Dragonfly+ group
+    Fabric(a).transmit(0, dst, 64, post_time=0.0)
+    rows = dict(table.rows)
+    Fabric(b).transmit(0, dst, 64, post_time=0.0)
+    assert table.rows == rows
+
+
+def test_permuted_and_oblivious_machines_get_their_own_tables():
+    plain = _machine()
+    permuted = _machine(placement_seed=3)
+    oblivious = dataclasses.replace(
+        plain, params=dataclasses.replace(plain.params, adaptive_routing=False)
+    )
+    tables = [routes_for(m) for m in (plain, permuted, oblivious)]
+    assert len({id(t) for t in tables}) == 3
+    assert routes_for(_machine(placement_seed=3)) is tables[1]
+
+
+def test_route_memo_is_bounded():
+    """At most the bound; the least recently used table goes first."""
+    bound = fabric_module._ROUTE_TABLES_MAX
+    kept = routes_for(_machine())
+    first = routes_for(Machine.niagara_like(nodes=2, ranks_per_socket=1))
+    for nodes in range(3, bound + 6):
+        routes_for(Machine.niagara_like(nodes=nodes, ranks_per_socket=1))
+        assert len(fabric_module._ROUTE_TABLES) <= bound
+        assert routes_for(_machine()) is kept  # each use makes it the most recent
+    assert routes_for(Machine.niagara_like(nodes=2, ranks_per_socket=1)) is not first
+
+
 def test_route_memo_does_not_keep_machines_alive():
     machine = Machine.niagara_like(nodes=4, ranks_per_socket=2, nodes_per_group=2)
-    key = id(machine)
     dst = 2 * machine.spec.ranks_per_node  # another Dragonfly+ group
     fabric = Fabric(machine)
     fabric.transmit(0, dst, 64, post_time=0.0)
@@ -227,10 +271,62 @@ def test_route_memo_does_not_keep_machines_alive():
     deliveries = [[] for _ in ops]
     deliveries[dst] = [0]
     plan = _compile_multi(Schedule(len(ops), ops, deliveries), machine)
-    assert key in fabric_module._ROUTE_TABLES
+    table = routes_for(machine)
     alive = weakref.ref(machine)
 
     del machine, fabric, plan
     gc.collect()
     assert alive() is None
-    assert key not in fabric_module._ROUTE_TABLES
+    # The entry is keyed on structure, so it outlives the machine and
+    # serves the next equal one.
+    assert any(t is table for t in fabric_module._ROUTE_TABLES.values())
+    again = Machine.niagara_like(nodes=4, ranks_per_socket=2, nodes_per_group=2)
+    assert routes_for(again) is table
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("naive", {}),
+    ("common_neighbor", {"k": 4}),
+    ("distance_halving", {}),
+    ("bruck", {}),
+    ("hierarchical", {}),
+])
+def test_fast_path_compiles_against_the_engine_filled_table(name, kwargs):
+    """The engine fills the shared table in its event order; the fast path,
+    on a second, equal machine, compiles against those lane ids — numbered
+    differently from its own first-use order — and agrees bit for bit."""
+    spec = MachineSpec(nodes=8, sockets_per_node=2, ranks_per_socket=2)
+    topology = TopologySpec("random", 32, density=0.4, seed=11).build()
+
+    # The lane ids the compiler alone assigns, on a fresh table.
+    fabric_module._ROUTE_TABLES.clear()
+    machine = spec.build()
+    algorithm = get_algorithm(name, **kwargs)
+    algorithm.setup(topology, machine)
+    ctx = ExecutionContext(topology, machine, 1, list(range(32)), [{} for _ in range(32)])
+    _compile_multi(algorithm.schedule_for(ctx), machine)
+    own_order = list(routes_for(machine).lane_keys)
+    fabric_module._ROUTE_TABLES.clear()
+    reset_plan_cache()
+    engine_machine, fast_machine = spec.build(), spec.build()
+    # The engine meets the groups in reverse first: the same pattern with
+    # every rank id mirrored.
+    mirrored = DistGraphTopology(32, [
+        [31 - v for v in topology.out_neighbors(31 - u)] for u in range(32)
+    ])
+    des_options = RunOptions(sim_mode="des")
+    run_allgather(get_algorithm(name, **kwargs), mirrored, engine_machine, 1024,
+                  options=des_options)
+    des = run_allgather(get_algorithm(name, **kwargs), topology, engine_machine,
+                        1024, options=des_options)
+    table = routes_for(fast_machine)
+    engine_order = list(table.lane_keys)
+    assert sorted(engine_order, key=repr) == sorted(own_order, key=repr)
+    assert engine_order != own_order
+    fast = run_allgather(get_algorithm(name, **kwargs), topology, fast_machine,
+                         1024, options=RunOptions(sim_mode="auto"))
+    assert fast.sim_path == "fastpath"
+    assert plan_cache_stats()["misses"] >= 1 and plan_cache_stats()["hits"] == 0
+    assert table.lane_keys == engine_order
+    assert fast.simulated_time == des.simulated_time
+    assert fast.finish_times == des.finish_times

@@ -213,6 +213,24 @@ class TestRetryAndLoss:
         assert engine.messages_lost == 1
         assert engine.faults.messages_lost == 1
 
+    def test_send_raises_with_counters_set(self):
+        engine = Engine(
+            n_ranks=4,
+            machine=small_machine(),
+            faults=FaultPlan(
+                losses=(MessageLoss(probability=1.0),),
+                retry=RetryPolicy(timeout=1e-5, max_retries=1),
+            ),
+        )
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            engine.send(0, 1, 64, 0, None)
+        assert excinfo.value.attempts == 2
+        # Counted before the raise: a crashed round's callers read them.
+        assert engine.messages_sent == 1
+        assert engine.bytes_sent == 64
+        assert engine.messages_lost == 1
+        assert engine.faults.messages_lost == 1
+
     def test_retransmission_cost_charged_to_resources(self):
         machine = small_machine()
         plain = Engine(n_ranks=4, machine=machine)
