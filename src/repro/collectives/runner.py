@@ -134,14 +134,8 @@ class RunOptions:
         results, typically an order of magnitude faster — whenever the run
         is eligible (no fault plan, no tracing, jitter-free machine; every
         algorithm's op streams materialise as a schedule), falling back to
-        the engine otherwise; it never takes the closed form.
-        ``"analytic"``, only when set explicitly, runs the same replay with
-        the closed-form Hockney pricing: every message costs its pipeline
-        alone, ignoring contention — exact on contention-free schedules, a
-        documented lower bound elsewhere (see docs/ARCHITECTURE.md);
-        ineligible runs likewise fall back to the engine.  Either mode
-        reports a schedule that deadlocks with the engine's
-        :class:`~repro.sim.engine.DeadlockError`.
+        the engine otherwise.  A schedule that deadlocks raises the
+        engine's :class:`~repro.sim.engine.DeadlockError` on either path.
     on_failure:
         ULFM-style policy for fail-stop failures (``RankCrash`` faults that
         leave survivors stalled).  ``"abort"`` (default) propagates the
@@ -167,9 +161,9 @@ class RunOptions:
     on_failure: str = "abort"
 
     def __post_init__(self) -> None:
-        if self.sim_mode not in ("des", "auto", "analytic"):
+        if self.sim_mode not in ("des", "auto"):
             raise ValueError(
-                f"sim_mode must be 'des', 'auto' or 'analytic', got {self.sim_mode!r}"
+                f"sim_mode must be 'des' or 'auto', got {self.sim_mode!r}"
             )
         if self.on_failure not in ("abort", "shrink", "degrade"):
             raise ValueError(
@@ -258,9 +252,9 @@ class AllgatherRun:
     #: repro.verify conservation checks runnable on cached results.
     trace_summary: dict[str, dict[str, int]] | None = None
     #: which execution path produced this run: "des" (discrete-event
-    #: engine), "fastpath" (bit-identical schedule replay), or "analytic"
-    #: (closed-form Hockney costing).  Lets tests and sweeps distinguish a
-    #: genuine fast-path run from an auto-mode fallback to the engine.
+    #: engine) or "fastpath" (bit-identical schedule replay).  Lets tests
+    #: and sweeps distinguish a genuine fast-path run from an auto-mode
+    #: fallback to the engine.
     sim_path: str = "des"
     #: ranks whose payloads are missing from the collective because they
     #: crashed (fail-stop faults), ascending original ids; empty for
@@ -409,9 +403,7 @@ def run_allgather(
     # Hybrid fast path: replay the algorithm's static schedule instead of
     # running the engine.  Eligibility is conservative — any feature the
     # replay does not model (fault injection, tracing, machine jitter)
-    # falls back to the DES, so "auto" never changes results and "analytic"
-    # honors the contract that faulty runs always go through the full
-    # simulation.
+    # falls back to the DES, so "auto" never changes results.
     if (
         opts.sim_mode != "des"
         and fault_plan is None
@@ -420,17 +412,14 @@ def run_allgather(
     ):
         wall_start = time.perf_counter()
         schedule = algorithm.schedule_for(ctx)
-        # "auto" always replays exactly; the closed-form Hockney costing
-        # runs only when asked for.  A uniform-size schedule counts blocks
-        # (see schedule_for), so it is priced per msg_size.
-        analytic = opts.sim_mode == "analytic"
+        # A uniform-size schedule counts blocks (see schedule_for), so it
+        # is priced per msg_size.
         outcome = execute_schedule(
             schedule,
             machine,
             unit=msg_size if block_sizes is None else 1,
             max_sim_time=opts.max_sim_time,
             max_events=opts.max_events,
-            model_contention=not analytic,
         )
         results = ctx.results
         get_payload = payloads.__getitem__
@@ -449,7 +438,7 @@ def run_allgather(
             wall_time=time.perf_counter() - wall_start,
             block_sizes=block_sizes,
             requested_algorithm=requested_algorithm,
-            sim_path="analytic" if analytic else "fastpath",
+            sim_path="fastpath",
         )
         if opts.verify:
             verify_allgather(topology, run, expected_payloads=payloads)
@@ -718,16 +707,18 @@ def run_allgatherv(
     *,
     options: RunOptions | None = None,
     payloads: list[Any] | None = None,
-    **legacy_kwargs,
+    **unexpected_kwargs,
 ) -> AllgatherRun:
     """``MPI_Neighbor_allgatherv``: per-rank block sizes.
 
     Sugar over :func:`run_allgather` with a size list; every algorithm
     handles variable blocks natively (buffer arithmetic is byte-accurate).
+    Any other keyword is passed on to :func:`run_allgather`, which rejects
+    it with a ``ValueError``.
     """
     return run_allgather(
         algorithm, topology, machine, list(block_sizes),
-        options=options, payloads=payloads, **legacy_kwargs,
+        options=options, payloads=payloads, **unexpected_kwargs,
     )
 
 

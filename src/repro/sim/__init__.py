@@ -1,11 +1,16 @@
 """Discrete-event MPI simulator.
 
-Rank programs are Python generators that post non-blocking operations on a
-:class:`SimCommunicator` and ``yield`` wait conditions; the :class:`Engine`
-advances virtual time deterministically.  Message timing is computed by the
+Rank programs are Python generators that post non-blocking operations and
+``yield`` wait conditions; the :class:`Engine` advances virtual time
+deterministically.  The collectives' generic program posts each rank's op
+stream straight into the engine (:meth:`Engine.send`,
+:meth:`Engine.post_recv`); hand-written programs post through a
+:class:`SimCommunicator`.  Message timing is computed by the
 :class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney costs,
 with cut-through pipelining over serialized resources (per-rank ports,
 per-node NICs, shared global links) so congestion emerges naturally.
+:func:`execute_schedule` replays a materialised op stream (a
+:class:`Schedule`) without the engine, bit for bit.
 
 The semantics intentionally mirror the paper's modelling assumptions:
 single-port ranks, eager delivery, and serialized node injection.
@@ -29,14 +34,11 @@ from repro.sim.faults import (
     get_profile,
     resilience_profiles,
 )
-from repro.sim.fastpath import ANALYTIC_RTOL, FastRunOutcome, execute_schedule
+from repro.sim.fastpath import FastRunOutcome, execute_schedule
 from repro.sim.plancache import PlanCache, machine_digest, plan_cache_stats, reset_plan_cache
 from repro.sim.request import Request
 from repro.sim.schedule import (
     Schedule,
-    StageReport,
-    analyze_contention,
-    contention_free,
     spawn_wake_order,
     static_matching,
     structural_digest,
@@ -66,11 +68,9 @@ __all__ = [
     "Request",
     "MessageRecord",
     "TraceCollector",
-    "ANALYTIC_RTOL",
     "FastRunOutcome",
     "execute_schedule",
     "Schedule",
-    "StageReport",
     "spawn_wake_order",
     "static_matching",
     "structural_digest",
@@ -78,6 +78,4 @@ __all__ = [
     "machine_digest",
     "plan_cache_stats",
     "reset_plan_cache",
-    "analyze_contention",
-    "contention_free",
 ]

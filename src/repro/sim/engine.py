@@ -18,10 +18,8 @@ sweeps must not accumulate empty deques or consumed-message tombstones);
 unexpected messages live in one ``(src, tag)`` table with a delivery
 stamp, and ANY_SOURCE receives match the minimum stamp over queue heads
 instead of maintaining a second queue per tag.  Blocked-state diagnostics
-are built lazily (only when a deadlock is actually reported), and request
-completion assigns ``completion_time`` directly for engine-owned requests
-instead of going through the guarded
-:meth:`~repro.sim.request.Request.complete`.
+are built lazily (only when a deadlock is actually reported), and the
+engine completes a request by assigning its ``completion_time``.
 """
 
 from __future__ import annotations

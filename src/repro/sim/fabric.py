@@ -17,10 +17,9 @@ Everything about a message's pipeline except its byte count and the
 adaptive lane choice is determined by its (socket, socket) pair: its
 :class:`Route`.  :func:`routes_for` resolves each route once per machine
 structure (:func:`~repro.sim.plancache.machine_digest`), so equal machines
-share one table, and the three readers of the pipeline take it from
-there: :class:`Fabric` (the engine's claims), the fast path's compiler
-(:mod:`repro.sim.fastpath`) and the contention analyzer
-(:func:`repro.sim.schedule.analyze_contention`).  A claim reads and writes
+share one table, and the two readers of the pipeline take it from there:
+:class:`Fabric` (the engine's claims) and the fast path's compiler
+(:mod:`repro.sim.fastpath`).  A claim reads and writes
 plain floats in flat lists indexed by rank, node and lane id — the fast
 path executor's state layout — which keeps paper-scale sweeps (millions of
 messages) feasible in pure Python.
@@ -77,10 +76,11 @@ class Route:
     ``tx``/``rx`` are the sending and receiving node's NIC ids, ``-1`` on an
     intra-node path.  ``lanes`` holds ids into :attr:`RouteTable.lane_keys`
     (a tuple of lane groups under ``LANES_PER_HOP``), claimed as
-    ``lane_mode`` says; adaptive routing picks the least loaded lane, the
-    first one on ties.  ``hashed_lanes`` are the lanes oblivious routing
-    would claim (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`)
-    on an inter-group path, under either routing mode.
+    ``lane_mode`` says: oblivious routing claims every lane the network
+    hashes the path onto
+    (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`),
+    adaptive routing the least loaded lane (of each hop, under
+    ``LANES_PER_HOP``), the first one on ties.
     """
 
     link_class: LinkClass
@@ -92,7 +92,6 @@ class Route:
     rx: int
     lane_mode: int
     lanes: tuple
-    hashed_lanes: tuple[int, ...]
 
 
 class RouteTable:
@@ -134,17 +133,16 @@ class RouteTable:
         link_inv_beta = 0.0
         mode = LANES_NONE
         lanes: tuple = ()
-        hashed: tuple[int, ...] = ()
         if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
             spec = machine.spec
             tx, rx = spec.node_of(src), spec.node_of(dst)
             if cls is LinkClass.INTER_GROUP:
                 link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
                 network = machine.network
-                hashed = self._ids(network.shared_link_keys(tx, rx))
                 if not params.adaptive_routing:
-                    if hashed:
-                        mode, lanes = LANES_OBLIVIOUS, hashed
+                    lanes = self._ids(network.shared_link_keys(tx, rx))
+                    if lanes:
+                        mode = LANES_OBLIVIOUS
                 else:
                     groups = tuple(self._ids(g) for g in network.link_choices(tx, rx))
                     if len(groups) != 1:
@@ -153,7 +151,7 @@ class RouteTable:
                         (lanes,) = groups
                         mode = LANES_PAIR if len(lanes) == 2 else LANES_GROUP
         route = Route(cls, cost.alpha, machine.hop_extra_alpha(src, dst),
-                      1.0 / cost.beta, link_inv_beta, tx, rx, mode, lanes, hashed)
+                      1.0 / cost.beta, link_inv_beta, tx, rx, mode, lanes)
         self.rows[key] = route
         return route
 

@@ -38,14 +38,6 @@ on the engine, so such a schedule deadlocks: the executor raises the
 engine's :class:`~repro.sim.engine.DeadlockError` text after the same
 number of events.
 
-``model_contention=False`` is the executor's other pricing mode, the
-closed-form Hockney costing (``sim_mode="analytic"``, taken only when asked
-for): every message is priced as if it were alone — a send completes at
-``post + port`` and arrives at ``post + max(stage durations) + hop_extra``,
-claiming no port, NIC or lane — which is exact when no resource queue ever
-binds (see :func:`repro.sim.schedule.contention_free`) and a lower bound
-otherwise (claims only ever delay stages).
-
 Watchdog budgets (``max_sim_time``/``max_events``) are honored with the
 engine's exact boundary semantics: an event with timestamp equal to
 ``max_sim_time`` is processed (strictly-greater trips the budget), and
@@ -77,15 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
     from repro.sim.schedule import Schedule
 
-#: Tolerance contract for the analytic (closed-form) path on contention-free
-#: schedules: ``|analytic - des| / des <= ANALYTIC_RTOL``.  The closed form
-#: is a *lower bound* on the DES time (resource claims can only delay), and
-#: for single-stage contention-free schedules it is bit-identical.  Across
-#: stages the per-stage analyzer cannot exclude a straggler's claim binding
-#: an early next-stage message; the calibration grid (every contention-free
-#: cell the scenario generators produce, checked in
-#: tests/sim/test_hybrid.py) measures a gap of exactly 0.0, and the 1%
-#: headroom here bounds the residual the analysis cannot rule out.
+#: Relative tolerance of the retired closed-form pricing mode.  Nothing in
+#: the package reads it; the repository benchmark's cell check
+#: (``perf/run.py``) still imports it, and it goes once that check does.
 ANALYTIC_RTOL = 1e-2
 
 
@@ -132,25 +118,22 @@ class _MultiStagePlan:
       :class:`~repro.sim.fabric.Route`), and the id of its pricing cohort:
       a distinct ``(socket pair, block count)`` whose costs a call computes
       from ``cohort_counts`` and the route's ``alpha``/``inv_beta``/
-      ``link_inv_beta`` (a self-send carries a charge id instead).  Each
-      cohort also keeps its ``hop_extra`` and its ``shape`` — 1 same node
-      (ports only), 2 cross node (+ NICs), 3 cross group (+ shared-link
-      lanes) — the stages an analytic call's closed form spans.  A receive
-      no send matches keeps its slot and simply never completes;
+      ``link_inv_beta`` (a self-send carries a charge id instead).  A
+      receive no send matches keeps its slot and simply never completes;
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
 
-    Nothing here depends on the block size or the pricing mode, so one
-    plan serves every message size of a pattern, exact or analytic.
+    Nothing here depends on the block size, so one plan serves every
+    message size of a pattern.
     """
 
     __slots__ = (
         "n_ranks", "rank_segs", "wake_order", "n_slots", "n_lanes",
         "n_nodes", "messages", "blocks", "charge_counts",
-        "cohort_counts", "alpha", "inv_beta", "link_inv_beta", "hop_extra",
-        "shape", "call_overhead", "memcpy_beta", "nic_overhead",
-        "link_overhead", "ladder",
+        "cohort_counts", "alpha", "inv_beta", "link_inv_beta",
+        "call_overhead", "memcpy_beta", "nic_overhead", "link_overhead",
+        "ladder",
     )
 
 
@@ -166,7 +149,7 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
 
     charge_ids: dict[int, int] = {}            # block count -> delta id
     cohort_ids: dict[tuple[int, int], int] = {}  # (socket key, count) -> cohort
-    cohorts: list[tuple] = []                  # (count, route, shape)
+    cohorts: list[tuple] = []                  # (count, route)
 
     def _charge(count):
         i = charge_ids.get(count)
@@ -218,22 +201,16 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
             route = routes.get(skey)
             if route is None:
                 route = table.resolve(machine, rank, dst, skey)
-            if route.tx < 0:
-                shape = 1  # same node: send port -> recv port
-            elif route.lane_mode == LANES_NONE:
-                shape = 2  # cross-node: + NIC tx/rx
-            else:
-                shape = 3  # cross-group: + shared-link lanes
             ci = cohort_ids.get((skey, count))
             if ci is None:
                 ci = cohort_ids[(skey, count)] = len(cohorts)
-                cohorts.append((count, route, shape))
-            if shape == 1:
+                cohorts.append((count, route))
+            if route.tx < 0:  # same node: send port -> recv port
                 sends.append((1, pos, sl, dst, ci, route.hop_extra))
-            elif shape == 2:
+            elif route.lane_mode == LANES_NONE:  # cross node: + NIC tx/rx
                 sends.append((2, pos, sl, dst, ci, route.hop_extra,
                               route.tx, route.rx))
-            else:
+            else:  # cross group: + shared-link lanes
                 sends.append((3, pos, sl, dst, ci, route.hop_extra,
                               route.tx, route.rx, route.lane_mode, route.lanes))
         if ids or not segs:
@@ -259,13 +236,11 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     plan.messages = messages
     plan.blocks = blocks
     plan.charge_counts = np.asarray(list(charge_ids), dtype=np.float64)
-    plan.cohort_counts = np.asarray([c for c, _, _ in cohorts], dtype=np.float64)
-    plan.alpha = np.asarray([r.alpha for _, r, _ in cohorts], dtype=np.float64)
-    plan.inv_beta = np.asarray([r.inv_beta for _, r, _ in cohorts], dtype=np.float64)
-    plan.link_inv_beta = np.asarray([r.link_inv_beta for _, r, _ in cohorts],
+    plan.cohort_counts = np.asarray([c for c, _ in cohorts], dtype=np.float64)
+    plan.alpha = np.asarray([r.alpha for _, r in cohorts], dtype=np.float64)
+    plan.inv_beta = np.asarray([r.inv_beta for _, r in cohorts], dtype=np.float64)
+    plan.link_inv_beta = np.asarray([r.link_inv_beta for _, r in cohorts],
                                     dtype=np.float64)
-    plan.hop_extra = np.asarray([r.hop_extra for _, r, _ in cohorts], dtype=np.float64)
-    plan.shape = np.asarray([sh for _, _, sh in cohorts], dtype=np.int8)
     plan.call_overhead = params.call_overhead
     plan.memcpy_beta = params.memcpy_beta
     plan.nic_overhead = params.nic_message_overhead
@@ -284,17 +259,13 @@ def multi_plan_for(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     return plan
 
 
-def _price(plan: _MultiStagePlan, unit: int, analytic: bool):
-    """One call's costs: ``(values, port, nic, link, offset)`` lists.
+def _price(plan: _MultiStagePlan, unit: int):
+    """One call's costs: ``(values, port, nic, link)`` lists.
 
     ``nb = count * unit`` is exact in float64 (both factors and the product
     stay far below 2**53), and every expression below is the one the
     fabric evaluates per message, so the priced values are bit-identical.
-    ``values`` is indexed by delta id, the others by cohort id.  ``offset``
-    is ``None`` unless the call is analytic; then ``offset[ci]`` is cohort
-    ``ci``'s closed-form delivery delay: its slowest stage (``port``,
-    ``max(port, nic)`` or ``max(port, nic, link)``, by shape) plus its hop
-    extra.
+    ``values`` is indexed by delta id, the others by cohort id.
     """
     values = np.empty(len(plan.charge_counts) + 1)
     values[0] = plan.call_overhead
@@ -304,12 +275,7 @@ def _price(plan: _MultiStagePlan, unit: int, analytic: bool):
     port = plan.alpha + dur
     nic = plan.nic_overhead + dur
     link = plan.link_overhead + nb * plan.link_inv_beta
-    offset = None
-    if analytic:
-        slowest = np.where(plan.shape > 1, np.maximum(port, nic), port)
-        slowest = np.where(plan.shape > 2, np.maximum(slowest, link), slowest)
-        offset = (slowest + plan.hop_extra).tolist()
-    return values.tolist(), port.tolist(), nic.tolist(), link.tolist(), offset
+    return values.tolist(), port.tolist(), nic.tolist(), link.tolist()
 
 
 def _execute_multi(
@@ -317,7 +283,6 @@ def _execute_multi(
     unit: int,
     max_sim_time: float | None,
     max_events: int | None,
-    analytic: bool,
 ) -> FastRunOutcome:
     """One run of a plan with ``unit``-byte blocks (see :class:`_MultiStagePlan`).
 
@@ -338,12 +303,8 @@ def _execute_multi(
     maxima, so the split is bit-exact against the engine's op-interleaved
     processing.  A slot no send matches stays at 1 or 4, so its owner
     never wakes and the run ends in the engine's deadlock report.
-
-    ``analytic`` selects the closed-form pricing: a non-self send
-    completes at ``post + port`` and arrives at ``post + offset`` (see
-    :func:`_price`) without claiming a port, NIC or lane.
     """
-    values, port, nic, link, offset = _price(plan, unit, analytic)
+    values, port, nic, link = _price(plan, unit)
     ladder = plan.ladder
     n = plan.n_ranks
     rank_segs = plan.rank_segs
@@ -438,16 +399,7 @@ def _execute_multi(
                     state[sl] = 1
             for sd in sends:
                 kind = sd[0]
-                if analytic and kind:  # closed form: priced alone, no claims
-                    p = accl[sd[1]]
-                    sl = sd[2]
-                    dst = sd[3]
-                    ci = sd[4]
-                    end = p + port[ci]
-                    if end > lat:
-                        lat = end
-                    arrival = p + offset[ci]
-                elif kind == 2:  # cross-node: port -> NIC tx -> NIC rx -> port
+                if kind == 2:  # cross-node: port -> NIC tx -> NIC rx -> port
                     _, pos, sl, dst, ci, hop_x, nsrc, ndst = sd
                     port_dur = port[ci]
                     nic_dur = nic[ci]
@@ -634,17 +586,14 @@ def execute_schedule(
     unit: int = 1,
     max_sim_time: float | None = None,
     max_events: int | None = None,
-    model_contention: bool = True,
 ) -> FastRunOutcome:
     """Replay ``schedule`` on ``machine`` with ``unit``-byte blocks.
 
     Op byte fields count ``unit``-byte blocks: pass the message size for a
     schedule built in block counts (what ``schedule_for`` returns for
     uniform sizes) and ``1`` for one in raw bytes (allgatherv).  Every call
-    runs the schedule's cached plan (:func:`multi_plan_for`): bit-identical
-    to :class:`~repro.sim.engine.Engine` with ``model_contention=True``,
-    priced by the closed-form Hockney costing with ``False`` (see module
-    docstring).  Raises the engine's own
+    runs the schedule's cached plan (:func:`multi_plan_for`), bit-identical
+    to :class:`~repro.sim.engine.Engine`.  Raises the engine's own
     :class:`SimTimeoutError`/:class:`DeadlockError` with matching boundary
     semantics and deterministic blocked-rank detail.
     """
@@ -658,4 +607,4 @@ def execute_schedule(
         raise ValueError(f"unit must be >= 0, got {unit}")
 
     return _execute_multi(multi_plan_for(schedule, machine), unit,
-                          max_sim_time, max_events, not model_contention)
+                          max_sim_time, max_events)

@@ -29,9 +29,12 @@ Failure semantics
 * :class:`LinkFault` — multiplicative latency (``alpha_factor``, also
   applied to the per-hop surcharge) and bandwidth (``beta_factor``)
   degradation for one link class (or all) over a simulated-time window.
-* :class:`Straggler` — one rank launches ``startup_delay`` seconds late
-  and its yielded compute/memcpy durations are scaled by
-  ``compute_factor``.
+* :class:`Straggler` — one rank launches ``startup_delay`` seconds late,
+  and the compute/memcpy conditions it *yields* (``comm.compute``,
+  ``comm.memcpy``) are scaled by ``compute_factor``.  The collectives'
+  generic rank program charges its memcpys and call overheads inline and
+  yields none, so ``compute_factor`` changes no allgather's time: a
+  straggler there is a late starter only.
 * :class:`MessageLoss` — each covered transmission attempt is dropped with
   the given probability.  Drops are detected by the sender via an ack
   timeout and retransmitted under the plan's :class:`RetryPolicy`; every
@@ -109,7 +112,13 @@ class LinkFault:
 
 @dataclass(frozen=True)
 class Straggler:
-    """One rank that starts late and/or computes slowly."""
+    """One rank that starts late and/or computes slowly.
+
+    ``startup_delay`` holds the rank back at launch.  ``compute_factor``
+    scales only the compute/memcpy conditions the rank's program yields;
+    the allgather backends yield none (their generic program charges
+    memcpys and call overheads inline), so on them it has no effect.
+    """
 
     rank: int
     compute_factor: float = 1.0
@@ -629,8 +638,10 @@ def resilience_profiles(n_ranks: int, seed: int = 0) -> dict[str, FaultPlan | No
             ),
             seed=seed,
         ),
-        # Two late, slow ranks — the paper's load-imbalance story under
-        # a compute-side perturbation.
+        # Two late ranks — the paper's load-imbalance story under a
+        # compute-side perturbation.  ``compute_factor`` is set, but the
+        # allgather backends yield no compute, so only the startup delay
+        # changes their times.
         "straggler": FaultPlan(
             stragglers=tuple(
                 Straggler(rank=r, compute_factor=8.0, startup_delay=150e-6)

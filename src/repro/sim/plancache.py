@@ -25,9 +25,9 @@ keyed on *structure*, not identity —
   including placement permutations) — everything that can influence a
   plan or its prices.
 
-One plan serves every call on its pattern and machine: exact and analytic
-runs alike, every message size (a call prices the plan for its block
-size), and schedules whose run deadlocks.  Cached values hold only plain
+One plan serves every call on its pattern and machine: every message size
+(a call prices the plan for its block size), and schedules whose run
+deadlocks.  Cached values hold only plain
 numbers, tuples, and numpy arrays — never a ``Machine`` or ``Schedule``
 reference — so retention cannot leak simulation state, and never ``None``,
 so :meth:`PlanCache.get` reports a miss as ``None``.

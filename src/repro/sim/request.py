@@ -49,21 +49,7 @@ class Request:
         self.lost: bool = False     #: send permanently lost (retry budget exhausted)
         self._waiter = None         #: WaitState currently blocked on this request
 
-    @property
-    def determined(self) -> bool:
-        return self.completion_time is not None
-
-    def complete(self, time: float) -> None:
-        """Guarded completion for external callers.
-
-        The engine itself assigns ``completion_time`` directly on requests
-        it just created or matched (the guard is redundant there and the
-        call sits on the per-message hot path).
-        """
-        if self.completion_time is not None:
-            raise RuntimeError(f"request completed twice: {self!r}")
-        self.completion_time = time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"t={self.completion_time:.3e}" if self.determined else "pending"
+        t = self.completion_time
+        state = "pending" if t is None else f"t={t:.3e}"
         return f"Request({self.kind.value}, owner={self.owner}, peer={self.peer}, tag={self.tag}, {state})"

@@ -29,15 +29,6 @@ Op order is the stream's program order (post order is what determines
 resource-claim order and therefore timing).  A rank whose stream is ``None``
 gets ``None`` instead of an op list — the engine never spawns such ranks,
 and event sequence parity depends on reproducing that.
-
-The module also hosts the per-stage contention analyzer
-(:func:`analyze_contention`), a diagnostic: stage ``k`` is the cohort of
-every rank's ``k``-th wait-delimited segment, and a stage is
-*contention-free* when no endpoint port, node NIC, or shared link is claimed
-by more than one message in it.  Contention-free stages are the regime
-where the closed-form Hockney costing (``sim_mode="analytic"``) is exact;
-the analyzer's report is the tolerance contract's measurable half (see
-docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -45,15 +36,7 @@ from __future__ import annotations
 import hashlib
 import marshal
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.sim.fabric import routes_for
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.machine import Machine
+from dataclasses import dataclass
 
 
 @dataclass
@@ -79,11 +62,6 @@ class Schedule:
                 f"schedule arity mismatch: {self.n_ranks} ranks, "
                 f"{len(self.ops)} op lists, {len(self.deliveries)} delivery lists"
             )
-
-    def total_sends(self) -> int:
-        return sum(
-            1 for ops in self.ops if ops for op in ops if op[0] == "send"
-        )
 
 
 def structural_digest(schedule: Schedule) -> str:
@@ -173,114 +151,3 @@ def static_matching(schedule: Schedule):
                 send_slots.append(q.popleft() if q else -1)
     fully_matched = not any(recv_q.values())
     return send_slots, n_slots, fully_matched
-
-
-@dataclass
-class StageReport:
-    """Contention classification of one stage (see module docstring).
-
-    ``max_claims`` maps resource family -> the largest number of messages
-    claiming one resource of that family during the stage; the stage is
-    contention-free iff every maximum is <= 1.
-    """
-
-    stage: int
-    messages: int
-    max_claims: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def contention_free(self) -> bool:
-        return all(v <= 1 for v in self.max_claims.values())
-
-
-def _stage_messages(schedule: Schedule) -> list[list[tuple[int, int, int]]]:
-    """Per stage: ``(src, dst, nbytes)`` of every send posted in it.
-
-    Stage ``k`` collects the sends between rank ``r``'s ``k-1``-th and
-    ``k``-th waits, for every rank — the cohort that is in flight together.
-    """
-    stages: list[list[tuple[int, int, int]]] = []
-    for rank, ops in enumerate(schedule.ops):
-        if not ops:
-            continue
-        stage = 0
-        for op in ops:
-            kind = op[0]
-            if kind == "wait":
-                stage += 1
-            elif kind == "send":
-                while len(stages) <= stage:
-                    stages.append([])
-                stages[stage].append((rank, op[1], op[2]))
-    return stages
-
-
-def analyze_contention(schedule: Schedule, machine: "Machine") -> list[StageReport]:
-    """Classify every stage of ``schedule`` on ``machine``.
-
-    Claim multiplicities are exact for endpoint ports and node NICs
-    (messages map to them statically).  For shared inter-group links the
-    analyzer counts messages per *oblivious* lane — the lanes hash routing
-    would claim (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`,
-    a route's ``hashed_lanes``) — under either routing mode; it does not
-    model adaptive lane choice.  Ports, NICs and lanes come from the
-    machine's route rows (:func:`repro.sim.fabric.routes_for`).
-    """
-    table = routes_for(machine)
-    routes = table.rows
-    rps = machine.spec.ranks_per_socket
-    n_sockets = machine.spec.n_sockets
-    reports: list[StageReport] = []
-    for stage, msgs in enumerate(_stage_messages(schedule)):
-        report = StageReport(stage=stage, messages=len(msgs))
-        if not msgs:
-            report.max_claims = {}
-            reports.append(report)
-            continue
-        send_ports: list[int] = []
-        recv_ports: list[int] = []
-        nic_tx: list[int] = []
-        nic_rx: list[int] = []
-        lanes: list[int] = []
-        for src, dst, _nbytes in msgs:
-            if src == dst:
-                continue  # local memcpy: no shared resource
-            send_ports.append(src)
-            recv_ports.append(dst)
-            key = (src // rps) * n_sockets + dst // rps
-            route = routes.get(key)
-            if route is None:
-                route = table.resolve(machine, src, dst, key)
-            if route.tx >= 0:
-                nic_tx.append(route.tx)
-                nic_rx.append(route.rx)
-                lanes.extend(route.hashed_lanes)
-
-        def _max_count(values: list[int]) -> int:
-            if not values:
-                return 0
-            return int(np.bincount(np.asarray(values, dtype=np.intp)).max())
-
-        report.max_claims = {
-            "send_ports": _max_count(send_ports),
-            "recv_ports": _max_count(recv_ports),
-            "nic_tx": _max_count(nic_tx),
-            "nic_rx": _max_count(nic_rx),
-            "links": _max_count(lanes),
-        }
-        reports.append(report)
-    return reports
-
-
-def contention_free(schedule: Schedule, machine: "Machine") -> bool:
-    """True when every stage of ``schedule`` is contention-free.
-
-    This is the regime where the closed-form Hockney costing holds within
-    the calibrated tolerance: within a stage no resource queue ever binds.
-    For a *single-stage* schedule that makes the analytic path bit-identical
-    to the engine; across stages a straggler's claim can still delay an
-    early next-stage message, which is exactly the residual the tolerance
-    contract bounds (see docs/ARCHITECTURE.md).  A diagnostic: no run path
-    consults it (``sim_mode="auto"`` always replays exactly).
-    """
-    return all(r.contention_free for r in analyze_contention(schedule, machine))

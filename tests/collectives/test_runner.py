@@ -6,6 +6,7 @@ from repro.collectives import (
     RunOptions,
     get_algorithm,
     run_allgather,
+    run_allgatherv,
     verify_allgather,
 )
 from repro.topology import DistGraphTopology, erdos_renyi_topology
@@ -173,6 +174,14 @@ class TestUnexpectedKeywords:
             run_allgather(
                 "common_neighbor", small_topology, small_machine, 64, k=2
             )
+
+    def test_allgatherv_passes_stray_keywords_on(self, small_machine, small_topology):
+        # run_allgatherv forwards extra keywords to run_allgather, which
+        # rejects them with its own error.
+        sizes = [64] * small_topology.n
+        with pytest.raises(ValueError, match="unexpected keyword.*trace"):
+            run_allgatherv("naive", small_topology, small_machine, sizes,
+                           trace=True)
 
     def test_error_names_every_stray_keyword(self, small_machine, small_topology):
         with pytest.raises(ValueError, match="noise_seed.*trace"):

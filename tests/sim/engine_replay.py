@@ -77,8 +77,7 @@ def assert_matches_engine(schedule, machine, unit=1, **budgets):
     return out
 
 
-def assert_deadlocks_like_engine(schedule, machine, unit=1, *,
-                                 model_contention=True):
+def assert_deadlocks_like_engine(schedule, machine, unit=1):
     """A deadlocking schedule raises the engine's :class:`DeadlockError`
     text, after the same number of events.
 
@@ -91,12 +90,12 @@ def assert_deadlocks_like_engine(schedule, machine, unit=1, *,
     with pytest.raises(DeadlockError) as info:
         engine.run()
     events = engine.events_processed
-    run = dict(unit=unit, model_contention=model_contention)
-    out = _outcome(execute_schedule, schedule, machine, max_events=events, **run)
+    out = _outcome(execute_schedule, schedule, machine, unit=unit,
+                   max_events=events)
     assert out == (DeadlockError, str(info.value))
     if events > 1:
         kind, message = _outcome(execute_schedule, schedule, machine,
-                                 max_events=events - 1, **run)
+                                 unit=unit, max_events=events - 1)
         assert kind is SimTimeoutError
         assert message.startswith(
             f"event budget exceeded: processed {events - 1} events"

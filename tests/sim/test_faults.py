@@ -24,7 +24,7 @@ from repro.sim.faults import (
     resilience_profiles,
 )
 from repro.cluster.spec import LinkClass
-from repro.topology import erdos_renyi_topology
+from repro.topology import cartesian_topology, erdos_renyi_topology
 
 
 def small_machine():
@@ -275,6 +275,22 @@ class TestStragglers:
         engine.spawn_all(lambda rank: program)
         engine.run()
         assert engine.finish_time(2) == pytest.approx(10 * engine.finish_time(0))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the generic rank program charges memcpys and call overheads "
+        "inline and yields no compute, so compute_factor scales nothing"
+    ))
+    def test_compute_factor_slows_an_allgather(self):
+        # A ring, so the straggler's own posts are on the critical path.
+        topology = cartesian_topology(8, d=1)
+        machine = small_machine()
+
+        def run(factor):
+            plan = FaultPlan(stragglers=(Straggler(rank=2, compute_factor=factor),))
+            return run_allgather("naive", topology, machine, 4096,
+                                 options=RunOptions(fault_plan=plan))
+
+        assert run(8.0).simulated_time > run(1.0).simulated_time
 
 
 class TestWatchdog:

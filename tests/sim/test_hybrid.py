@@ -1,15 +1,10 @@
-"""Hybrid fast-path properties: auto/DES equivalence, the analytic
-tolerance contract, executor/engine agreement on raw schedules, and
-watchdog parity.
+"""Hybrid fast-path properties: auto/DES equivalence, executor/engine
+agreement on raw schedules, and watchdog parity.
 
 These are the accuracy gates for ``sim_mode`` (see docs/ARCHITECTURE.md):
 
 * ``auto`` must equal the DES *bit-for-bit* on every schedule, contended
-  or contention-free (the fast path is an exact replay, never the closed
-  form);
-* an explicit ``sim_mode="analytic"`` must stay within
-  :data:`~repro.sim.fastpath.ANALYTIC_RTOL` of the DES on contention-free
-  schedules and never exceed it anywhere;
+  or contention-free (the fast path is an exact replay);
 * the executor must agree bit-for-bit with the engine replaying the same
   schedule (:mod:`tests.sim.engine_replay`) at the block size it is priced
   with, events included;
@@ -25,9 +20,8 @@ from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import ANALYTIC_RTOL, multi_plan_for
+from repro.sim.fastpath import multi_plan_for
 from repro.sim.faults import FaultPlan, Straggler
-from repro.sim.schedule import analyze_contention, contention_free
 from tests.sim.engine_replay import assert_matches_engine
 
 ALGORITHMS = [
@@ -69,7 +63,8 @@ def _schedule_of(algorithm, topology, machine, msg_size=64):
 
 class TestAutoEqualsDes:
     """Property: sim_mode="auto" is bit-identical to the DES on contended
-    schedules — simulated time, counters, finish times, and buffers."""
+    and contention-free schedules — simulated time, counters, finish
+    times, and buffers."""
 
     @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
     @pytest.mark.parametrize("n,nodes,density", [
@@ -100,6 +95,39 @@ class TestAutoEqualsDes:
                              options=RunOptions(sim_mode="auto"))
         assert auto.simulated_time == des.simulated_time
         assert auto.results == des.results
+
+    @staticmethod
+    def _contention_free_case():
+        # 4 ranks spread one-per-socket over 2 nodes at density 0.05:
+        # so few edges that no port/NIC/link is ever claimed twice.
+        return _build(4, 2, 0.05, seed=3, sockets=2)
+
+    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
+    def test_bit_identical_when_contention_free(self, name, kwargs):
+        topology, machine = self._contention_free_case()
+        algorithm = _setup(name, kwargs, topology, machine)
+        des = run_allgather(algorithm, topology, machine, 64,
+                            options=RunOptions(sim_mode="des"))
+        auto = run_allgather(algorithm, topology, machine, 64,
+                             options=RunOptions(sim_mode="auto"))
+        assert auto.sim_path == "fastpath"
+        assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
+        assert auto.results == des.results
+        assert auto.messages_sent == des.messages_sent
+        assert auto.bytes_sent == des.bytes_sent
+
+    def test_single_stage_contention_free(self):
+        # Naive is single-stage (one waitall).
+        topology, machine = self._contention_free_case()
+        algorithm = _setup("naive", {}, topology, machine)
+        des = run_allgather(algorithm, topology, machine, 64,
+                            options=RunOptions(sim_mode="des"))
+        auto = run_allgather(algorithm, topology, machine, 64,
+                             options=RunOptions(sim_mode="auto"))
+        assert auto.sim_path == "fastpath"
+        assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
 
     def test_self_loop_topology(self):
         topology, machine = _build(16, 1, 0.3, seed=4, self_loops=True)
@@ -139,92 +167,6 @@ class TestDesFallback:
         run = run_allgather(algorithm, topology, machine, 512,
                             options=RunOptions(sim_mode="des"))
         assert run.sim_path == "des"
-
-
-class TestAnalyticContract:
-    """``auto`` replays contention-free schedules exactly too; the closed
-    form runs only under an explicit sim_mode="analytic", within
-    ANALYTIC_RTOL when contention-free and a lower bound when contended."""
-
-    def _contention_free_case(self):
-        # 4 ranks spread one-per-socket over 2 nodes at density 0.05:
-        # so few edges that no port/NIC/link is ever claimed twice.
-        topology, machine = _build(4, 2, 0.05, seed=3, sockets=2)
-        return topology, machine
-
-    def test_case_is_actually_contention_free(self):
-        topology, machine = self._contention_free_case()
-        algorithm = _setup("naive", {}, topology, machine)
-        schedule = _schedule_of(algorithm, topology, machine)
-        reports = analyze_contention(schedule, machine)
-        assert all(r.contention_free for r in reports)
-        assert contention_free(schedule, machine)
-
-    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
-    def test_auto_routes_contention_free_to_analytic(self, name, kwargs):
-        # auto takes the exact replay on contention-free schedules too:
-        # bit-identical to the DES, never the closed form.
-        topology, machine = self._contention_free_case()
-        algorithm = _setup(name, kwargs, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 64,
-                            options=RunOptions(sim_mode="des"))
-        auto = run_allgather(algorithm, topology, machine, 64,
-                             options=RunOptions(sim_mode="auto"))
-        assert auto.sim_path == "fastpath"
-        assert auto.simulated_time == des.simulated_time
-        assert auto.finish_times == des.finish_times
-        assert auto.results == des.results
-        assert auto.messages_sent == des.messages_sent
-        assert auto.bytes_sent == des.bytes_sent
-
-    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
-    def test_explicit_analytic_within_tolerance_when_contention_free(
-        self, name, kwargs,
-    ):
-        topology, machine = self._contention_free_case()
-        algorithm = _setup(name, kwargs, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 64,
-                            options=RunOptions(sim_mode="des"))
-        analytic = run_allgather(algorithm, topology, machine, 64,
-                                 options=RunOptions(sim_mode="analytic"))
-        assert analytic.sim_path == "analytic"
-        # Tolerance contract: never above the DES, within ANALYTIC_RTOL.
-        gap = des.simulated_time - analytic.simulated_time
-        assert gap >= 0.0
-        if des.simulated_time > 0:
-            assert gap / des.simulated_time <= ANALYTIC_RTOL
-        assert analytic.results == des.results
-        assert analytic.messages_sent == des.messages_sent
-        assert analytic.bytes_sent == des.bytes_sent
-
-    def test_single_stage_contention_free_is_exact(self):
-        # Naive is single-stage (one waitall): both the exact replay and
-        # the explicit closed form are bit-identical to the DES there.
-        topology, machine = self._contention_free_case()
-        algorithm = _setup("naive", {}, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 64,
-                            options=RunOptions(sim_mode="des"))
-        auto = run_allgather(algorithm, topology, machine, 64,
-                             options=RunOptions(sim_mode="auto"))
-        analytic = run_allgather(algorithm, topology, machine, 64,
-                                 options=RunOptions(sim_mode="analytic"))
-        assert auto.sim_path == "fastpath"
-        assert auto.simulated_time == des.simulated_time
-        assert auto.finish_times == des.finish_times
-        assert analytic.sim_path == "analytic"
-        assert analytic.simulated_time == des.simulated_time
-
-    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
-    def test_forced_analytic_is_lower_bound_when_contended(self, name, kwargs):
-        topology, machine = _build(32, 2, 0.4, seed=9)
-        algorithm = _setup(name, kwargs, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 4096,
-                            options=RunOptions(sim_mode="des"))
-        forced = run_allgather(algorithm, topology, machine, 4096,
-                               options=RunOptions(sim_mode="analytic"))
-        assert forced.sim_path == "analytic"
-        assert forced.simulated_time <= des.simulated_time
-        assert forced.results == des.results
 
 
 class TestBatchExecutor:
@@ -337,7 +279,7 @@ class TestHybridCaching:
     def test_mode_interleaving_does_not_poison_caches(self):
         topology, machine = _build(16, 2, 0.3, seed=8)
         algorithm = _setup("naive", {}, topology, machine)
-        seq = ["auto", "analytic", "des", "auto", "des", "analytic"]
+        seq = ["auto", "des", "auto", "des"]
         by_mode = {}
         for mode in seq:
             run = run_allgather(algorithm, topology, machine, 1024,

@@ -11,8 +11,7 @@ tests target the places the replay could plausibly diverge:
 * degenerate shapes — empty stages (back-to-back waitalls), single-rank
   schedules, ranks with no program (``None`` ops);
 * watchdog budgets tripping on the same event as the engine;
-* receives no send matches: the run deadlocks with the engine's report,
-  in exact and in analytic pricing;
+* receives no send matches: the run deadlocks with the engine's report;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
   regression), one size-free plan per pattern across message sizes, plus
@@ -152,8 +151,7 @@ class TestExecutorEdgeCases:
 
     def test_unmatched_recv_deadlocks_like_engine(self):
         # A receive with no sender keeps its slot and its owner blocks: the
-        # executor reports the engine's deadlock after the same events, in
-        # exact and in analytic pricing.
+        # executor reports the engine's deadlock after the same events.
         machine = _machine(nodes=1, sockets=1, rps=2)
         ops = [
             [("send", 1, 64, 0), ("wait",)],
@@ -162,14 +160,10 @@ class TestExecutorEdgeCases:
         schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
         assert static_matching(schedule)[2] is False
         blocked = r"blocked processes: rank 1 \(waitall\(1 pending\)\)$"
-        for model_contention in (True, False):
-            events = assert_deadlocks_like_engine(
-                schedule, machine, model_contention=model_contention,
-            )
-            assert events == 3  # two spawns and rank 0's wake
-            with pytest.raises(DeadlockError, match=blocked):
-                execute_schedule(schedule, machine,
-                                 model_contention=model_contention)
+        events = assert_deadlocks_like_engine(schedule, machine)
+        assert events == 3  # two spawns and rank 0's wake
+        with pytest.raises(DeadlockError, match=blocked):
+            execute_schedule(schedule, machine)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("common_neighbor", {"k": 4}), ("distance_halving", {}), ("bruck", {}),

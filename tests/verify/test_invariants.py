@@ -152,23 +152,6 @@ class TestDoctoredRuns:
         )
         assert any("bit-identically" in v.detail for v in violations)
 
-    def test_auto_taking_the_analytic_path_detected(self, clean_trial,
-                                                    monkeypatch):
-        # auto never takes the closed form; a run reporting it is a
-        # violation even when its numbers match the DES.
-        from repro.exec.spec import RunSpec
-
-        run = RunSpec.run
-        monkeypatch.setattr(
-            RunSpec, "run",
-            lambda spec: dataclasses.replace(run(spec), sim_path="analytic"),
-        )
-        violations = check_hybrid_equivalence(
-            clean_trial.scenario, {"naive": clean_trial.runs["naive"]}
-        )
-        assert [v.invariant for v in violations] == ["hybrid_equivalence"]
-        assert "analytic path" in violations[0].detail
-
     def test_naive_traffic_change_detected_under_relabeling(self, clean_trial):
         topology = clean_trial.scenario.topology.build()
         doctored = dataclasses.replace(
