@@ -22,6 +22,15 @@ Correctness is asserted, not assumed:
   present, current ``simulated_time`` values must be bit-identical to the
   baseline's, and the report includes the wall-time speedup against it.
 
+Two readings hinge little on how busy the host is.  Each timed hybrid run
+is also given in units of a fixed pure-Python calibration kernel, timed
+just before and just after it (``auto_total_kernels`` sums the per-case
+medians), which is what ``repro bench --wallclock --max-auto-wall-kernels``
+gates.  And each path's garbage-collector collections per generation
+during the timed runs (``gc_collections``) follow the allocation pattern
+alone, so a change that brings back per-message objects shows there even
+when wall times are noisy.
+
 Output is written to ``BENCH_sim_core.json`` (override with ``out_path``).
 Run via ``python -m repro bench --wallclock [--smoke]``.
 """
@@ -29,6 +38,7 @@ Run via ``python -m repro bench --wallclock [--smoke]``.
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import pstats
 import statistics
@@ -60,6 +70,10 @@ SIM_MODES = ("compare", "des", "auto")
 #: Paper-scale communicator sizes (Fig. 5 x-axis), with the socket widths
 #: that tile them into 2-socket nodes (2048 is the Moore-graph size).
 PAPER_RANKS = ((2160, 18), (2048, 16), (1080, 18), (540, 18))
+
+#: Loop length of the calibration kernel: about 5 ms of pure Python on a
+#: 2-core VM, near the length of one hybrid run on the small grid.
+KERNEL_ITERATIONS = 60_000
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 #: Recorded pre-optimization wall/sim numbers (committed; same-host medians).
@@ -103,6 +117,34 @@ class WallclockCase:
         )
 
 
+def calibration_kernel() -> float:
+    """Seconds this host takes, right now, for a fixed pure-Python loop.
+
+    Dividing a pure-Python wall time by it gives a figure that moves with
+    the code, not with the host's speed or load.
+    """
+    start = time.perf_counter()
+    total = 0
+    for i in range(KERNEL_ITERATIONS):
+        total += i * i % 7
+    return time.perf_counter() - start
+
+
+def _in_kernels(walls: list[float], kernels: list[float]) -> list[float]:
+    """Each wall over the mean of the kernel times just before and after it
+    (``kernels`` has one more entry than ``walls``)."""
+    return [w / ((a + b) / 2) for w, a, b in zip(walls, kernels, kernels[1:])]
+
+
+def _gc_collections() -> list[int]:
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def _gc_delta(before: list[int]) -> list[int]:
+    """Collections per generation since ``before``."""
+    return [now - then for now, then in zip(_gc_collections(), before)]
+
+
 @dataclass
 class CaseResult:
     """Timing + invariants for one case over ``repeats`` runs.
@@ -112,6 +154,10 @@ class CaseResult:
     ``wall_seconds_auto`` holds the hybrid walls of a ``"compare"`` case.
     ``sim_path`` records the path the hybrid run took (``"fastpath"``
     exact replay, or ``"des"`` when the run was not eligible).
+    ``auto_kernels`` holds the hybrid walls in calibration-kernel units
+    (``kernel_seconds`` are the kernel times).  ``gc_collections`` maps
+    each timed path (``"des"``, ``"auto"``) to the garbage collections per
+    generation during its timed runs.
     """
 
     case: WallclockCase
@@ -121,6 +167,9 @@ class CaseResult:
     wall_seconds_auto: list[float] | None = None
     sim_path: str | None = None
     profile: list[dict[str, Any]] | None = None
+    auto_kernels: list[float] | None = None
+    kernel_seconds: list[float] = field(default_factory=list)
+    gc_collections: dict[str, list[int]] = field(default_factory=dict)
 
     @property
     def wall_median(self) -> float:
@@ -131,6 +180,13 @@ class CaseResult:
         if not self.wall_seconds_auto:
             return None
         return statistics.median(self.wall_seconds_auto)
+
+    @property
+    def auto_wall_median(self) -> float | None:
+        """Median wall of the hybrid path, whichever way the case timed it."""
+        if self.case.sim_mode == "auto":
+            return self.wall_median
+        return self.wall_median_auto
 
     @property
     def speedup_auto(self) -> float | None:
@@ -167,6 +223,9 @@ class CaseResult:
             record["speedup_auto"] = self.speedup_auto
         if self.profile is not None:
             record["profile"] = self.profile
+        if self.auto_kernels:
+            record["auto_wall_kernels"] = self.auto_kernels
+        record["gc_collections"] = self.gc_collections
         return record
 
 
@@ -253,9 +312,13 @@ def _run_case(case: WallclockCase, repeats: int, check_trace: bool,
     primary = "auto" if case.sim_mode == "auto" else "des"
     options = RunOptions(sim_mode=primary)
     result: CaseResult | None = None
+    kernels = [calibration_kernel()] if primary == "auto" else []
+    gc_before = _gc_collections()
     for _ in range(repeats):
         run = run_allgather(algorithm, topology, machine, case.msg_bytes,
                             options=options)
+        if kernels:
+            kernels.append(calibration_kernel())
         if result is None:
             result = CaseResult(case, run.simulated_time, run.messages_sent)
             if primary == "auto":
@@ -266,6 +329,10 @@ def _run_case(case: WallclockCase, repeats: int, check_trace: bool,
                 f"{run.simulated_time!r} != {result.simulated_time!r}"
             )
         result.wall_seconds.append(run.wall_time)
+    result.gc_collections[primary] = _gc_delta(gc_before)
+    if kernels:
+        result.kernel_seconds = kernels
+        result.auto_kernels = _in_kernels(result.wall_seconds, kernels)
 
     if case.sim_mode == "compare":
         # Time the hybrid path against the DES walls just measured, and
@@ -273,9 +340,12 @@ def _run_case(case: WallclockCase, repeats: int, check_trace: bool,
         # accuracy gate for sim_mode="auto" on the real bench grid.
         auto_options = RunOptions(sim_mode="auto")
         result.wall_seconds_auto = []
+        kernels = [calibration_kernel()]
+        gc_before = _gc_collections()
         for _ in range(repeats):
             run = run_allgather(algorithm, topology, machine, case.msg_bytes,
                                 options=auto_options)
+            kernels.append(calibration_kernel())
             if result.sim_path is None:
                 result.sim_path = run.sim_path
             if (
@@ -288,6 +358,9 @@ def _run_case(case: WallclockCase, repeats: int, check_trace: bool,
                     f"des ({result.simulated_time!r}, {result.messages_sent})"
                 )
             result.wall_seconds_auto.append(run.wall_time)
+        result.gc_collections["auto"] = _gc_delta(gc_before)
+        result.kernel_seconds = kernels
+        result.auto_kernels = _in_kernels(result.wall_seconds_auto, kernels)
 
     if profile:
         # One extra run under cProfile, never one of the timed repeats.
@@ -450,6 +523,12 @@ def wallclock_bench(
     The payload always carries a ``"plan_cache"`` block: the process-wide
     compiled-plan cache counters (see :mod:`repro.sim.plancache`) after the
     run, which is how cross-run plan reuse on the grid is made visible.
+    It also carries ``"gc_collections"``, each path's collections per
+    generation summed over the cases, and, when any case times the hybrid
+    path, ``"auto_total_wall"`` (the sum of the per-case median walls) with
+    ``"auto_total_kernels"`` (the sum of the per-case medians in
+    :func:`calibration_kernel` units) and ``"kernel_s"``, the median kernel
+    time.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -478,6 +557,11 @@ def wallclock_bench(
                 f"{res.sim_messages_per_sec / 1e3:8.1f} kmsg/s{auto}"
             )
 
+    gc_totals = {"des": [0, 0, 0], "auto": [0, 0, 0]}
+    for r in results:
+        for path, gens in r.gc_collections.items():
+            gc_totals[path] = [a + b for a, b in zip(gc_totals[path], gens)]
+
     payload: dict[str, Any] = {
         "experiment": "sim_core_wallclock",
         "scale": scale.name,
@@ -493,7 +577,15 @@ def wallclock_bench(
         # Process-wide compiled-plan cache counters after the grid: repeats
         # and schedule-shape-sharing cells all land here as hits.
         "plan_cache": plan_cache_stats(),
+        "gc_collections": gc_totals,
     }
+    timed_auto = [r for r in results if r.auto_kernels]
+    if timed_auto:
+        payload["auto_total_wall"] = sum(r.auto_wall_median for r in timed_auto)
+        payload["auto_total_kernels"] = sum(
+            statistics.median(r.auto_kernels) for r in timed_auto)
+        payload["kernel_s"] = statistics.median(
+            k for r in timed_auto for k in r.kernel_seconds)
     compared = [r for r in results if r.wall_median_auto is not None]
     if compared:
         des_total = sum(r.wall_median for r in compared)
@@ -555,12 +647,22 @@ def wallclock_bench(
                 f"({baseline['speedup_geomean']:.2f}x geomean) over "
                 f"{baseline['checked_cases']} cases, sim times bit-identical"
             )
+        if "auto_total_wall" in payload:
+            print(
+                f"auto wall          : {payload['auto_total_wall']:.3f} s total = "
+                f"{payload['auto_total_kernels']:.2f} calibration kernels "
+                f"({payload['kernel_s'] * 1e3:.2f} ms each)"
+            )
         pc = payload["plan_cache"]
         print(
             f"plan cache         : {pc['hits']} hits / {pc['misses']} misses "
             f"(hit rate {pc['hit_rate']:.2f}), {pc['size']} entries, "
             f"{pc['evictions']} evictions"
         )
+        print("gc collections     : " + ", ".join(
+            f"{path} {'/'.join(map(str, gens))}"
+            for path, gens in payload["gc_collections"].items()
+        ) + " (young/middle/full)")
         if profile:
             for r in results:
                 if not r.profile:

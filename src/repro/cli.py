@@ -195,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--profile", action="store_true",
                          help="with --wallclock: cProfile one hybrid run per "
                               "case and attach the top-N table to the report")
-    bench_p.add_argument("--min-speedup", type=float, default=None,
-                         help="with --wallclock: exit 1 if the hybrid-over-DES "
-                              "geomean speedup falls below this factor")
+    bench_p.add_argument("--max-auto-wall-kernels", type=float, default=None,
+                         help="with --wallclock: exit 1 if the hybrid path's "
+                              "total wall time exceeds this many calibration-"
+                              "kernel times")
     bench_p.add_argument("--min-plan-cache-hit-rate", type=float, default=None,
                          help="with --wallclock: exit 1 if the compiled-plan "
                               "cache hit rate falls below this fraction")
@@ -583,15 +584,17 @@ def cmd_bench(args) -> int:
             # combinations) are operator errors, not bugs: one line, exit 1.
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if args.min_speedup is not None:
-            geomean = payload.get("hybrid", {}).get("speedup_auto_geomean")
-            if geomean is None:
-                print("error: --min-speedup needs compared cases "
-                      "(run with --sim-mode compare)", file=sys.stderr)
+        if args.max_auto_wall_kernels is not None:
+            kernels = payload.get("auto_total_kernels")
+            if kernels is None:
+                print("error: --max-auto-wall-kernels needs cases that time "
+                      "the hybrid path (run with --sim-mode compare or auto)",
+                      file=sys.stderr)
                 return 2
-            if geomean < args.min_speedup:
-                print(f"error: hybrid geomean speedup {geomean:.2f}x is below "
-                      f"the required {args.min_speedup:.2f}x", file=sys.stderr)
+            if kernels > args.max_auto_wall_kernels:
+                print(f"error: hybrid total wall {kernels:.2f} calibration "
+                      f"kernels exceeds the allowed "
+                      f"{args.max_auto_wall_kernels:.2f}", file=sys.stderr)
                 return 1
         if args.min_plan_cache_hit_rate is not None:
             rate = payload["plan_cache"]["hit_rate"]

@@ -255,14 +255,18 @@ def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) 
 
     Ops post straight into the engine, charging the call overhead and
     memcpys on the rank's clock as :class:`SimCommunicator` does.  Sends
-    keep no request: a wait lists the receives only, with the latest send
-    completion since the last wait as its floor.
+    keep no request: a wait lists the receives' slots only, with the latest
+    send completion since the last wait as its floor, and the received
+    messages are read from the engine's receive lists.
     """
     rank = comm.rank
     engine = comm.engine
     send = engine.send
-    post_recv = engine.post_recv
+    recv = engine.recv
     waitall = engine.waitall_condition
+    recv_source = engine.recv_source
+    recv_nbytes = engine.recv_nbytes
+    recv_payload = engine.recv_payload
     clock = engine.rank_now
     params = engine.machine.params
     overhead = params.call_overhead
@@ -270,11 +274,12 @@ def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) 
     results = ctx.results[rank]
     payloads = ctx.payloads
     held = {rank}
-    # Receives and their expected sizes since the last wait, in parallel
-    # lists: a container per receive would live until the wait, and
-    # thousands of them alive at once make the garbage collector a large
-    # share of a dense naive run.
-    recv_reqs: list = []
+    # Receive slots, tags and expected sizes since the last wait, in
+    # parallel int lists: an object per receive (a request, or the recv op
+    # kept) would live until the wait, and thousands of them alive at once
+    # make the garbage collector a large share of a dense naive run.
+    recv_slots: list[int] = []
+    recv_tags: list[int] = []
     recv_sizes: list[int] = []
     floor = 0.0
     for op in stream:
@@ -292,7 +297,8 @@ def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) 
                 floor = done
         elif kind == "recv":
             clock[rank] += overhead
-            recv_reqs.append(post_recv(rank, op[1], op[2]))
+            recv_slots.append(recv(rank, op[1], op[2]))
+            recv_tags.append(op[2])
             recv_sizes.append(op[3])
         elif kind == "charge":
             nbytes = op[1]
@@ -300,16 +306,18 @@ def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) 
                 raise ValueError(f"nbytes must be >= 0, got {nbytes}")
             clock[rank] += nbytes / memcpy_beta
         elif kind == "wait":
-            yield waitall(recv_reqs, floor)
+            yield waitall(recv_slots, floor)
             floor = 0.0
-            for req, nbytes in zip(recv_reqs, recv_sizes):
-                if req.nbytes != nbytes:
+            for slot, tag, nbytes in zip(recv_slots, recv_tags, recv_sizes):
+                if recv_nbytes[slot] != nbytes:
                     raise AssertionError(
-                        f"rank {rank}: message from {req.source} (tag {req.tag}) "
-                        f"has {req.nbytes} bytes, expected {nbytes}"
+                        f"rank {rank}: message from {recv_source[slot]} "
+                        f"(tag {tag}) has {recv_nbytes[slot]} bytes, "
+                        f"expected {nbytes}"
                     )
-                held.update(req.payload)
-            recv_reqs = []
+                held.update(recv_payload[slot])
+            recv_slots = []
+            recv_tags = []
             recv_sizes = []
         else:  # deliver
             for src in op[1]:

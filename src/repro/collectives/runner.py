@@ -468,7 +468,10 @@ def run_allgather(
 
     wall_start = time.perf_counter()
     engine.spawn_all(algorithm.program_factory(ctx))
-    simulated = engine.run()
+    try:
+        simulated = engine.run()
+    finally:
+        engine.close()  # a run that raised leaves programs suspended
     wall = time.perf_counter() - wall_start
     utilization = engine.fabric.utilization(simulated) if trace and simulated > 0 else None
 
@@ -596,7 +599,11 @@ def _run_with_recovery(
         try:
             round_make = engine.run()
         except RankFailedError as exc:
-            failure = exc
+            # Kept without its traceback, which holds this frame (and so
+            # `failure` itself); the survivors' suspended programs hold
+            # the engine.  Either would keep it alive past the round.
+            failure = exc.with_traceback(None)
+            engine.close()
         # Merge whatever landed this round (partial on failure), remapping
         # both buffer owners and block sources back to original ids.
         for r_cur in range(n_cur):

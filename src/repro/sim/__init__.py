@@ -3,9 +3,10 @@
 Rank programs are Python generators that post non-blocking operations and
 ``yield`` wait conditions; the :class:`Engine` advances virtual time
 deterministically.  The collectives' generic program posts each rank's op
-stream straight into the engine (:meth:`Engine.send`,
-:meth:`Engine.post_recv`); hand-written programs post through a
-:class:`SimCommunicator`.  Message timing is computed by the
+stream straight into the engine (:meth:`Engine.send`, :meth:`Engine.recv`,
+which returns a receive slot rather than a request); hand-written programs
+post through a :class:`SimCommunicator`, whose :class:`Request` objects
+wrap the same two paths.  Message timing is computed by the
 :class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney costs,
 with cut-through pipelining over serialized resources (per-rank ports,
 per-node NICs, shared global links) so congestion emerges naturally.

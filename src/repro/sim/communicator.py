@@ -22,7 +22,14 @@ ANY_SOURCE: int = -1
 
 
 class SimCommunicator:
-    """Per-rank handle into the engine; mirrors a tiny slice of ``MPI_Comm``."""
+    """Per-rank handle into the engine; mirrors a tiny slice of ``MPI_Comm``.
+
+    :meth:`~repro.sim.engine.Engine.spawn` builds one for the rank and
+    passes it to the program; the engine keeps no reference to it.  Its
+    requests wrap the engine's send and receive paths, and
+    :meth:`waitall` turns them into the engine's one wait condition: the
+    receives' slots, with the latest send completion as its floor.
+    """
 
     __slots__ = ("engine", "rank", "_rank_now", "_call_overhead", "_memcpy_beta")
 
@@ -63,11 +70,22 @@ class SimCommunicator:
     # -------------------------------------------------------------- conditions
     def wait(self, request: Request):
         """Condition: block until ``request`` completes."""
-        return self.engine.waitall_condition((request,))
+        return self.waitall((request,))
 
     def waitall(self, requests: Iterable[Request]):
         """Condition: block until every request completes."""
-        return self.engine.waitall_condition(requests)
+        rank = self.rank
+        slots = []
+        floor = 0.0
+        for req in requests:
+            if req.owner != rank:
+                raise ValueError(f"rank {rank} waiting on request owned by rank {req.owner}")
+            if req.slot is None:  # a send: determined when posted
+                if req.completion_time > floor:
+                    floor = req.completion_time
+            else:
+                slots.append(req.slot)
+        return self.engine.waitall_condition(slots, floor)
 
     def compute(self, seconds: float):
         """Condition: model ``seconds`` of local computation."""

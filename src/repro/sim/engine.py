@@ -8,18 +8,29 @@ where ``seq`` is allocation order — and detects deadlock (all processes
 blocked with an empty event heap).
 
 Hot-path notes: :meth:`Engine.send` is the one send path and allocates no
-request (:meth:`Engine.post_send` wraps it for programs that want one); a
-delivered message completes a matched posted receive in place, waking its
-waiter in the same call, and a wait may carry a ``floor`` — the latest
+request (:meth:`Engine.post_send` wraps it for programs that want one).
+:meth:`Engine.recv` is the one receive path: a receive is a *slot*, an
+index into flat per-engine lists (post time, completion time, source,
+size, payload, waiter), so posting, waiting on and reading a receive
+allocates no object per receive (:meth:`Engine.post_recv` wraps a slot in
+a :class:`~repro.sim.request.Request`).  A delivered message completes a
+matched posted receive in place, waking its waiter in the same call; the
+one wait condition lists receive slots plus a ``floor`` — the latest
 completion of sends it does not list — so a program need not keep a
-request per send just to wait on it.  Matching tables hold plain deques
-keyed per destination and are pruned as soon as a queue drains (long
-sweeps must not accumulate empty deques or consumed-message tombstones);
-unexpected messages live in one ``(src, tag)`` table with a delivery
-stamp, and ANY_SOURCE receives match the minimum stamp over queue heads
-instead of maintaining a second queue per tag.  Blocked-state diagnostics
-are built lazily (only when a deadlock is actually reported), and the
-engine completes a request by assigning its ``completion_time``.
+request per send just to wait on it.  Matching uses one dict per kind,
+keyed by destination: posted receives ``(dst, src, tag) -> slot``,
+ANY_SOURCE receives ``(dst, tag) -> slot`` and unexpected messages
+``(dst, src, tag) -> (src, nbytes, payload, arrival, stamp)``, each entry
+a deque only while two share a key (:func:`_put`, :func:`_take`).  Keys
+are deleted as soon as they drain, so long sweeps accumulate neither empty
+queues nor consumed-message tombstones; an ANY_SOURCE receive (only
+hand-written programs post them) scans the unexpected table for the
+minimum delivery stamp among its destination's entries with its tag,
+instead of the engine keeping a second queue per tag.  The engine keeps
+no reference to the programs' communicators, so once every program has
+finished (or :meth:`Engine.close` has closed the rest) nothing refers back
+to it and reference counting frees it, tables and all.  Blocked-state
+diagnostics are built lazily (only when a deadlock is actually reported).
 """
 
 from __future__ import annotations
@@ -27,10 +38,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator, Sequence
 
 from repro.cluster.machine import Machine
 from repro.cluster.spec import LinkClass
+from repro.sim.communicator import SimCommunicator
 from repro.sim.fabric import Fabric, MessageTiming
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.request import Request, RequestKind
@@ -124,14 +136,36 @@ class SimTimeoutError(RuntimeError):
         self.limit = limit
 
 
+def _put(table: dict, key, item) -> None:
+    """Queue ``item`` under ``key``: stored as is, or in a deque behind
+    the entries already there."""
+    held = table.setdefault(key, item)
+    if held is not item:
+        if held.__class__ is deque:
+            held.append(item)
+        else:
+            table[key] = deque((held, item))
+
+
+def _take(table: dict, key):
+    """Remove and return the oldest entry under ``key`` (None if none); a
+    deque left with one entry goes back to the bare entry."""
+    held = table.pop(key, None)
+    if held.__class__ is deque:
+        item = held.popleft()
+        table[key] = held if len(held) > 1 else held[0]
+        return item
+    return held
+
+
 class _WaitAll:
-    """Condition: resume when every request in ``requests`` has completed,
+    """Condition: resume when every receive slot in ``slots`` has completed,
     and not before ``floor``."""
 
-    __slots__ = ("requests", "floor")
+    __slots__ = ("slots", "floor")
 
-    def __init__(self, requests: Iterable[Request], floor: float = 0.0):
-        self.requests = tuple(requests)
+    def __init__(self, slots: Sequence[int], floor: float = 0.0):
+        self.slots = slots
         self.floor = floor
 
 
@@ -163,27 +197,14 @@ class _WaitState:
         self.latest = start
 
 
-class _Unexpected:
-    """A delivered message with no matching posted receive yet.
-
-    ``seq`` is the engine-wide delivery stamp: ANY_SOURCE matching picks the
-    lowest stamp among candidate queue heads, which reproduces arrival-order
-    (FIFO, non-overtaking) matching without keeping a second per-tag queue.
-    """
-
-    __slots__ = ("src", "tag", "nbytes", "payload", "arrival", "seq")
-
-    def __init__(self, src: int, tag: int, nbytes: int, payload, arrival: float, seq: int):
-        self.src = src
-        self.tag = tag
-        self.nbytes = nbytes
-        self.payload = payload
-        self.arrival = arrival
-        self.seq = seq
-
-
 class Engine:
-    """Deterministic discrete-event simulator over ``n_ranks`` processes."""
+    """Deterministic discrete-event simulator over ``n_ranks`` processes.
+
+    Receives live in flat lists indexed by the slot :meth:`recv` returns:
+    ``recv_post`` (post time), ``recv_done`` (completion time, None while
+    pending), ``recv_source``, ``recv_nbytes`` and ``recv_payload`` (the
+    matched message).  Programs read them; only the engine writes them.
+    """
 
     def __init__(
         self,
@@ -249,17 +270,20 @@ class Engine:
         #: deadlock reports only, never on the hot path.
         self._blocked: dict[int, object] = {}
 
-        # Per-destination matching state.  Queues are created on demand and
-        # deleted as soon as they drain.  Unexpected messages live in a
-        # single (src, tag)-keyed table per destination; ANY_SOURCE receives
-        # match by minimum delivery stamp (`_Unexpected.seq`) over the
-        # candidate queue heads, so no message is ever double-booked and no
-        # consumed tombstone can accumulate.
-        self._posted: list[dict[tuple[int, int], deque[Request]]] = [dict() for _ in range(n_ranks)]
-        self._posted_any: list[dict[int, deque[Request]]] = [dict() for _ in range(n_ranks)]
-        self._unexpected: list[dict[tuple[int, int], deque[_Unexpected]]] = [
-            dict() for _ in range(n_ranks)
-        ]
+        # Receive slots (see recv): one entry per posted receive, in post
+        # order.  A slot's completion time, source, size and payload are
+        # None until a message matches it.
+        self.recv_post: list[float] = []
+        self.recv_done: list[float | None] = []
+        self.recv_source: list[int | None] = []
+        self.recv_nbytes: list[int | None] = []
+        self.recv_payload: list = []
+        self._recv_waiter: list[_WaitState | None] = []
+        # Matching tables, one per kind, keyed by destination first (see
+        # the module docstring); a key is deleted as soon as it drains.
+        self._posted: dict[tuple[int, int, int], int | deque[int]] = {}
+        self._posted_any: dict[tuple[int, int], int | deque[int]] = {}
+        self._unexpected: dict[tuple[int, int, int], tuple | deque[tuple]] = {}
         self._useq = 0
 
         # Barrier state.
@@ -270,10 +294,6 @@ class Engine:
         self.messages_sent = 0
         self.bytes_sent = 0
 
-        from repro.sim.communicator import SimCommunicator  # late: avoids cycle
-
-        self.comms = [SimCommunicator(self, rank) for rank in range(n_ranks)]
-
     # ------------------------------------------------------------------ setup
     def spawn(self, rank: int, program: Callable[..., Generator]) -> None:
         """Install ``program(comm)`` as the process for ``rank``."""
@@ -281,7 +301,7 @@ class Engine:
             raise ValueError(f"rank {rank} already has a program")
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")
-        gen = program(self.comms[rank])
+        gen = program(SimCommunicator(self, rank))
         if gen is None:
             # Program did all its (zero-cost) work synchronously.
             self._finished[rank] = 0.0
@@ -497,27 +517,28 @@ class Engine:
             )
 
     def _begin_wait(self, rank: int, condition: _WaitAll) -> None:
-        state = _WaitState(rank, self.rank_now[rank])
-        latest = state.latest
+        latest = self.rank_now[rank]
         if condition.floor > latest:
             latest = condition.floor
+        done = self.recv_done
+        waiters = self._recv_waiter
+        state = None
         remaining = 0
-        for req in condition.requests:
-            if req.owner != rank:
-                raise ValueError(f"rank {rank} waiting on request owned by rank {req.owner}")
-            t = req.completion_time
-            if t is not None:
-                if t > latest:
-                    latest = t
-            else:
-                if req._waiter is not None:
+        for slot in condition.slots:
+            t = done[slot]
+            if t is None:
+                if waiters[slot] is not None:
                     raise RuntimeError("request already has a waiter")
-                req._waiter = state
+                if state is None:
+                    state = _WaitState(rank, latest)
+                waiters[slot] = state
                 remaining += 1
-        state.latest = latest
-        if remaining == 0:
+            elif t > latest:
+                latest = t
+        if state is None:
             self._schedule(latest, rank)
         else:
+            state.latest = latest
             state.remaining = remaining
             self._blocked[rank] = state
 
@@ -611,112 +632,102 @@ class Engine:
             )
         # Deliver: complete the oldest matching posted receive, else queue
         # the message as unexpected.
-        key = (src, tag)
-        table = self._posted[dst]
-        posted = table.get(key)
-        if posted:
-            req = posted.popleft()
-            if not posted:
-                del table[key]
-            self._complete_recv(req, src, nbytes, payload, arrival)
+        key = (dst, src, tag)
+        slot = _take(self._posted, key)
+        if slot is None and self._posted_any:
+            slot = _take(self._posted_any, (dst, tag))
+        if slot is None:
+            self._useq = stamp = self._useq + 1
+            _put(self._unexpected, key, (src, nbytes, payload, arrival, stamp))
             return timing
-        table_any = self._posted_any[dst]
-        if table_any:
-            posted = table_any.get(tag)
-            if posted:
-                req = posted.popleft()
-                if not posted:
-                    del table_any[tag]
-                self._complete_recv(req, src, nbytes, payload, arrival)
-                return timing
-        self._useq = seq = self._useq + 1
-        table_u = self._unexpected[dst]
-        queue = table_u.get(key)
-        if queue is None:
-            table_u[key] = queue = deque()
-        queue.append(_Unexpected(src, tag, nbytes, payload, arrival, seq))
+        self._complete_recv(slot, src, nbytes, payload, arrival)
         return timing
 
     def post_send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> Request:
         """:meth:`send`, returning the (already determined) send request."""
-        req = Request(_SEND, src, dst, tag, self.rank_now[src])
+        post_time = self.rank_now[src]
         timing = self.send(src, dst, nbytes, tag, payload)
-        req.completion_time = timing.send_complete  # fresh request: no guard needed
+        req = Request(_SEND, src, dst, tag, post_time, completion_time=timing.send_complete)
         req.attempts = timing.attempts
         req.lost = timing.arrival == _INF
         return req
 
-    def post_recv(self, dst: int, src: int | None, tag: int) -> Request:
-        """Post a receive; ``src=None`` matches any source (MPI_ANY_SOURCE)."""
+    def recv(self, dst: int, src: int | None, tag: int) -> int:
+        """Post a receive at ``dst``'s clock; returns its slot.
+
+        The one receive path; ``src=None`` matches any source
+        (MPI_ANY_SOURCE).  The slot indexes the engine's receive lists:
+        ``recv_done[slot]`` is the completion time (None while the receive
+        is pending), and ``recv_source``, ``recv_nbytes`` and
+        ``recv_payload`` hold the matched message.  The oldest unexpected
+        message on the key completes the receive at once; otherwise it
+        waits in the posted table, FIFO per key.
+        """
         if src is not None and not 0 <= src < self.n_ranks:
             raise ValueError(f"source rank {src} out of range [0, {self.n_ranks})")
+        slot = len(self.recv_post)
         now = self.rank_now[dst]
-        req = Request(_RECV, dst, src, tag, now)
+        self.recv_post.append(now)
+        self._recv_waiter.append(None)
         msg = None
-        table_u = self._unexpected[dst]
-        if table_u:
+        if self._unexpected:
             if src is None:
                 msg = self._match_unexpected_any(dst, tag)
             else:
-                key = (src, tag)
-                queue = table_u.get(key)
-                if queue is not None:
-                    msg = queue.popleft()
-                    if not queue:
-                        del table_u[key]
+                msg = _take(self._unexpected, (dst, src, tag))
         if msg is not None:
-            self._complete_recv(req, msg.src, msg.nbytes, msg.payload, msg.arrival)
-        elif src is None:
-            table = self._posted_any[dst]
-            queue = table.get(tag)
-            if queue is None:
-                table[tag] = queue = deque()
-            queue.append(req)
+            arrival = msg[3]
+            self.recv_done.append(arrival if arrival > now else now)
+            self.recv_source.append(msg[0])
+            self.recv_nbytes.append(msg[1])
+            self.recv_payload.append(msg[2])
+            return slot
+        self.recv_done.append(None)
+        self.recv_source.append(None)
+        self.recv_nbytes.append(None)
+        self.recv_payload.append(None)
+        if src is None:
+            _put(self._posted_any, (dst, tag), slot)
         else:
-            table = self._posted[dst]
-            key = (src, tag)
-            queue = table.get(key)
-            if queue is None:
-                table[key] = queue = deque()
-            queue.append(req)
-        return req
+            _put(self._posted, (dst, src, tag), slot)
+        return slot
 
-    def _match_unexpected_any(self, dst: int, tag: int) -> _Unexpected | None:
-        """Earliest-delivered unexpected message carrying ``tag``, any source.
+    def post_recv(self, dst: int, src: int | None, tag: int) -> Request:
+        """:meth:`recv`, returning a request that reads the receive's slot."""
+        slot = self.recv(dst, src, tag)
+        return Request(_RECV, dst, src, tag, self.recv_post[slot], engine=self, slot=slot)
 
-        Queue heads are each source's oldest pending message, so the global
-        minimum delivery stamp over matching heads is exactly the message an
+    def _match_unexpected_any(self, dst: int, tag: int) -> tuple | None:
+        """Earliest-delivered unexpected message to ``dst`` carrying ``tag``,
+        any source, removed from the table.
+
+        A key's head is its source's oldest pending message, so the minimum
+        delivery stamp over matching heads is exactly the message an
         arrival-ordered ANY queue would surface.
         """
-        table = self._unexpected[dst]
-        best_key = None
-        best = None
-        for key, queue in table.items():
-            if key[1] == tag:
-                head = queue[0]
-                if best is None or head.seq < best.seq:
+        best = best_key = None
+        for key, held in self._unexpected.items():
+            if key[0] == dst and key[2] == tag:
+                head = held[0] if held.__class__ is deque else held
+                if best is None or head[4] < best[4]:
                     best = head
                     best_key = key
-        if best is None:
-            return None
-        queue = table[best_key]
-        queue.popleft()
-        if not queue:
-            del table[best_key]
-        return best
+        return None if best is None else _take(self._unexpected, best_key)
 
-    def _complete_recv(self, req: Request, src: int, nbytes: int, payload, arrival: float) -> None:
-        """Complete a matched receive; unblock its waiter if this was the
-        last request it waited on."""
-        req.source = src
-        req.nbytes = nbytes
-        req.payload = payload
-        t = arrival if arrival > req.post_time else req.post_time
-        req.completion_time = t
-        state = req._waiter
+    def _complete_recv(self, slot: int, src: int, nbytes: int, payload, arrival: float) -> None:
+        """Complete a matched posted receive; unblock its waiter if this
+        was the last slot it waited on."""
+        self.recv_source[slot] = src
+        self.recv_nbytes[slot] = nbytes
+        self.recv_payload[slot] = payload
+        post = self.recv_post[slot]
+        t = arrival if arrival > post else post
+        self.recv_done[slot] = t
+        waiters = self._recv_waiter
+        state = waiters[slot]
         if state is None:
             return
-        req._waiter = None
+        waiters[slot] = None
         if t > state.latest:
             state.latest = t
         state.remaining -= 1
@@ -724,10 +735,21 @@ class Engine:
             self._blocked.pop(state.rank, None)
             self._schedule(state.latest, state.rank)
 
+    def close(self) -> None:
+        """Close the programs still suspended after a run that raised.
+
+        A suspended program's frame refers back to the engine, so until
+        it is closed the engine is freed only by the cycle collector.
+        """
+        for gen in self._programs.values():
+            gen.close()
+
     # ------------------------------------------------------------- conditions
     @staticmethod
-    def waitall_condition(requests: Iterable[Request], floor: float = 0.0) -> _WaitAll:
-        return _WaitAll(requests, floor)
+    def waitall_condition(slots: Sequence[int], floor: float = 0.0) -> _WaitAll:
+        """Condition: every receive slot in ``slots`` has completed, and
+        the clock has reached ``floor``."""
+        return _WaitAll(slots, floor)
 
     @staticmethod
     def compute_condition(duration: float) -> _Compute:

@@ -188,10 +188,13 @@ class Fabric:
     (:attr:`HockneyParameters.jitter`); with jitter 0 it is unused and the
     fabric is exactly deterministic.
 
-    ``faults`` installs a :class:`~repro.sim.faults.FaultInjector`: every
+    ``faults`` installs a :class:`~repro.sim.faults.FaultInjector`: when
+    it holds a link fault or a loss that can touch a message
+    (:attr:`~repro.sim.faults.FaultInjector.perturbs_messages`), every
     transmission is routed through :meth:`_transmit_faulty` (perturbed
-    costs, probabilistic drop, timeout/backoff retransmission).  Both paths
-    claim the pipeline through :meth:`_claim`.
+    costs, probabilistic drop, timeout/backoff retransmission); a plan of
+    stragglers or crashes only keeps the pristine path.  Both paths claim
+    the pipeline through :meth:`_claim`.
     """
 
     def __init__(
@@ -204,8 +207,9 @@ class Fabric:
         params = machine.params
         self._jitter = params.jitter
         self._noise = np.random.default_rng(noise_seed) if self._jitter > 0 else None
-        #: Fault injector (None = pristine fabric).
-        self._faults = faults
+        # Fault injector, when one can perturb or drop a message (None =
+        # pristine fabric): nothing else in a plan reaches the fabric.
+        self._faults = faults if faults is not None and faults.perturbs_messages else None
         spec = machine.spec
         self._ranks_per_socket = spec.ranks_per_socket
         self._n_sockets = spec.n_sockets

@@ -19,10 +19,11 @@ and identical drop/retry counters across runs and across ``trace=True`` /
 ``trace=False``.
 
 A plan whose specs are all no-ops (unit factors, zero probabilities, unit
-compute factors, zero delays) is a *strict* no-op: the fault-aware transmit
-path multiplies nothing and draws nothing, so simulated times are
+compute factors, zero delays) is a *strict* no-op: simulated times are
 bit-identical to a run with no plan at all (pinned by the golden-grid
-regression test).
+regression test).  Unless a link fault or a loss can touch some message
+(a non-trivial spec with a non-empty window), the fabric keeps its pristine
+transmit path and the injector multiplies nothing and draws nothing.
 
 Failure semantics
 -----------------
@@ -478,7 +479,10 @@ class FaultInjector:
 
     Holds the resolved RNG stream and the mutable counters; one injector
     must never be shared across engine runs (counters and the RNG stream
-    are run-local state).
+    are run-local state).  Link faults and losses that can touch no
+    message (unit factors, zero probability, an empty window) are dropped
+    when it is built; with none left, :attr:`perturbs_messages` is false
+    and the fabric prices every message on its pristine path.
     """
 
     __slots__ = (
@@ -511,10 +515,16 @@ class FaultInjector:
         self.messages_lost = 0     #: messages whose retry budget ran out
         self.rank_crashes = 0      #: ranks actually killed (crash time reached)
         self.crash_dropped = 0     #: in-flight sends dropped by a sender crash
-        # Pre-filter no-op specs so the strict-no-op guarantee costs nothing
-        # per message and a zero-probability loss spec never touches the RNG.
-        self._link_faults = tuple(f for f in plan.link_faults if not f.is_noop)
-        self._losses = tuple(l for l in plan.losses if not l.is_noop)
+        # Pre-filter specs that can touch no message (no-op factors, zero
+        # probability, an empty window such as setup_loss's runtime [0, 0))
+        # so the strict-no-op guarantee costs nothing per message and such a
+        # loss spec never touches the RNG.
+        self._link_faults = tuple(
+            f for f in plan.link_faults if not f.is_noop and f.start < f.end
+        )
+        self._losses = tuple(
+            l for l in plan.losses if not l.is_noop and l.start < l.end
+        )
         self._compute_factor = {
             s.rank: s.compute_factor for s in plan.stragglers if s.compute_factor != 1.0
         }
@@ -571,6 +581,13 @@ class FaultInjector:
 
     def startup_delay(self, rank: int) -> float:
         return self._startup_delay.get(rank, 0.0)
+
+    @property
+    def perturbs_messages(self) -> bool:
+        """Whether a link fault or a loss can touch some message: without
+        one the fabric keeps its pristine transmit path, and
+        :meth:`perturb`/:meth:`should_drop` are never called."""
+        return bool(self._link_faults or self._losses)
 
     @property
     def has_stragglers(self) -> bool:

@@ -1,6 +1,7 @@
 """Tests for the sim-core wall-clock harness (and its CLI entry point)."""
 
 import json
+import statistics
 
 import pytest
 
@@ -116,6 +117,34 @@ class TestWallclockBench:
         # warm repeats within the harness itself must produce hits
         assert stats["hits"] > 0
 
+    def test_payload_counts_collections_per_path(self, tmp_path):
+        payload = wallclock_bench(
+            scale=SMALL, repeats=2, smoke=True, out_path=None,
+            baseline_path=tmp_path / "missing.json",
+        )
+        for case in payload["cases"]:
+            assert set(case["gc_collections"]) == {"des", "auto"}
+            assert all(len(gens) == 3 and min(gens) >= 0
+                       for gens in case["gc_collections"].values())
+        for path in ("des", "auto"):
+            assert payload["gc_collections"][path] == [
+                sum(case["gc_collections"][path][g] for case in payload["cases"])
+                for g in range(3)
+            ]
+        assert payload["kernel_s"] > 0
+        assert payload["auto_total_wall"] == pytest.approx(
+            sum(case["wall_median_auto"] for case in payload["cases"]))
+        assert payload["auto_total_kernels"] == pytest.approx(sum(
+            statistics.median(case["auto_wall_kernels"]) for case in payload["cases"]))
+
+    def test_des_only_grid_has_no_auto_total(self, tmp_path):
+        payload = wallclock_bench(
+            scale=SMALL, repeats=1, smoke=True, out_path=None,
+            baseline_path=tmp_path / "missing.json", sim_mode="des",
+        )
+        assert "auto_total_kernels" not in payload
+        assert payload["gc_collections"]["auto"] == [0, 0, 0]
+
 
 class TestCli:
     def test_bench_wallclock_smoke(self, tmp_path, capsys):
@@ -143,21 +172,22 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert all("profile" in c for c in payload["cases"])
 
-    def test_speedup_gate_fails_when_unreachable(self, tmp_path, capsys):
+    def test_auto_wall_gate_fails_when_unreachable(self, tmp_path, capsys):
         out = tmp_path / "BENCH_sim_core.json"
         assert main([
             "bench", "--wallclock", "--smoke", "--scale", "small",
-            "--out", str(out), "--min-speedup", "1e9",
+            "--out", str(out), "--max-auto-wall-kernels", "1e-9",
         ]) == 1
-        assert "below the required" in capsys.readouterr().err
+        assert "exceeds the allowed" in capsys.readouterr().err
 
-    def test_speedup_gate_needs_compared_cases(self, tmp_path, capsys):
+    def test_auto_wall_gate_needs_auto_cases(self, tmp_path, capsys):
         out = tmp_path / "BENCH_sim_core.json"
         assert main([
             "bench", "--wallclock", "--smoke", "--scale", "small",
-            "--sim-mode", "auto", "--out", str(out), "--min-speedup", "1",
+            "--sim-mode", "des", "--out", str(out),
+            "--max-auto-wall-kernels", "1e9",
         ]) == 2
-        assert "compared cases" in capsys.readouterr().err
+        assert "time the hybrid path" in capsys.readouterr().err
 
     def test_plan_cache_gate(self, tmp_path, capsys):
         out = tmp_path / "BENCH_sim_core.json"

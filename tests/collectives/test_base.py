@@ -12,6 +12,7 @@ from repro.collectives.base import (
     list_algorithms,
     register_algorithm,
 )
+from repro.sim.communicator import SimCommunicator
 from repro.sim.engine import Engine
 from repro.topology import erdos_renyi_topology
 
@@ -116,7 +117,7 @@ class TestGenericProgramValidation:
     ])
     def test_bad_op_raises_communicator_error(self, tiny_machine, ops, comm_call):
         with pytest.raises(ValueError) as expected:
-            comm_call(Engine(n_ranks=8, machine=tiny_machine).comms[0])
+            comm_call(SimCommunicator(Engine(n_ranks=8, machine=tiny_machine), 0))
         topology = erdos_renyi_topology(8, 0.5, seed=3)
         alg = _Scripted(ops)
         alg.setup(topology, tiny_machine)

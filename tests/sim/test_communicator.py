@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Machine
+from repro.sim.communicator import SimCommunicator
 from repro.sim.engine import Engine
 
 
@@ -14,8 +15,9 @@ def machine():
 class TestIntrospection:
     def test_size_and_rank(self, machine):
         engine = Engine(n_ranks=4, machine=machine)
-        assert engine.comms[2].rank == 2
-        assert engine.comms[2].size == 4
+        comm = SimCommunicator(engine, 2)
+        assert comm.rank == 2
+        assert comm.size == 4
 
     def test_now_tracks_local_clock(self, machine):
         engine = Engine(n_ranks=4, machine=machine)
@@ -105,7 +107,7 @@ class TestValidation:
 
     def test_negative_memcpy_rejected(self, machine):
         engine = Engine(n_ranks=4, machine=machine)
-        comm = engine.comms[0]
+        comm = SimCommunicator(engine, 0)
         with pytest.raises(ValueError):
             comm.memcpy(-1)
         with pytest.raises(ValueError):

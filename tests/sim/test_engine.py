@@ -256,7 +256,8 @@ class TestErrorsAndEdges:
         engine = make_engine(machine)
         with pytest.raises(ValueError, match=r"^source rank 99 out of range \[0, 8\)$"):
             engine.post_recv(1, 99, 0)
-        assert not any(engine._posted)
+        assert not engine._posted and not engine._posted_any
+        assert not engine.recv_post
 
     def test_too_many_ranks_rejected(self, machine):
         with pytest.raises(ValueError, match="exceeds machine capacity"):

@@ -1,0 +1,138 @@
+"""Engine lifetime and per-receive allocation.
+
+An engine holds no reference to its programs' communicators, and a
+receive is a slot in the engine's flat lists, so a finished engine is freed
+by reference counting (no cycle collector), and the collectives' generic
+program allocates no request per receive.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.cluster import Machine
+from repro.collectives import get_algorithm
+from repro.collectives.base import ExecutionContext
+from repro.collectives.runner import RunOptions, run_allgather
+from repro.sim.engine import Engine
+from repro.sim.faults import CRASH_PROFILE_MODES, get_profile
+from repro.sim.request import Request
+from repro.topology import erdos_renyi_topology
+
+
+def machine32():
+    return Machine.single_switch(nodes=2, sockets_per_node=2, ranks_per_socket=8)
+
+
+def naive_engine(topology, machine):
+    alg = get_algorithm("naive")
+    alg.setup(topology, machine)
+    ctx = ExecutionContext(topology, machine, 1024, list(range(topology.n)),
+                           [{} for _ in range(topology.n)])
+    engine = Engine(n_ranks=topology.n, machine=machine)
+    engine.spawn_all(alg.program_factory(ctx))
+    return engine, ctx
+
+
+@pytest.fixture
+def no_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Weak references to every engine built while the test runs."""
+    refs = []
+    init = Engine.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(Engine, "__init__", tracking_init)
+    return refs
+
+
+class TestEngineFreedByRefcount:
+    def test_engine_driven_directly(self, no_cycle_collector):
+        topology = erdos_renyi_topology(32, 0.3, seed=5)
+        engine, ctx = naive_engine(topology, machine32())
+        engine.run()
+        assert ctx.results[0]
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+
+    def test_engine_behind_run_allgather(self, no_cycle_collector, engines):
+        topology = erdos_renyi_topology(32, 0.3, seed=5)
+        run = run_allgather("naive", topology, machine32(), 1024,
+                            options=RunOptions(sim_mode="des"))
+        assert run.sim_path == "des"
+        assert len(engines) == 1
+        assert engines[0]() is None
+
+    def test_failed_recovery_rounds_free_their_engines(self, no_cycle_collector, engines):
+        # The survivors of a failed round are left suspended, and the
+        # caught RankFailedError's traceback holds the recovery loop's
+        # frame: neither may keep that round's engine alive.
+        topology = erdos_renyi_topology(32, 0.3, seed=5)
+        plan = get_profile("crash_recover", 32, seed=3)
+        run = run_allgather(
+            "naive", topology, machine32(), 1024,
+            options=RunOptions(fault_plan=plan,
+                               on_failure=CRASH_PROFILE_MODES["crash_recover"]),
+        )
+        assert run.recovery is not None and run.recovery["rounds"] >= 1
+        assert len(engines) == run.recovery["rounds"] + 1
+        assert [ref() for ref in engines] == [None] * len(engines)
+
+
+class TestReceiveSlots:
+    def test_generic_program_builds_no_request(self, monkeypatch):
+        calls = []
+        init = Request.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Request, "__init__", counting_init)
+        topology = erdos_renyi_topology(32, 0.3, seed=5)
+        engine, ctx = naive_engine(topology, machine32())
+        engine.run()
+        assert engine.messages_sent > 0
+        assert all(ctx.results[r] for r in range(32) if topology.in_neighbors(r))
+        assert calls == []
+
+    def test_communicator_requests_read_their_slot(self):
+        engine = Engine(n_ranks=4, machine=machine32())
+        seen = {}
+
+        def receiver(comm):
+            req = comm.irecv(2, tag=5)
+            seen["posted_at"] = comm.now
+            seen["pending"] = (req.completion_time, req.payload, req.source, req.nbytes)
+            yield comm.wait(req)
+            seen["done"] = req
+
+        def sender(comm):
+            yield comm.compute(1e-6)
+            yield comm.wait(comm.isend(0, 96, tag=5, payload="block"))
+
+        engine.spawn(0, receiver)
+        engine.spawn(2, sender)
+        engine.run()
+        req = seen["done"]
+        assert seen["pending"] == (None, None, None, None)
+        assert (req.payload, req.source, req.nbytes) == ("block", 2, 96)
+        assert req.completion_time == engine.finish_time(0)
+        assert req.completion_time > 1e-6
+        assert (req.owner, req.peer, req.tag) == (0, 2, 5)
+        assert req.post_time == seen["posted_at"] > 0.0

@@ -3,7 +3,8 @@
 Covers the unexpected-queue leak (consumed tombstones and empty deques
 lingering in the matching tables after every message was matched), barrier
 semantics over a partial communicator, the single-rank barrier cost, and
-ANY_SOURCE arrival-order matching under the single-table design.
+ANY_SOURCE arrival-order matching under the single-table design, and
+FIFO matching on a key two receives or two messages share.
 """
 
 import math
@@ -22,10 +23,8 @@ def machine():
 
 
 def _matching_state_clean(engine: Engine) -> bool:
-    """True when no matching table retains queues after the run drained."""
-    return all(not table for table in engine._unexpected) and all(
-        not table for table in engine._posted
-    ) and all(not table for table in engine._posted_any)
+    """True when no matching table retains an entry after the run drained."""
+    return not engine._unexpected and not engine._posted and not engine._posted_any
 
 
 class TestUnexpectedTableLeak:
@@ -129,6 +128,70 @@ class TestUnexpectedTableLeak:
         engine.spawn(2, early_sender)
         engine.run()
         assert order == [2, 1]
+
+
+class TestSharedKeys:
+    """A key holds one slot or message, a deque only while two share it,
+    and nothing once drained; either way matching stays FIFO."""
+
+    KEY = (0, 1, 7)  # (dst, src, tag)
+
+    def test_two_posted_receives_match_fifo(self, machine):
+        engine = Engine(n_ranks=2, machine=machine)
+        shapes, reqs = [], []
+
+        def shape(table):
+            held = table.get(self.KEY)
+            return None if held is None else type(held).__name__
+
+        def receiver(comm):
+            reqs.extend([comm.irecv(1, tag=7), comm.irecv(1, tag=7)])
+            yield comm.waitall(reqs)
+
+        def sender(comm):
+            shapes.append(shape(engine._posted))
+            comm.isend(0, 8, tag=7, payload="first")
+            shapes.append(shape(engine._posted))
+            comm.isend(0, 8, tag=7, payload="second")
+            shapes.append(shape(engine._posted))
+            yield comm.compute(0.0)
+
+        engine.spawn(0, receiver)
+        engine.spawn(1, sender)
+        engine.run()
+        assert shapes == ["deque", "int", None]
+        assert [r.payload for r in reqs] == ["first", "second"]
+        assert _matching_state_clean(engine)
+
+    def test_two_unexpected_messages_match_fifo(self, machine):
+        engine = Engine(n_ranks=2, machine=machine)
+        shapes, payloads = [], []
+
+        def shape(table):
+            held = table.get(self.KEY)
+            return None if held is None else type(held).__name__
+
+        def sender(comm):
+            comm.isend(0, 8, tag=7, payload="first")
+            comm.isend(0, 8, tag=7, payload="second")
+            yield comm.compute(0.0)
+
+        def receiver(comm):
+            yield comm.compute(1.0)  # both messages arrive unexpected
+            shapes.append(shape(engine._unexpected))
+            first = comm.irecv(1, tag=7)
+            shapes.append(shape(engine._unexpected))
+            second = comm.irecv(1, tag=7)
+            shapes.append(shape(engine._unexpected))
+            yield comm.waitall([first, second])
+            payloads.extend([first.payload, second.payload])
+
+        engine.spawn(0, receiver)
+        engine.spawn(1, sender)
+        engine.run()
+        assert shapes == ["deque", "tuple", None]
+        assert payloads == ["first", "second"]
+        assert _matching_state_clean(engine)
 
 
 class TestBarrierSemantics:

@@ -12,12 +12,14 @@ from repro.sim.engine import (
     RetriesExhaustedError,
     SimTimeoutError,
 )
+import repro.sim.faults as faults_module
 from repro.sim.faults import (
     CRASH_PROFILE_MODES,
     FaultInjector,
     FaultPlan,
     LinkFault,
     MessageLoss,
+    RankCrash,
     RetryPolicy,
     Straggler,
     get_profile,
@@ -153,6 +155,64 @@ class TestInjector:
         assert inj.startup_delay(2) == 1e-3
         assert inj.startup_delay(1) == 0.0
         assert inj.has_stragglers
+
+
+class _NoDraws:
+    def random(self):
+        raise AssertionError("drew from the fault RNG")
+
+
+class TestPristinePathChoice:
+    """Only a link fault or a loss that can touch a message sends the
+    fabric's transmissions through the injector."""
+
+    @staticmethod
+    def run(plan):
+        return run_allgather(
+            "naive", small_topology(), small_machine(), 256,
+            options=RunOptions(fault_plan=plan, on_failure="shrink"),
+        )
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(stragglers=(Straggler(rank=3, compute_factor=4.0,
+                                        startup_delay=5e-6),)),
+        FaultPlan(crashes=(RankCrash(rank=2, time=2e-6),
+                           RankCrash(rank=5, time=2e-6))),
+        FaultPlan(losses=(MessageLoss(probability=0.9, start=0.0, end=0.0),)),
+    ], ids=["stragglers", "crashes", "empty_window_loss"])
+    def test_plans_touching_no_message_stay_pristine(self, monkeypatch, plan):
+        def refuse(*args):
+            raise AssertionError("took the fault-aware transmit path")
+
+        monkeypatch.setattr(FaultInjector, "perturb", refuse)
+        monkeypatch.setattr(FaultInjector, "should_drop", refuse)
+        monkeypatch.setattr(faults_module, "resolve_rng", lambda seed: _NoDraws())
+        run = self.run(plan)
+        assert run.messages_sent > 0
+        if plan.crashes:
+            assert run.missing_ranks  # the crashes fired
+        assert not FaultInjector(plan).perturbs_messages
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(link_faults=(LinkFault(alpha_factor=2.0),)),
+        FaultPlan(losses=(MessageLoss(probability=0.05),)),
+    ], ids=["link_fault", "live_loss"])
+    def test_message_faults_take_the_injector_path(self, monkeypatch, plan):
+        calls = []
+        perturb, should_drop = FaultInjector.perturb, FaultInjector.should_drop
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(FaultInjector, "perturb", counted("perturb", perturb))
+        monkeypatch.setattr(FaultInjector, "should_drop",
+                            counted("should_drop", should_drop))
+        run = self.run(plan)
+        assert calls.count("perturb") == calls.count("should_drop") >= run.messages_sent
+        assert FaultInjector(plan).perturbs_messages
 
 
 class TestRetryAndLoss:
