@@ -20,7 +20,8 @@ Correctness is asserted, not assumed:
   bit-for-bit — the optimized fast path must not change simulation results;
 * when a recorded baseline (``benchmarks/baseline_sim_core.json``) is
   present, current ``simulated_time`` values must be bit-identical to the
-  baseline's, and the report includes the wall-time speedup against it.
+  baseline's (its walls are not compared: they were measured on whatever
+  host recorded it).
 
 Two readings hinge little on how busy the host is.  Each timed hybrid run
 is also given in units of a fixed pure-Python calibration kernel, timed
@@ -447,7 +448,12 @@ def _check_golden(results: list[CaseResult], golden_path: Path) -> dict[str, Any
 def _check_baseline(
     results: list[CaseResult], baseline_path: Path
 ) -> dict[str, Any] | None:
-    """Assert sim-time equivalence with the recorded baseline; report speedup."""
+    """Assert sim-time equivalence with the recorded baseline.
+
+    Only the simulated times are compared: the baseline's walls were
+    measured on whatever host recorded it, so a ratio to them would
+    compare hosts, not versions.
+    """
     if not baseline_path.is_file():
         return None
     payload = _load_reference(baseline_path, "baseline")
@@ -455,8 +461,7 @@ def _check_baseline(
         (r["algorithm"], r["ranks"], r["density"], r["msg_bytes"]): r
         for r in payload.get("cases", [])
     }
-    mismatches, speedups = [], []
-    base_total = cur_total = 0.0
+    mismatches = []
     checked = 0
     for res in results:
         base = by_key.get(res.case.key)
@@ -468,10 +473,6 @@ def _check_baseline(
                 f"{res.case.label()}: got {res.simulated_time!r}, "
                 f"baseline {base['simulated_time']!r}"
             )
-        base_total += base["wall_median"]
-        cur_total += res.wall_median
-        if res.wall_median > 0:
-            speedups.append(base["wall_median"] / res.wall_median)
     if mismatches:
         raise RuntimeError(
             f"simulated_time diverged from the baseline ({baseline_path}):\n  "
@@ -483,10 +484,6 @@ def _check_baseline(
         "path": str(baseline_path),
         "checked_cases": checked,
         "sim_time_identical": True,
-        "baseline_total_wall": base_total,
-        "current_total_wall": cur_total,
-        "speedup_total": base_total / cur_total if cur_total > 0 else float("inf"),
-        "speedup_geomean": geometric_mean(speedups) if speedups else float("nan"),
     }
 
 
@@ -507,8 +504,8 @@ def wallclock_bench(
 
     ``record_baseline=True`` writes the measurements to ``baseline_path``
     (default ``benchmarks/baseline_sim_core.json``) instead of comparing
-    against it — run this once *before* an optimization lands, on the same
-    host that will evaluate it.
+    against it; later runs assert that their simulated times are
+    bit-identical to the recorded ones.
 
     ``sim_mode`` selects the per-case timing mode for the grid cases
     (``"compare"`` times DES and hybrid back to back; ``"des"``/``"auto"``
@@ -642,11 +639,7 @@ def wallclock_bench(
                 f"{hybrid['compared_cases']} compared cases, sim times bit-identical"
             )
         if baseline:
-            print(
-                f"baseline speedup   : {baseline['speedup_total']:.2f}x total "
-                f"({baseline['speedup_geomean']:.2f}x geomean) over "
-                f"{baseline['checked_cases']} cases, sim times bit-identical"
-            )
+            print(f"baseline check     : {baseline['checked_cases']} cases bit-identical")
         if "auto_total_wall" in payload:
             print(
                 f"auto wall          : {payload['auto_total_wall']:.3f} s total = "

@@ -341,7 +341,7 @@ CAPABILITIES = frozenset({
 })
 
 #: The registry-resolved degrade/fallback target: the algorithm every
-#: ``fallback=`` / ``on_failure="degrade"`` path restarts with.  Its
+#: ``fallback=`` / ``on_failure="degrade"`` path switches to.  Its
 #: registration must declare ``setup_free`` (checked in
 #: :func:`register_algorithm`) — degrading to an algorithm that itself
 #: needs a setup exchange would be circular.

@@ -4,6 +4,15 @@ This is the reproduction's equivalent of an OSU-style micro-benchmark
 iteration: spawn every rank's program, run the event loop, return the
 simulated collective latency (makespan over ranks) plus traces and the
 received blocks for verification.
+
+:func:`run_allgather` sets the algorithm up (swapping in the requested
+fallback when a fault plan would starve its setup), then takes one of two
+paths: an eligible ``sim_mode="auto"`` run replays the static schedule on
+the fast path, and every other run goes through one engine loop,
+:func:`_run_engine_rounds`, whose round 0 is the plain run and whose later
+rounds, if any, are ULFM-style recoveries from crashed ranks.  Either
+path's result is verified in one place, at the end of
+:func:`run_allgather`.
 """
 
 from __future__ import annotations
@@ -140,14 +149,13 @@ class RunOptions:
         ULFM-style policy for fail-stop failures (``RankCrash`` faults that
         leave survivors stalled).  ``"abort"`` (default) propagates the
         engine's :class:`~repro.sim.engine.RankFailedError` — the
-        ``MPI_ERRORS_ABORT`` analogue.  ``"shrink"`` rebuilds the
-        communicator over the survivors and re-plans the remaining stages
-        with the same algorithm (already-delivered blocks are not resent);
-        ``"degrade"`` rebuilds over survivors but falls back to the
-        setup-free naive algorithm for the recovery round(s).  Both
-        recovery modes report crashed ranks in
-        :attr:`AllgatherRun.missing_ranks` and charge detection + replan
-        cost in simulated time.
+        ``MPI_ERRORS_ABORT`` analogue.  ``"shrink"`` and ``"degrade"``
+        rebuild the communicator over the survivors and run the residual
+        topology (already-delivered blocks are not resent): ``"shrink"``
+        re-plans it with the same algorithm, ``"degrade"`` runs it with the
+        setup-free naive algorithm.  Both recovery modes report crashed
+        ranks in :attr:`AllgatherRun.missing_ranks` and charge detection +
+        replan cost in simulated time.
     """
 
     trace: bool = False
@@ -261,9 +269,10 @@ class AllgatherRun:
     #: crash-free runs.  Survivors' buffers verify under
     #: ``verify_allgather(allow_missing=run.missing_ranks)``.
     missing_ranks: tuple[int, ...] = ()
-    #: ULFM-style recovery summary when on_failure rebuilt the communicator:
-    #: {"mode", "rounds", "replan_messages", "time_to_recover"}; None for
-    #: runs that never recovered (including clean ones).
+    #: ULFM-style recovery summary of a "shrink" or "degrade" run that lost
+    #: ranks: {"mode", "rounds", "recovered_with", "replan_messages",
+    #: "time_to_recover"}, with rounds 0 when no crash starved a survivor;
+    #: None under "abort" and for runs that lost no rank.
     recovery: dict[str, Any] | None = None
     #: the algorithm ``algorithm="auto"`` resolved to (the adaptive
     #: selector's pick, see :mod:`repro.select`); None for runs that named
@@ -354,10 +363,6 @@ def run_allgather(
     if isinstance(algorithm, str):
         algorithm = get_algorithm(algorithm)
 
-    trace = opts.trace
-    fault_plan = opts.fault_plan
-    fallback = opts.fallback
-
     block_sizes: list[int] | None = None
     if isinstance(msg_size, (list, tuple)):
         block_sizes = [parse_size(s) for s in msg_size]
@@ -368,23 +373,12 @@ def run_allgather(
         msg_size = max(block_sizes, default=0)
     else:
         msg_size = parse_size(msg_size)
-    setup_stats = algorithm.setup(topology, machine)
 
-    requested_algorithm: str | None = None
-    if fault_plan is not None and fallback is not None and fallback != algorithm.name:
-        if not fault_plan.setup_survivable(setup_stats.protocol_messages):
-            # Graceful degradation: the requested pattern's setup
-            # negotiation cannot converge under the plan's loss, so swap in
-            # the fallback algorithm (naive needs no control messages and
-            # always survives).
-            requested_algorithm = algorithm.name
-            algorithm = get_algorithm(fallback)
-            setup_stats = algorithm.setup(topology, machine)
-            if not fault_plan.setup_survivable(setup_stats.protocol_messages):
-                raise RuntimeError(
-                    f"fallback algorithm {fallback!r} setup also cannot "
-                    f"complete under the fault plan ({fault_plan.describe()})"
-                )
+    requested = algorithm
+    algorithm, setup_stats = _set_up(
+        algorithm, topology, machine, opts.fault_plan, opts.fallback
+    )
+    requested_algorithm = requested.name if algorithm is not requested else None
 
     if payloads is None:
         payloads = list(range(topology.n))
@@ -406,8 +400,8 @@ def run_allgather(
     # falls back to the DES, so "auto" never changes results.
     if (
         opts.sim_mode != "des"
-        and fault_plan is None
-        and not trace
+        and opts.fault_plan is None
+        and not opts.trace
         and machine.params.jitter == 0
     ):
         wall_start = time.perf_counter()
@@ -437,69 +431,46 @@ def run_allgather(
             results=results,
             wall_time=time.perf_counter() - wall_start,
             block_sizes=block_sizes,
-            requested_algorithm=requested_algorithm,
             sim_path="fastpath",
         )
-        if opts.verify:
-            verify_allgather(topology, run, expected_payloads=payloads)
-        return run
-
-    if fault_plan is not None and fault_plan.crashes and opts.on_failure != "abort":
-        run = _run_with_recovery(
-            algorithm, topology, machine, msg_size, block_sizes, payloads,
-            opts, setup_stats, requested_algorithm,
-        )
-        if opts.verify:
-            verify_allgather(topology, run, expected_payloads=payloads,
-                             allow_missing=run.missing_ranks)
-        return run
-
-    collector = TraceCollector(keep_records=trace) if trace else None
-    injector = FaultInjector(fault_plan) if fault_plan is not None else None
-    engine = Engine(
-        n_ranks=topology.n,
-        machine=machine,
-        trace=collector,
-        noise_seed=opts.noise_seed,
-        faults=injector,
-        max_sim_time=opts.max_sim_time,
-        max_events=opts.max_events,
-    )
-
-    wall_start = time.perf_counter()
-    engine.spawn_all(algorithm.program_factory(ctx))
-    try:
-        simulated = engine.run()
-    finally:
-        engine.close()  # a run that raised leaves programs suspended
-    wall = time.perf_counter() - wall_start
-    utilization = engine.fabric.utilization(simulated) if trace and simulated > 0 else None
-
-    run = AllgatherRun(
-        algorithm=algorithm.name,
-        msg_size=msg_size,
-        simulated_time=simulated,
-        finish_times=engine.finish_times(),
-        messages_sent=engine.messages_sent,
-        bytes_sent=engine.bytes_sent,
-        setup_stats=setup_stats,
-        results=ctx.results,
-        trace=collector,
-        wall_time=wall,
-        block_sizes=block_sizes,
-        utilization=utilization,
-        fault_stats=injector.stats() if injector is not None else None,
-        requested_algorithm=requested_algorithm,
-        trace_summary=collector.summary() if collector is not None else None,
-        # A crash that never starved a survivor (the dead rank had nothing
-        # left to contribute) completes without a RankFailedError even under
-        # on_failure="abort"; the dead rank is still a missing participant.
-        missing_ranks=tuple(sorted(engine.crashed_ranks)),
-    )
+    else:
+        run = _run_engine_rounds(algorithm, ctx, opts, setup_stats, requested_algorithm)
     if opts.verify:
         verify_allgather(topology, run, expected_payloads=payloads,
                          allow_missing=run.missing_ranks)
     return run
+
+
+def _set_up(
+    algorithm: NeighborhoodAllgatherAlgorithm,
+    topology: DistGraphTopology,
+    machine: Machine,
+    plan: FaultPlan | None,
+    fallback: str | None,
+) -> tuple[NeighborhoodAllgatherAlgorithm, SetupStats]:
+    """Set ``algorithm`` up, or ``fallback`` in its place when ``plan``'s
+    loss would starve ``algorithm``'s setup negotiation.
+
+    Returns the algorithm that will run and its setup stats.  Raises
+    ``RuntimeError`` when the fallback's setup cannot complete either
+    (the setup-free naive algorithm always can).
+    """
+    stats = algorithm.setup(topology, machine)
+    if (
+        plan is None
+        or fallback is None
+        or fallback == algorithm.name
+        or plan.setup_survivable(stats.protocol_messages)
+    ):
+        return algorithm, stats
+    algorithm = get_algorithm(fallback)
+    stats = algorithm.setup(topology, machine)
+    if not plan.setup_survivable(stats.protocol_messages):
+        raise RuntimeError(
+            f"fallback algorithm {fallback!r} setup also cannot "
+            f"complete under the fault plan ({plan.describe()})"
+        )
+    return algorithm, stats
 
 
 def _residual_topology(
@@ -526,58 +497,57 @@ def _residual_topology(
     return DistGraphTopology(len(new_map), out_lists)
 
 
-def _run_with_recovery(
+def _run_engine_rounds(
     algorithm: NeighborhoodAllgatherAlgorithm,
-    topology: DistGraphTopology,
-    machine: Machine,
-    msg_size: int,
-    block_sizes: list[int] | None,
-    payloads: list[Any],
+    ctx: ExecutionContext,
     opts: RunOptions,
     setup_stats: SetupStats,
     requested_algorithm: str | None,
 ) -> AllgatherRun:
-    """ULFM-style recovery loop for crash plans (shrink/degrade modes).
+    """Run the collective on the discrete-event engine, one round per
+    communicator (ULFM-style recovery between rounds).
 
-    Round 0 runs the requested algorithm over the full communicator.  On a
-    :class:`~repro.sim.engine.RankFailedError` the loop charges the
-    detection time, compacts the survivors into a shrunk communicator
-    (rank ``survivors[i]`` becomes rank ``i`` — relabeling, as
+    Round 0 runs ``algorithm`` over the full communicator and writes
+    straight into ``ctx.results``, which become the run's buffers; a run
+    that no crash stalls ends there.  On a
+    :class:`~repro.sim.engine.RankFailedError`, ``on_failure="abort"``
+    re-raises it.  ``shrink`` and ``degrade`` charge the detection time,
+    compact the survivors into a shrunk communicator (rank
+    ``survivors[i]`` becomes rank ``i`` — relabeling, as
     ``MPI_Comm_shrink`` does; the machine placement of relabeled ranks is
-    an accepted model approximation), re-plans over the residual topology
-    (delivered blocks are never resent), charges the replan's setup
-    negotiation in simulated time, and runs again under the shrunk fault
-    plan.  ``shrink`` keeps the algorithm (via its ``replan`` hook, with a
-    degrade-to-naive guard if the replanned setup is not survivable);
-    ``degrade`` switches to setup-free naive immediately.  One trace
+    an accepted model approximation), build the residual topology
+    (delivered blocks are never resent), re-plan over it, charge the
+    replan's setup negotiation in simulated time, and run the next round
+    under the shrunk fault plan, merging its deliveries back under the
+    original rank ids.  ``shrink`` keeps the algorithm (via its ``replan``
+    hook); ``degrade`` switches to setup-free naive; either drops to naive
+    when the shrunk plan would starve the replanned setup.  One trace
     collector spans all rounds, so conservation laws hold over the whole
-    recovered run.
+    recovered run.  Every round's engine is closed when its run ends,
+    however it ends.
     """
+    topology, machine = ctx.topology, ctx.machine
     mode = opts.on_failure
     trace = opts.trace
     collector = TraceCollector(keep_records=trace) if trace else None
     wall_start = time.perf_counter()
 
     plan = opts.fault_plan
-    max_rounds = len(plan.crashes) + 1
     rank_map = list(range(topology.n))        # current rank -> original rank
-    merged: list[dict[int, Any]] = [{} for _ in range(topology.n)]
+    merged = ctx.results                      # keyed by original ids
     missing: list[int] = []
     fault_totals: dict[str, int] = {}
     current_alg = algorithm
-    current_topology = topology
+    round_ctx = ctx
     offset = 0.0          # sim time consumed by failed rounds + detection + replans
     rounds = 0
     replan_messages = 0
     messages = total_bytes = 0
-    round_make = 0.0
-    engine = None
 
     while True:
-        n_cur = current_topology.n
         injector = FaultInjector(plan) if plan is not None else None
         engine = Engine(
-            n_ranks=n_cur,
+            n_ranks=round_ctx.topology.n,
             machine=machine,
             trace=collector,
             noise_seed=opts.noise_seed,
@@ -585,31 +555,26 @@ def _run_with_recovery(
             max_sim_time=opts.max_sim_time,
             max_events=opts.max_events,
         )
-        ctx = ExecutionContext(
-            topology=current_topology,
-            machine=machine,
-            msg_size=msg_size,
-            payloads=[payloads[orig] for orig in rank_map],
-            results=[{} for _ in range(n_cur)],
-            block_sizes=(None if block_sizes is None
-                         else [block_sizes[orig] for orig in rank_map]),
-        )
-        engine.spawn_all(current_alg.program_factory(ctx))
+        engine.spawn_all(current_alg.program_factory(round_ctx))
         failure: RankFailedError | None = None
         try:
             round_make = engine.run()
         except RankFailedError as exc:
+            if mode == "abort":
+                raise
             # Kept without its traceback, which holds this frame (and so
-            # `failure` itself); the survivors' suspended programs hold
-            # the engine.  Either would keep it alive past the round.
+            # `failure` itself): a cycle that would keep the engine alive
+            # past the round.
             failure = exc.with_traceback(None)
-            engine.close()
-        # Merge whatever landed this round (partial on failure), remapping
-        # both buffer owners and block sources back to original ids.
-        for r_cur in range(n_cur):
-            dst = merged[rank_map[r_cur]]
-            for src_cur, payload in ctx.results[r_cur].items():
-                dst[rank_map[src_cur]] = payload
+        finally:
+            engine.close()  # a run that raised leaves programs suspended
+        if round_ctx is not ctx:
+            # Merge whatever landed this round (partial on failure),
+            # remapping buffer owners and block sources to original ids.
+            for r_cur, received in enumerate(round_ctx.results):
+                dst = merged[rank_map[r_cur]]
+                for src_cur, payload in received.items():
+                    dst[rank_map[src_cur]] = payload
         messages += engine.messages_sent
         total_bytes += engine.bytes_sent
         if injector is not None:
@@ -617,6 +582,9 @@ def _run_with_recovery(
                 fault_totals[key] = fault_totals.get(key, 0) + value
 
         if failure is None:
+            # A crash that never starved a survivor (the dead rank had
+            # nothing left to contribute) ends the round normally; the
+            # dead rank is still a missing participant.
             missing.extend(rank_map[r] for r in engine.crashed_ranks)
             simulated = offset + round_make
             finish_times = {
@@ -626,7 +594,7 @@ def _run_with_recovery(
 
         rounds += 1
         missing.extend(rank_map[r] for r in failure.failed_ranks)
-        if rounds >= max_rounds:
+        if rounds > len(opts.fault_plan.crashes):
             raise failure  # unreachable: every failed round kills >= 1 rank
         offset += failure.detection_time
         survivors_cur = list(failure.survivors)
@@ -643,16 +611,20 @@ def _run_with_recovery(
             next_alg = get_algorithm(SETUP_FREE_FALLBACK)
         else:
             next_alg = current_alg.replan(tuple(new_map), merged)
-        replan_stats = next_alg.setup(current_topology, machine)
-        if plan is not None and not plan.setup_survivable(replan_stats.protocol_messages):
-            # The shrunk plan's loss would starve the replanned setup
-            # negotiation: degrade the recovery round to the setup-free
-            # fallback.
-            next_alg = get_algorithm(SETUP_FREE_FALLBACK)
-            replan_stats = next_alg.setup(current_topology, machine)
+        current_alg, replan_stats = _set_up(
+            next_alg, current_topology, machine, plan, SETUP_FREE_FALLBACK
+        )
         replan_messages += replan_stats.protocol_messages
         offset += replan_stats.simulated_time
-        current_alg = next_alg
+        round_ctx = ExecutionContext(
+            topology=current_topology,
+            machine=machine,
+            msg_size=ctx.msg_size,
+            payloads=[ctx.payloads[orig] for orig in rank_map],
+            results=[{} for _ in rank_map],
+            block_sizes=(None if ctx.block_sizes is None
+                         else [ctx.block_sizes[orig] for orig in rank_map]),
+        )
 
     missing_ranks = tuple(sorted(set(missing)))
     utilization = (
@@ -661,7 +633,7 @@ def _run_with_recovery(
     )
     return AllgatherRun(
         algorithm=algorithm.name,
-        msg_size=msg_size,
+        msg_size=ctx.msg_size,
         simulated_time=simulated,
         finish_times=finish_times,
         messages_sent=messages,
@@ -670,12 +642,13 @@ def _run_with_recovery(
         results=merged,
         trace=collector,
         wall_time=time.perf_counter() - wall_start,
-        block_sizes=block_sizes,
+        block_sizes=ctx.block_sizes,
         utilization=utilization,
         fault_stats=fault_totals or None,
         requested_algorithm=requested_algorithm,
         trace_summary=collector.summary() if collector is not None else None,
         missing_ranks=missing_ranks,
+        # "abort" never recovers, even when a crash starved no survivor.
         recovery=(
             {
                 "mode": mode,
@@ -684,7 +657,7 @@ def _run_with_recovery(
                 "replan_messages": replan_messages,
                 "time_to_recover": offset,
             }
-            if missing_ranks else None
+            if missing_ranks and mode != "abort" else None
         ),
     )
 

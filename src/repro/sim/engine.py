@@ -496,21 +496,6 @@ class Engine:
         elif cls is _Barrier:
             self._enter_barrier(rank)
         else:
-            self._handle_condition(rank, condition)
-
-    def _handle_condition(self, rank: int, condition) -> None:
-        # Slow path: accept subclasses of the condition types, reject junk.
-        if isinstance(condition, _Compute):
-            self._blocked[rank] = "compute"
-            duration = condition.duration
-            if self._compute_scale is not None:
-                duration *= self._compute_scale[rank]
-            self._schedule(self.rank_now[rank] + duration, rank)
-        elif isinstance(condition, _WaitAll):
-            self._begin_wait(rank, condition)
-        elif isinstance(condition, _Barrier):
-            self._enter_barrier(rank)
-        else:
             raise TypeError(
                 f"rank {rank} yielded {condition!r}; programs must yield wait conditions "
                 "from SimCommunicator (waitall/wait/compute/memcpy/barrier)"

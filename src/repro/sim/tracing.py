@@ -88,20 +88,6 @@ class TraceCollector:
     def total_bytes(self) -> int:
         return sum(self.bytes_by_class.values())
 
-    @property
-    def total_delivered_messages(self) -> int:
-        return sum(self.delivered_count_by_class.values())
-
-    @property
-    def total_lost_messages(self) -> int:
-        """Messages sent but never delivered (retry budget exhausted)."""
-        return sum(self.lost_by_class.values())
-
-    @property
-    def total_attempts(self) -> int:
-        """Transmission attempts including retries (== messages when clean)."""
-        return sum(self.attempts_by_class.values())
-
     def off_socket_messages(self) -> int:
         """Messages that left a socket (the paper's ``n_off`` aggregate)."""
         return sum(

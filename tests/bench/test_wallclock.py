@@ -55,7 +55,7 @@ class TestWallclockBench:
 
     def test_baseline_record_then_compare(self, tmp_path):
         """Recording a baseline and re-running must report bit-identical sim
-        times (deterministic engine) and a finite speedup."""
+        times (deterministic engine)."""
         baseline = tmp_path / "baseline.json"
         wallclock_bench(
             scale=SMALL, repeats=1, smoke=True, out_path=None,
@@ -69,7 +69,9 @@ class TestWallclockBench:
         check = payload["baseline"]
         assert check["sim_time_identical"] is True
         assert check["checked_cases"] == len(ALGORITHMS)
-        assert check["speedup_total"] > 0
+        # The recorded walls come from whatever host recorded the baseline,
+        # so no wall ratio against them is reported.
+        assert set(check) == {"path", "checked_cases", "sim_time_identical"}
 
     def test_divergent_baseline_rejected(self, tmp_path):
         """A sim-time mismatch against the baseline must fail loudly — the

@@ -7,14 +7,16 @@ detection via :class:`~repro.sim.faults.FailureDetector` (versus a plain
 recovery modes for every allgather algorithm.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.cluster import Machine
 from repro.collectives.runner import RunOptions, run_allgather, verify_allgather
+from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import DeadlockError, Engine, RankFailedError
-from repro.sim.faults import FailureDetector, FaultPlan, RankCrash
+from repro.sim.faults import FailureDetector, FaultPlan, RankCrash, resilience_profiles
 from repro.topology import erdos_renyi_topology
 
 ALGORITHMS = ("naive", "common_neighbor", "distance_halving", "bruck")
@@ -233,3 +235,67 @@ class TestRecoveryModes:
         assert first.missing_ranks == second.missing_ranks
         assert first.fault_stats == second.fault_stats
         assert first.recovery == second.recovery
+
+
+def _without_walls_or_recovery(run):
+    slim = run.slim()
+    return dataclasses.replace(
+        slim, wall_time=0.0, recovery=None,
+        setup_stats=dataclasses.replace(slim.setup_stats, wall_time=0.0),
+    )
+
+
+class TestWhatEachModeReports:
+    """What ``run_allgather`` reports under each ``on_failure`` mode when
+    no round fails: one engine round, the same run, and a recovery record
+    only where a crash left a rank missing and the mode can recover."""
+
+    MODES = ("abort", "shrink", "degrade")
+
+    @staticmethod
+    def cell():
+        """n=48 graph of the fault pin, with its profiles (plan seed 7)."""
+        return (TopologySpec("random", 48, density=0.1, seed=12).build(),
+                MachineSpec.for_ranks(48, 4).build(),
+                resilience_profiles(48, seed=7))
+
+    def test_crash_that_starves_no_survivor(self):
+        # Hierarchical's crashed ranks had nothing left to send, so round 0
+        # completes under every mode with both ranks missing.
+        topology, machine, profiles = self.cell()
+        runs = {
+            mode: run_allgather(
+                "hierarchical", topology, machine, 4096,
+                options=RunOptions(fault_plan=profiles["crash"], on_failure=mode),
+            )
+            for mode in self.MODES
+        }
+        for run in runs.values():
+            assert run.missing_ranks == (12, 36)
+            verify_allgather(topology, run, allow_missing=run.missing_ranks)
+        assert runs["abort"].recovery is None
+        for mode in ("shrink", "degrade"):
+            assert runs[mode].recovery == {
+                "mode": mode, "rounds": 0, "recovered_with": "hierarchical",
+                "replan_messages": 0, "time_to_recover": 0.0,
+            }
+        first = _without_walls_or_recovery(runs["abort"])
+        for run in runs.values():
+            assert _without_walls_or_recovery(run) == first
+
+    @pytest.mark.parametrize("algorithm", ["naive", "distance_halving"])
+    def test_crash_free_plan(self, algorithm):
+        topology, machine, profiles = self.cell()
+        runs = [
+            run_allgather(
+                algorithm, topology, machine, 4096,
+                options=RunOptions(fault_plan=profiles["lossy"], on_failure=mode),
+            )
+            for mode in self.MODES
+        ]
+        assert [run.recovery for run in runs] == [None, None, None]
+        assert runs[0].missing_ranks == ()
+        assert runs[0].fault_stats["drops"] > 0
+        first = _without_walls_or_recovery(runs[0])
+        for run in runs:
+            assert _without_walls_or_recovery(run) == first

@@ -15,8 +15,9 @@ from repro.cluster import Machine
 from repro.collectives import get_algorithm
 from repro.collectives.base import ExecutionContext
 from repro.collectives.runner import RunOptions, run_allgather
-from repro.sim.engine import Engine
-from repro.sim.faults import CRASH_PROFILE_MODES, get_profile
+from repro.exec.spec import MachineSpec, TopologySpec
+from repro.sim.engine import Engine, SimTimeoutError
+from repro.sim.faults import CRASH_PROFILE_MODES, get_profile, resilience_profiles
 from repro.sim.request import Request
 from repro.topology import erdos_renyi_topology
 
@@ -92,6 +93,23 @@ class TestEngineFreedByRefcount:
         assert run.recovery is not None and run.recovery["rounds"] >= 1
         assert len(engines) == run.recovery["rounds"] + 1
         assert [ref() for ref in engines] == [None] * len(engines)
+
+    @pytest.mark.parametrize("mode", ["abort", "shrink", "degrade"])
+    def test_round_stopped_by_the_watchdog_frees_its_engine(
+        self, no_cycle_collector, engines, mode
+    ):
+        # A round that raises something other than RankFailedError (here
+        # the event budget) leaves its programs suspended under every
+        # on_failure mode; the round's engine must still be closed.
+        topology = TopologySpec("random", 48, density=0.1, seed=12).build()
+        plan = resilience_profiles(48, seed=7)["crash"]
+        with pytest.raises(SimTimeoutError):
+            run_allgather(
+                "naive", topology, MachineSpec.for_ranks(48, 4).build(), 4096,
+                options=RunOptions(fault_plan=plan, on_failure=mode, max_events=50),
+            )
+        assert len(engines) == 1
+        assert engines[0]() is None
 
 
 class TestReceiveSlots:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.collectives.runner import RunOptions, run_allgather, verify_allgather
+from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import (
     DeadlockError,
     Engine,
@@ -433,6 +434,16 @@ class TestFallback:
                             options=RunOptions(fault_plan=plan))
         assert not run.fallback_used
         assert run.algorithm == "distance_halving"
+
+    def test_fallback_that_cannot_survive_either_raises(self):
+        topology = TopologySpec("random", 48, density=0.1, seed=12).build()
+        plan = resilience_profiles(48, seed=7)["setup_loss"]
+        with pytest.raises(RuntimeError, match="'distance_halving' setup also "
+                                               "cannot complete"):
+            run_allgather(
+                "common_neighbor", topology, MachineSpec.for_ranks(48, 4).build(),
+                4096, options=RunOptions(fault_plan=plan, fallback="distance_halving"),
+            )
 
     def test_naive_never_falls_back(self):
         machine = small_machine()

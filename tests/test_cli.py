@@ -117,6 +117,13 @@ class TestFaults:
         out = capsys.readouterr().out
         assert "distance_halving (->naive)" in out
 
+    def test_compare_crash_recover_labels_lost_ranks(self, capsys):
+        assert main(["compare", *SMALL, "--msg", "256", "--faults", "crash_recover"]) == 0
+        out = capsys.readouterr().out
+        assert "on_failure=shrink" in out
+        assert "naive [lost [2, 6], 2 recovery round(s)]" in out
+        assert "verified" in out
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--faults", "nope"])
