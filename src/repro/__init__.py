@@ -19,8 +19,8 @@ Subpackages
     Machine model: rank placement, Hockney link costs, network topologies
     (Dragonfly+, fat tree, torus) with shared-bottleneck contention.
 ``repro.sim``
-    Deterministic discrete-event MPI simulator (generator-based rank
-    programs, non-blocking semantics, tag matching, barrier).
+    Deterministic discrete-event MPI simulator (one rank program that
+    runs each rank's op stream, non-blocking semantics, tag matching).
 ``repro.topology``
     Virtual topologies: distributed graphs, Erdős–Rényi, Moore
     neighborhoods, Cartesian stencils, matrix-induced graphs.

@@ -10,7 +10,9 @@ Commands
 ``compare``
     Run every oracle-capable allgather algorithm (or a ``--algorithms``
     subset) on one workload and print the comparison table (latency,
-    speedup, message counts).
+    speedup, message counts); ``--collective alltoall`` compares the
+    alltoall algorithms instead, and rejects the allgather-only fault and
+    watchdog flags.
 ``model``
     Evaluate the paper's performance model (Fig. 2 grid) at paper scale.
 ``spmm``
@@ -112,17 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--collective", choices=("allgather", "alltoall"),
                        default="allgather")
     cmp_p.add_argument("--algorithms", default=None, metavar="NAME[,NAME...]",
-                       help="comma-separated allgather algorithms to compare "
-                            "(default: every oracle-capable registered "
-                            "algorithm)")
+                       help="comma-separated algorithms to compare, the first "
+                            "the speedup baseline (default: every oracle-"
+                            "capable allgather algorithm, or every alltoall "
+                            "algorithm with naive first)")
     cmp_p.add_argument("--faults", choices=PROFILE_NAMES, default=None,
                        help="inject a named fault profile (allgather only); "
                             "degraded setups fall back to naive")
     cmp_p.add_argument("--max-sim-time", type=float, default=None,
                        help="watchdog: abort once simulated time exceeds this "
-                            "many seconds")
+                            "many seconds (allgather only)")
     cmp_p.add_argument("--max-events", type=int, default=None,
-                       help="watchdog: abort after this many engine events")
+                       help="watchdog: abort after this many engine events "
+                            "(allgather only)")
 
     model_p = sub.add_parser("model", help="performance-model grid (Fig. 2)")
     _machine_args(model_p)
@@ -367,6 +371,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     baseline = None
+    names = tuple(n_.strip() for n_ in (args.algorithms or "").split(",") if n_.strip())
     if args.collective == "allgather":
         from repro.collectives import RunOptions, run_allgather, verify_allgather
         from repro.collectives.base import (
@@ -376,15 +381,13 @@ def cmd_compare(args) -> int:
         )
         from repro.sim.faults import get_profile
 
-        if args.algorithms:
-            names = tuple(n_.strip() for n_ in args.algorithms.split(",") if n_.strip())
-            for name in names:
-                try:
-                    algorithm_info(name)
-                except KeyError as exc:
-                    print(f"error: --algorithms: {exc.args[0]}", file=sys.stderr)
-                    return 2
-        else:
+        for name in names:
+            try:
+                algorithm_info(name)
+            except KeyError as exc:
+                print(f"error: --algorithms: {exc.args[0]}", file=sys.stderr)
+                return 2
+        if not names:
             names = tuple(
                 info.name for info in list_algorithms(requires={"oracle"})
             )
@@ -419,9 +422,27 @@ def cmd_compare(args) -> int:
                  f"{baseline / run.simulated_time:.2f}x", run.messages_sent)
             )
     else:
-        from repro.collectives.alltoall import run_alltoall, verify_alltoall
+        from repro.collectives.alltoall import (
+            alltoall_algorithms,
+            run_alltoall,
+            verify_alltoall,
+        )
 
-        for name in ("naive_alltoall", "distance_halving_alltoall"):
+        for flag, value in (("--faults", args.faults), ("--max-sim-time", args.max_sim_time),
+                            ("--max-events", args.max_events)):
+            if value is not None:
+                print(f"error: {flag} applies to allgather only, not --collective alltoall",
+                      file=sys.stderr)
+                return 2
+        known = alltoall_algorithms()
+        for name in names:
+            if name not in known:
+                print(f"error: --algorithms: unknown alltoall algorithm {name!r}; "
+                      f"available: {list(known)}", file=sys.stderr)
+                return 2
+        if not names:  # naive first: the baseline row
+            names = ("naive_alltoall",) + tuple(n_ for n_ in known if n_ != "naive_alltoall")
+        for name in names:
             run = run_alltoall(name, topology, machine, args.msg)
             verify_alltoall(topology, run)
             baseline = baseline or run.simulated_time

@@ -47,7 +47,7 @@ def simulated_ping_pong(
     """
     # Imported late: repro.sim depends on repro.cluster, not vice versa.
     from repro.sim.engine import Engine
-    from repro.sim.communicator import SimCommunicator
+    from repro.sim.program import rank_program
 
     n = machine.spec.n_ranks
     if rank_b is None:
@@ -58,29 +58,17 @@ def simulated_ping_pong(
     results: dict[int, float] = {}
     for size in sizes:
         size = parse_size(size)
+        # Each message carries no block (``()``); a wait after every op
+        # makes each leg blocking.  The other ranks have no program.
+        ops: dict[int, list[tuple]] = {rank_a: [], rank_b: []}
+        for i in range(repeats):
+            ops[rank_a] += [("send", rank_b, size, 2 * i, ()), ("wait",),
+                            ("recv", rank_b, 2 * i + 1, size), ("wait",)]
+            ops[rank_b] += [("recv", rank_a, 2 * i, size), ("wait",),
+                            ("send", rank_a, size, 2 * i + 1, ()), ("wait",)]
         engine = Engine(n_ranks=n, machine=machine)
-
-        def pinger(comm: SimCommunicator, size: int = size):
-            for i in range(repeats):
-                yield comm.wait(comm.isend(rank_b, size, tag=2 * i))
-                yield comm.wait(comm.irecv(rank_b, tag=2 * i + 1))
-
-        def ponger(comm: SimCommunicator, size: int = size):
-            for i in range(repeats):
-                yield comm.wait(comm.irecv(rank_a, tag=2 * i))
-                yield comm.wait(comm.isend(rank_a, size, tag=2 * i + 1))
-
-        def idle(comm: SimCommunicator):
-            return
-            yield  # pragma: no cover - makes this a generator function
-
-        for rank in range(n):
-            if rank == rank_a:
-                engine.spawn(rank, pinger)
-            elif rank == rank_b:
-                engine.spawn(rank, ponger)
-            else:
-                engine.spawn(rank, idle)
+        for rank in sorted(ops):
+            engine.spawn(rank, rank_program(engine, rank, ops[rank]))
         engine.run()
         round_trip = engine.finish_time(rank_a) / repeats
         results[size] = round_trip / 2.0

@@ -16,9 +16,9 @@ The algorithm zoo, in registration order:
 
 Every backend defines its operation once, as one op stream per rank
 (:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.rank_ops`).
-The discrete-event engine runs the streams through the base class's
-generic rank program, which moves block ids as message payloads and checks
-every send, receive and delivery against them; the hybrid fast path
+The discrete-event engine runs the streams through its one rank program,
+:func:`~repro.sim.program.rank_program`, which moves block ids as message
+payloads and checks every send, receive and delivery against them; the hybrid fast path
 materialises the same streams as a static schedule.  So every backend,
 ``hierarchical`` included, runs under both ``sim_mode="des"`` and
 ``"auto"`` with bit-identical results.

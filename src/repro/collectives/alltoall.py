@@ -1,10 +1,12 @@
 """Neighborhood alltoall — the paper's stated future work (Section VIII).
 
 ``MPI_Neighbor_alltoall`` sends a *distinct* block to every outgoing
-neighbor.  Two implementations:
+neighbor.  Three implementations:
 
 * :class:`NaiveAlltoall` — one point-to-point message per edge (the default
   MPI behaviour, identical schedule to the naive allgather).
+* :class:`CommonNeighborAlltoall` — Common Neighbor's groups and assignees,
+  with each combined message carrying the distinct blocks of its targets.
 * :class:`DistanceHalvingAlltoall` — the paper's halving/agent machinery
   adapted to distinct blocks.  The communication pattern (agents, origins,
   duty transfers) is exactly the allgather pattern built with
@@ -16,6 +18,15 @@ neighbor.  Two implementations:
   *count* drops from ``degree`` to ``O(log n + L)`` per rank exactly as in
   the allgather case.
 
+Each backend writes one op stream per rank (:meth:`NaiveAlltoall.rank_ops`)
+in the vocabulary of :mod:`repro.sim.program`, the same one the allgather
+backends use (Träff et al. treat sparse allgather and alltoall as one
+scheme that differs only in the blocks moved).  A block id is
+``src * n + tgt``, the block ``src`` sends to ``tgt``; the engine runs each
+stream through :func:`~repro.sim.program.rank_program`, which checks every
+send against the blocks the rank holds and every delivery against the
+blocks that arrived.
+
 Use :func:`run_alltoall` / :func:`verify_alltoall`; payload identity is the
 ``(source, target)`` pair, so misrouted blocks are always caught.
 """
@@ -24,13 +35,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Iterator
 
 from repro.cluster.machine import Machine
 from repro.collectives.distance_halving.builder import build_patterns
 from repro.collectives.distance_halving.operation import FINAL_TAG
 from repro.collectives.distance_halving.pattern import CommunicationPattern
 from repro.sim.engine import Engine
+from repro.sim.program import rank_program
 from repro.sim.tracing import TraceCollector
 from repro.topology.graph import DistGraphTopology
 from repro.utils.sizes import parse_size
@@ -67,28 +79,32 @@ class NaiveAlltoall:
     def setup(self, topology: DistGraphTopology, machine: Machine) -> None:
         return None
 
-    def make_program(self, rank, topology, psize, payload_fn, results):
+    def rank_ops(
+        self, rank: int, topology: DistGraphTopology, psize: PairSizeFn
+    ) -> Iterator[tuple] | None:
+        """Rank ``rank``'s op stream, or ``None`` for a rank without edges
+        (the engine does not spawn it).  ``psize(src, tgt)`` is the byte
+        size of block ``src * n + tgt``."""
         out_nbrs = topology.out_neighbors(rank)
         in_nbrs = topology.in_neighbors(rank)
         if not out_nbrs and not in_nbrs:
-            return lambda comm: None
+            return None
+        return self._ops(rank, topology.n, out_nbrs, in_nbrs, psize)
 
-        def program(comm):
-            recv_reqs = [comm.irecv(src, tag=_A2A_TAG) for src in in_nbrs if src != rank]
-            send_reqs = [
-                comm.isend(dst, psize(rank, dst), tag=_A2A_TAG, payload=payload_fn(rank, dst))
-                for dst in out_nbrs
-                if dst != rank
-            ]
-            if rank in out_nbrs:
-                comm.charge_memcpy(psize(rank, rank))
-                results[rank][rank] = payload_fn(rank, rank)
-            if recv_reqs or send_reqs:
-                yield comm.waitall(recv_reqs + send_reqs)
-            for req in recv_reqs:
-                results[rank][req.source] = req.payload
-
-        return program
+    @staticmethod
+    def _ops(rank, n, out_nbrs, in_nbrs, psize) -> Iterator[tuple]:
+        srcs = [src for src in in_nbrs if src != rank]
+        for src in srcs:
+            yield ("recv", src, _A2A_TAG, psize(src, rank))
+        dsts = [dst for dst in out_nbrs if dst != rank]
+        for dst in dsts:
+            yield ("send", dst, psize(rank, dst), _A2A_TAG, (rank * n + dst,))
+        if rank in out_nbrs:
+            yield ("charge", psize(rank, rank))
+            yield ("deliver", (rank * n + rank,))
+        if srcs or dsts:
+            yield ("wait",)
+        yield ("deliver", tuple(src * n + rank for src in srcs))
 
 
 class DistanceHalvingAlltoall:
@@ -115,88 +131,55 @@ class DistanceHalvingAlltoall:
         )
         self._key = key
 
-    def make_program(self, rank, topology, psize, payload_fn, results):
+    def rank_ops(
+        self, rank: int, topology: DistGraphTopology, psize: PairSizeFn
+    ) -> Iterator[tuple]:
+        """Rank ``rank``'s op stream (see :meth:`NaiveAlltoall.rank_ops`)."""
         assert self.pattern is not None
         rp = self.pattern[rank]
-        my_results = results[rank]
+        n = topology.n
 
         def pairs_bytes(pairs) -> int:
             return sum(psize(src, tgt) for src, tgt in pairs)
 
-        def program(comm) -> Generator:
-            # Pending duty blocks this rank still carries: (src, tgt) -> payload.
-            store: dict[tuple[int, int], Any] = {
-                (rank, v): payload_fn(rank, v)
-                for v in topology.out_neighbors(rank)
-                if v != rank
-            }
-            comm.charge_memcpy(pairs_bytes(store))  # stage sbuf blocks
-            if rp.self_copy:
-                comm.charge_memcpy(psize(rank, rank))
-                my_results[rank] = payload_fn(rank, rank)
+        # Stage the sbuf blocks this rank carries as duties.
+        yield ("charge", sum(psize(rank, v) for v in topology.out_neighbors(rank) if v != rank))
+        if rp.self_copy:
+            yield ("charge", psize(rank, rank))
+            yield ("deliver", (rank * n + rank,))
 
-            for step in rp.steps:
-                reqs = []
-                rreq = None
-                if step.agent is not None:
-                    pairs = step.send_pairs or ()
-                    out_payload = tuple((pair, store.pop(pair)) for pair in pairs)
-                    reqs.append(
-                        comm.isend(
-                            step.agent, pairs_bytes(pairs), tag=step.index,
-                            payload=out_payload,
-                        )
-                    )
-                if step.origin is not None:
-                    rreq = comm.irecv(step.origin, tag=step.index)
-                    reqs.append(rreq)
-                if not reqs:
-                    continue
-                yield comm.waitall(reqs)
+        for step in rp.steps:
+            if step.agent is None and step.origin is None:
+                continue
+            if step.agent is not None:
+                pairs = step.send_pairs or ()
+                yield ("send", step.agent, pairs_bytes(pairs), step.index,
+                       tuple(src * n + tgt for src, tgt in pairs))
+            if step.origin is not None:
+                pairs = step.recv_pairs or ()
+                nbytes = pairs_bytes(pairs)
+                yield ("recv", step.origin, step.index, nbytes)
+            yield ("wait",)
+            if step.origin is not None:
+                yield ("charge", nbytes)
+                mine = tuple(src * n + rank for src, tgt in pairs if tgt == rank)
+                if mine:
+                    yield ("deliver", mine)
 
-                if rreq is not None:
-                    expected = pairs_bytes(step.recv_pairs or ())
-                    if rreq.nbytes != expected:
-                        raise AssertionError(
-                            f"rank {rank} step {step.index}: got {rreq.nbytes} bytes, "
-                            f"expected {expected}"
-                        )
-                    comm.charge_memcpy(rreq.nbytes)
-                    for (src, tgt), pay in rreq.payload:
-                        if tgt == rank:
-                            my_results[src] = pay
-                        else:
-                            store[(src, tgt)] = pay
-
-            # Final phase: pending duties, one combined message per target.
-            if not rp.final_sends and not rp.final_recvs:
-                if store:
-                    raise AssertionError(f"rank {rank}: undelivered duties {list(store)[:5]}")
-                return
-            send_reqs = []
-            for fs in rp.final_sends:
-                nbytes = pairs_bytes((src, fs.target) for src in fs.blocks)
-                comm.charge_memcpy(nbytes)
-                out_payload = tuple(
-                    ((src, fs.target), store.pop((src, fs.target))) for src in fs.blocks
-                )
-                send_reqs.append(
-                    comm.isend(fs.target, nbytes, tag=FINAL_TAG, payload=out_payload)
-                )
-            recv_reqs = [comm.irecv(fr.sender, tag=FINAL_TAG) for fr in rp.final_recvs]
-            if store:
-                raise AssertionError(f"rank {rank}: undelivered duties {list(store)[:5]}")
-            yield comm.waitall(send_reqs + recv_reqs)
-            for fr, rq in zip(rp.final_recvs, recv_reqs):
-                comm.charge_memcpy(rq.nbytes)
-                for (src, tgt), pay in rq.payload:
-                    if tgt != rank:
-                        raise AssertionError(
-                            f"rank {rank}: received block destined to {tgt}"
-                        )
-                    my_results[src] = pay
-
-        return program
+        # Final phase: pending duties, one combined message per target.
+        if not rp.final_sends and not rp.final_recvs:
+            return
+        for fs in rp.final_sends:
+            nbytes = sum(psize(src, fs.target) for src in fs.blocks)
+            yield ("charge", nbytes)
+            yield ("send", fs.target, nbytes, FINAL_TAG,
+                   tuple(src * n + fs.target for src in fs.blocks))
+        for fr in rp.final_recvs:
+            yield ("recv", fr.sender, FINAL_TAG, sum(psize(src, rank) for src in fr.blocks))
+        yield ("wait",)
+        for fr in rp.final_recvs:
+            yield ("charge", sum(psize(src, rank) for src in fr.blocks))
+            yield ("deliver", tuple(src * n + rank for src in fr.blocks))
 
 
 class CommonNeighborAlltoall:
@@ -234,63 +217,47 @@ class CommonNeighborAlltoall:
                 pair_targets[(g, a)] = tuple(sorted(targets))
         self._pair_targets = pair_targets
 
-    def make_program(self, rank, topology, psize, payload_fn, results):
+    def rank_ops(
+        self, rank: int, topology: DistGraphTopology, psize: PairSizeFn
+    ) -> Iterator[tuple]:
+        """Rank ``rank``'s op stream (see :meth:`NaiveAlltoall.rank_ops`)."""
         assert self._inner.plans is not None and self._pair_targets is not None
         plan = self._inner.plans[rank]
         pair_targets = self._pair_targets
-        my_results = results[rank]
+        n = topology.n
 
-        def program(comm) -> Generator:
-            if plan.self_copy:
-                comm.charge_memcpy(psize(rank, rank))
-                my_results[rank] = payload_fn(rank, rank)
+        if plan.self_copy:
+            yield ("charge", psize(rank, rank))
+            yield ("deliver", (rank * n + rank,))
 
-            # Phase 1: ship each assignee the distinct blocks it covers.
-            p1_recv = [comm.irecv(src, tag=1) for src in plan.phase1_recvs]
-            p1_send = []
-            for a in plan.phase1_sends:
-                targets = pair_targets[(rank, a)]
-                out = tuple(((rank, v), payload_fn(rank, v)) for v in targets)
-                nbytes = sum(psize(rank, v) for v in targets)
-                comm.charge_memcpy(nbytes)
-                p1_send.append(comm.isend(a, nbytes, tag=1, payload=out))
-            if p1_recv or p1_send:
-                yield comm.waitall(p1_recv + p1_send)
+        # Phase 1: ship each assignee the distinct blocks it covers.
+        for src in plan.phase1_recvs:
+            yield ("recv", src, 1, sum(psize(src, v) for v in pair_targets[(src, rank)]))
+        for a in plan.phase1_sends:
+            targets = pair_targets[(rank, a)]
+            nbytes = sum(psize(rank, v) for v in targets)
+            yield ("charge", nbytes)
+            yield ("send", a, nbytes, 1, tuple(rank * n + v for v in targets))
+        if plan.phase1_recvs or plan.phase1_sends:
+            yield ("wait",)
+        for src in plan.phase1_recvs:
+            targets = pair_targets[(src, rank)]
+            yield ("charge", sum(psize(src, v) for v in targets))
+            if rank in targets:
+                yield ("deliver", (src * n + rank,))
 
-            store: dict[tuple[int, int], Any] = {}
-            for req in p1_recv:
-                comm.charge_memcpy(req.nbytes)
-                for (src, tgt), pay in req.payload:
-                    if tgt == rank:
-                        my_results[src] = pay
-                    else:
-                        store[(src, tgt)] = pay
-
-            # Phase 2: combined per-target messages.
-            p2_send = []
-            for target, blocks in plan.phase2_sends:
-                out = []
-                for src in blocks:
-                    if src == rank:
-                        out.append(((rank, target), payload_fn(rank, target)))
-                    else:
-                        out.append(((src, target), store.pop((src, target))))
-                nbytes = sum(psize(src, target) for src in blocks)
-                comm.charge_memcpy(nbytes)
-                p2_send.append(comm.isend(target, nbytes, tag=2, payload=tuple(out)))
-            p2_recv = [comm.irecv(sender, tag=2) for sender, _ in plan.phase2_recvs]
-            if p2_send or p2_recv:
-                yield comm.waitall(p2_send + p2_recv)
-            if store:
-                raise AssertionError(f"rank {rank}: unforwarded blocks {list(store)[:5]}")
-            for req in p2_recv:
-                comm.charge_memcpy(req.nbytes)
-                for (src, tgt), pay in req.payload:
-                    if tgt != rank:
-                        raise AssertionError(f"rank {rank}: got block for {tgt}")
-                    my_results[src] = pay
-
-        return program
+        # Phase 2: combined per-target messages.
+        for target, blocks in plan.phase2_sends:
+            nbytes = sum(psize(src, target) for src in blocks)
+            yield ("charge", nbytes)
+            yield ("send", target, nbytes, 2, tuple(src * n + target for src in blocks))
+        for sender, blocks in plan.phase2_recvs:
+            yield ("recv", sender, 2, sum(psize(src, rank) for src in blocks))
+        if plan.phase2_sends or plan.phase2_recvs:
+            yield ("wait",)
+        for _, blocks in plan.phase2_recvs:
+            yield ("charge", sum(psize(src, rank) for src in blocks))
+            yield ("deliver", tuple(src * n + rank for src in blocks))
 
 
 _ALLTOALL = {
@@ -342,13 +309,20 @@ def run_alltoall(
     algorithm.setup(topology, machine)
     setup_wall = time.perf_counter() - wall
 
-    results: list[dict[int, Any]] = [{} for _ in range(topology.n)]
+    n = topology.n
+    payloads = {u * n + v: payload_fn(u, v) for u, v in topology.edges()}
+    delivered: list[dict[int, Any]] = [{} for _ in range(n)]
     collector = TraceCollector(keep_records=trace) if trace else None
-    engine = Engine(n_ranks=topology.n, machine=machine, trace=collector)
-    for rank in range(topology.n):
-        engine.spawn(
-            rank, algorithm.make_program(rank, topology, psize, payload_fn, results)
-        )
+    engine = Engine(n_ranks=n, machine=machine, trace=collector)
+
+    def program(rank: int):
+        ops = algorithm.rank_ops(rank, topology, psize)
+        if ops is None:
+            return None
+        held = [rank * n + v for v in topology.out_neighbors(rank)]
+        return rank_program(engine, rank, ops, held, payloads, delivered[rank])
+
+    engine.spawn_all(program)
     simulated = engine.run()
     return AlltoallRun(
         algorithm=algorithm.name,
@@ -357,7 +331,8 @@ def run_alltoall(
         finish_times=engine.finish_times(),
         messages_sent=engine.messages_sent,
         bytes_sent=engine.bytes_sent,
-        results=results,
+        # Keyed by block id on the engine; by source rank in the result.
+        results=[{block // n: p for block, p in got.items()} for got in delivered],
         trace=collector,
         setup_wall_time=setup_wall,
     )

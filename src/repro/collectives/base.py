@@ -10,8 +10,8 @@ A backend defines the operation once, as one op stream per rank
 ``setup()`` built.  Both execution paths read that stream:
 
 * :meth:`~NeighborhoodAllgatherAlgorithm.program` pulls it lazily through
-  one generic generator on the discrete-event engine, moving block ids as
-  payloads and checking them as it goes;
+  :func:`~repro.sim.program.rank_program`, the engine's one rank program,
+  which moves block ids as payloads and checks them as it goes;
 * :meth:`~NeighborhoodAllgatherAlgorithm.build_schedule` materialises every
   rank's stream into the :class:`~repro.sim.schedule.Schedule` the fast path
   compiles.
@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, ClassVar, Generator, Iterator
+from typing import TYPE_CHECKING, Any, ClassVar, Generator, Iterator
 
 from repro.cluster.machine import Machine
-from repro.sim.communicator import SimCommunicator
+from repro.sim.program import rank_program
 from repro.topology.graph import DistGraphTopology
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import Engine
 
 
 @dataclass
@@ -113,17 +116,10 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
 
         ``None`` marks a rank the engine must not spawn (no events, no
         sequence number).  Otherwise the iterator yields, in the rank's
-        program order:
-
-        * ``("charge", nbytes)`` — a memcpy on the rank's clock;
-        * ``("send", dst, nbytes, tag, blocks)`` — a non-blocking send of
-          the source-rank block ids ``blocks`` (a tuple), ``nbytes`` of them;
-        * ``("recv", src, tag, nbytes)`` — a non-blocking receive of a
-          message expected to carry ``nbytes``;
-        * ``("wait",)`` — waitall over every request posted since the last
-          wait;
-        * ``("deliver", blocks)`` — copy these blocks into the rank's receive
-          buffer.
+        program order, the ops of :mod:`repro.sim.program` (``charge``,
+        ``send``, ``recv``, ``wait`` and ``deliver``), whose block ids are
+        source ranks: a send's ``blocks`` tuple holds the source ranks whose
+        blocks make up its ``nbytes``.
 
         Byte fields come from ``ctx.size_of``/``ctx.sizes_of`` only (never
         ``ctx.msg_size``), which is what lets :meth:`schedule_for` build in
@@ -132,22 +128,21 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         residual topology of the recovery round.
         """
 
-    def program(self, comm: SimCommunicator, ctx: ExecutionContext) -> Generator | None:
-        """The rank's simulator program: its :meth:`rank_ops` stream, run.
+    def program(self, engine: "Engine", rank: int, ctx: ExecutionContext) -> Generator | None:
+        """Rank ``rank``'s program on ``engine``: its :meth:`rank_ops`
+        stream, run by :func:`~repro.sim.program.rank_program`.
 
-        Returns ``None`` when the stream is ``None``.  The generic program
-        keeps the set of block ids the rank holds (its own, plus every
-        received message's ``blocks``), sends each op's ``blocks`` tuple as
-        the message payload, and at ``deliver`` sets
-        ``results[src] = ctx.payloads[src]``.  It raises an
-        :class:`AssertionError` naming the rank when a send carries a block
-        the rank does not hold, a received message's size differs from its
-        ``recv`` op, or a delivered block never arrived.
+        Returns ``None`` when the stream is ``None``.  A block id is a
+        source rank: the rank starts holding its own block, and ``deliver``
+        sets ``ctx.results[rank][src] = ctx.payloads[src]``.  The program
+        raises an :class:`AssertionError` naming the rank when a send
+        carries a block the rank does not hold, a received message's size
+        differs from its ``recv`` op, or a delivered block never arrived.
         """
-        stream = self.rank_ops(ctx, comm.rank)
+        stream = self.rank_ops(ctx, rank)
         if stream is None:
             return None
-        return _run(comm, ctx, stream)
+        return rank_program(engine, rank, stream, (rank,), ctx.payloads, ctx.results[rank])
 
     def build_schedule(self, ctx: ExecutionContext):
         """Every rank's :meth:`rank_ops` stream, materialised as a
@@ -236,96 +231,9 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         if not self.is_setup:
             raise RuntimeError(f"{self.name}: setup() must run before program()")
 
-    def program_factory(self, ctx: ExecutionContext) -> Callable[[int], Callable]:
-        """Adapter for :meth:`Engine.spawn_all`."""
-        self.require_setup()
-
-        def factory(rank: int):
-            return lambda comm: self.program(comm, ctx)
-
-        return factory
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "ready" if self.is_setup else "unset"
         return f"{type(self).__name__}(name={self.name!r}, {state})"
-
-
-def _run(comm: SimCommunicator, ctx: ExecutionContext, stream: Iterator[tuple]) -> Generator:
-    """Run one rank's op stream on the engine (see :meth:`~NeighborhoodAllgatherAlgorithm.program`).
-
-    Ops post straight into the engine, charging the call overhead and
-    memcpys on the rank's clock as :class:`SimCommunicator` does.  Sends
-    keep no request: a wait lists the receives' slots only, with the latest
-    send completion since the last wait as its floor, and the received
-    messages are read from the engine's receive lists.
-    """
-    rank = comm.rank
-    engine = comm.engine
-    send = engine.send
-    recv = engine.recv
-    waitall = engine.waitall_condition
-    recv_source = engine.recv_source
-    recv_nbytes = engine.recv_nbytes
-    recv_payload = engine.recv_payload
-    clock = engine.rank_now
-    params = engine.machine.params
-    overhead = params.call_overhead
-    memcpy_beta = params.memcpy_beta
-    results = ctx.results[rank]
-    payloads = ctx.payloads
-    held = {rank}
-    # Receive slots, tags and expected sizes since the last wait, in
-    # parallel int lists: an object per receive (a request, or the recv op
-    # kept) would live until the wait, and thousands of them alive at once
-    # make the garbage collector a large share of a dense naive run.
-    recv_slots: list[int] = []
-    recv_tags: list[int] = []
-    recv_sizes: list[int] = []
-    floor = 0.0
-    for op in stream:
-        kind = op[0]
-        if kind == "send":
-            blocks = op[4]
-            if not held.issuperset(blocks):
-                raise AssertionError(
-                    f"rank {rank}: send to {op[1]} (tag {op[3]}) carries "
-                    f"block(s) {sorted(set(blocks) - held)} it does not hold"
-                )
-            clock[rank] += overhead
-            done = send(rank, op[1], op[2], op[3], blocks).send_complete
-            if done > floor:
-                floor = done
-        elif kind == "recv":
-            clock[rank] += overhead
-            recv_slots.append(recv(rank, op[1], op[2]))
-            recv_tags.append(op[2])
-            recv_sizes.append(op[3])
-        elif kind == "charge":
-            nbytes = op[1]
-            if nbytes < 0:
-                raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-            clock[rank] += nbytes / memcpy_beta
-        elif kind == "wait":
-            yield waitall(recv_slots, floor)
-            floor = 0.0
-            for slot, tag, nbytes in zip(recv_slots, recv_tags, recv_sizes):
-                if recv_nbytes[slot] != nbytes:
-                    raise AssertionError(
-                        f"rank {rank}: message from {recv_source[slot]} "
-                        f"(tag {tag}) has {recv_nbytes[slot]} bytes, "
-                        f"expected {nbytes}"
-                    )
-                held.update(recv_payload[slot])
-            recv_slots = []
-            recv_tags = []
-            recv_sizes = []
-        else:  # deliver
-            for src in op[1]:
-                if src not in held:
-                    raise AssertionError(
-                        f"rank {rank}: delivers block {src}, which never arrived"
-                    )
-                results[src] = payloads[src]
 
 
 #: The capability vocabulary.  Registration validates declared capabilities

@@ -247,7 +247,9 @@ class AllgatherRun:
     trace: TraceCollector | None = field(repr=False, default=None)
     wall_time: float = 0.0
     block_sizes: list[int] | None = field(repr=False, default=None)
-    #: busy fractions per resource family over the run (trace=True only)
+    #: busy fractions per resource family over the whole run (trace=True
+    #: only): each resource's busy time summed over every round, over
+    #: ``simulated_time``, with ports keyed by original rank ids
     utilization: dict | None = field(repr=False, default=None)
     #: fault-injection counters {drops, retransmissions, messages_lost}
     #: (fault_plan runs only)
@@ -523,7 +525,9 @@ def _run_engine_rounds(
     hook); ``degrade`` switches to setup-free naive; either drops to naive
     when the shrunk plan would starve the replanned setup.  One trace
     collector spans all rounds, so conservation laws hold over the whole
-    recovered run.  Every round's engine is closed when its run ends,
+    recovered run, and a traced run's utilization sums every round's busy
+    times (ports mapped back to original ids) over the whole run's
+    simulated time.  Every round's engine is closed when its run ends,
     however it ends.
     """
     topology, machine = ctx.topology, ctx.machine
@@ -543,6 +547,7 @@ def _run_engine_rounds(
     rounds = 0
     replan_messages = 0
     messages = total_bytes = 0
+    busy: dict[str, dict] = {}  # trace only: busy seconds, summed over rounds
 
     while True:
         injector = FaultInjector(plan) if plan is not None else None
@@ -555,7 +560,7 @@ def _run_engine_rounds(
             max_sim_time=opts.max_sim_time,
             max_events=opts.max_events,
         )
-        engine.spawn_all(current_alg.program_factory(round_ctx))
+        engine.spawn_all(lambda rank: current_alg.program(engine, rank, round_ctx))
         failure: RankFailedError | None = None
         try:
             round_make = engine.run()
@@ -577,6 +582,14 @@ def _run_engine_rounds(
                     dst[rank_map[src_cur]] = payload
         messages += engine.messages_sent
         total_bytes += engine.bytes_sent
+        if trace:
+            for name, family in engine.fabric.busy().items():
+                total = busy.setdefault(name, {})
+                ports = name in ("send_ports", "recv_ports")
+                for key, b in family.items():
+                    if ports:  # keyed by the round's rank ids
+                        key = rank_map[key]
+                    total[key] = total.get(key, 0.0) + b
         if injector is not None:
             for key, value in injector.stats().items():
                 fault_totals[key] = fault_totals.get(key, 0) + value
@@ -601,7 +614,6 @@ def _run_engine_rounds(
         if not survivors_cur:
             simulated = offset
             finish_times = {}
-            round_make = 0.0
             break
         new_map = [rank_map[r] for r in survivors_cur]
         current_topology = _residual_topology(topology, new_map, merged)
@@ -628,8 +640,8 @@ def _run_engine_rounds(
 
     missing_ranks = tuple(sorted(set(missing)))
     utilization = (
-        engine.fabric.utilization(round_make)
-        if trace and round_make > 0 else None
+        {name: {k: b / simulated for k, b in family.items()} for name, family in busy.items()}
+        if trace and simulated > 0 else None
     )
     return AllgatherRun(
         algorithm=algorithm.name,

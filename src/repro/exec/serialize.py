@@ -25,7 +25,9 @@ from repro.collectives.runner import AllgatherRun
 #: v4: slim runs carry ``selected_algorithm`` (adaptive ``"auto"`` picks).
 #: v5: ``sim_mode="auto"`` always replays exactly; v4 ``auto`` entries may
 #:     hold closed-form times and must be recomputed.
-FORMAT_VERSION = 5
+#: v6: ``utilization`` covers the whole run in original rank ids; v5 entries
+#:     of a traced run that recovered from a crash hold its last round's.
+FORMAT_VERSION = 6
 
 #: Run fields excluded from the determinism contract (host-dependent).
 WALL_CLOCK_FIELDS = ("wall_time",)

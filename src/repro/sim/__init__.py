@@ -1,16 +1,16 @@
 """Discrete-event MPI simulator.
 
-Rank programs are Python generators that post non-blocking operations and
-``yield`` wait conditions; the :class:`Engine` advances virtual time
-deterministically.  The collectives' generic program posts each rank's op
-stream straight into the engine (:meth:`Engine.send`, :meth:`Engine.recv`,
-which returns a receive slot rather than a request); hand-written programs
-post through a :class:`SimCommunicator`, whose :class:`Request` objects
-wrap the same two paths.  Message timing is computed by the
-:class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney costs,
-with cut-through pipelining over serialized resources (per-rank ports,
-per-node NICs, shared global links) so congestion emerges naturally.
-:func:`execute_schedule` replays a materialised op stream (a
+Every rank runs one program, :func:`rank_program`: an interpreter of the
+rank's op stream (``charge``, ``send``, ``recv``, ``wait``, ``deliver``
+over opaque block ids) that posts straight into the :class:`Engine`
+(:meth:`Engine.send`, :meth:`Engine.recv`, which returns a receive slot)
+and yields its one wait condition; the engine advances virtual time
+deterministically.  The allgather and alltoall backends and the
+calibration ping-pong are all op streams.  Message timing is computed by
+the :class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney
+costs, with cut-through pipelining over serialized resources (per-rank
+ports, per-node NICs, shared global links) so congestion emerges
+naturally.  :func:`execute_schedule` replays a materialised op stream (a
 :class:`Schedule`) without the engine, bit for bit.
 
 The semantics intentionally mirror the paper's modelling assumptions:
@@ -22,7 +22,6 @@ retransmission; watchdog budgets (``max_sim_time``/``max_events``) raise
 :class:`SimTimeoutError` when a perturbed run cannot complete.
 """
 
-from repro.sim.communicator import ANY_SOURCE, SimCommunicator
 from repro.sim.engine import DeadlockError, Engine, SimTimeoutError
 from repro.sim.fabric import Fabric, MessageTiming
 from repro.sim.faults import (
@@ -37,7 +36,7 @@ from repro.sim.faults import (
 )
 from repro.sim.fastpath import FastRunOutcome, execute_schedule
 from repro.sim.plancache import PlanCache, machine_digest, plan_cache_stats, reset_plan_cache
-from repro.sim.request import Request
+from repro.sim.program import rank_program
 from repro.sim.schedule import (
     Schedule,
     spawn_wake_order,
@@ -51,8 +50,6 @@ __all__ = [
     "chrome_trace",
     "phase_breakdown",
     "save_chrome_trace",
-    "ANY_SOURCE",
-    "SimCommunicator",
     "Engine",
     "DeadlockError",
     "SimTimeoutError",
@@ -66,7 +63,7 @@ __all__ = [
     "Straggler",
     "get_profile",
     "resilience_profiles",
-    "Request",
+    "rank_program",
     "MessageRecord",
     "TraceCollector",
     "FastRunOutcome",

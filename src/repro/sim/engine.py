@@ -1,36 +1,33 @@
-"""The discrete-event engine: processes, matching, waits, barriers.
+"""The discrete-event engine: processes, matching, waits.
 
-Each rank runs a *program*: a generator that posts operations through its
-:class:`~repro.sim.communicator.SimCommunicator` (the collectives' generic
-program posts straight into the engine) and yields wait conditions.
-The engine is fully deterministic — events are ordered by ``(time, seq)``
-where ``seq`` is allocation order — and detects deadlock (all processes
-blocked with an empty event heap).
+Each rank runs one *program*: a generator that posts operations straight
+into the engine (:meth:`Engine.send`, :meth:`Engine.recv`) and yields the
+engine's one wait condition (:meth:`Engine.waitall_condition`).  Every
+program the package spawns is :func:`~repro.sim.program.rank_program`
+over a rank's op stream.  The engine is fully deterministic — events are
+ordered by ``(time, seq)`` where ``seq`` is allocation order — and detects
+deadlock (all processes blocked with an empty event heap).
 
-Hot-path notes: :meth:`Engine.send` is the one send path and allocates no
-request (:meth:`Engine.post_send` wraps it for programs that want one).
-:meth:`Engine.recv` is the one receive path: a receive is a *slot*, an
-index into flat per-engine lists (post time, completion time, source,
-size, payload, waiter), so posting, waiting on and reading a receive
-allocates no object per receive (:meth:`Engine.post_recv` wraps a slot in
-a :class:`~repro.sim.request.Request`).  A delivered message completes a
-matched posted receive in place, waking its waiter in the same call; the
-one wait condition lists receive slots plus a ``floor`` — the latest
-completion of sends it does not list — so a program need not keep a
-request per send just to wait on it.  Matching uses one dict per kind,
-keyed by destination: posted receives ``(dst, src, tag) -> slot``,
-ANY_SOURCE receives ``(dst, tag) -> slot`` and unexpected messages
-``(dst, src, tag) -> (src, nbytes, payload, arrival, stamp)``, each entry
-a deque only while two share a key (:func:`_put`, :func:`_take`).  Keys
-are deleted as soon as they drain, so long sweeps accumulate neither empty
-queues nor consumed-message tombstones; an ANY_SOURCE receive (only
-hand-written programs post them) scans the unexpected table for the
-minimum delivery stamp among its destination's entries with its tag,
-instead of the engine keeping a second queue per tag.  The engine keeps
-no reference to the programs' communicators, so once every program has
-finished (or :meth:`Engine.close` has closed the rest) nothing refers back
-to it and reference counting frees it, tables and all.  Blocked-state
-diagnostics are built lazily (only when a deadlock is actually reported).
+Hot-path notes: :meth:`Engine.send` is the one send path; it returns the
+message's timing and keeps nothing per send.  :meth:`Engine.recv` is the
+one receive path: a receive is a *slot*, an index into flat per-engine
+lists (post time, completion time, size, payload, waiter), so posting,
+waiting on and reading a receive allocates no object per receive.  A
+delivered message completes a matched posted receive in place, waking its
+waiter in the same call; the wait condition lists receive slots plus a
+``floor`` — the latest completion of sends it does not list — so a
+program need not keep anything per send just to wait on it.  Matching is
+directed (every receive names its source) and uses one dict per kind,
+keyed by destination first: posted receives ``(dst, src, tag) -> slot``
+and unexpected messages ``(dst, src, tag) -> (nbytes, payload,
+arrival)``, each entry a deque only while two share a key (:func:`_put`,
+:func:`_take`).  Keys are deleted as soon as they drain, so long sweeps
+accumulate neither empty queues nor consumed-message tombstones.  The
+engine keeps no reference to what its programs were built from, so once
+every program has finished (or :meth:`Engine.close` has closed the rest)
+nothing refers back to it and reference counting frees it, tables and
+all.  Blocked-state diagnostics are built lazily (only when a deadlock is
+actually reported).
 """
 
 from __future__ import annotations
@@ -41,16 +38,9 @@ from collections import deque
 from typing import Callable, Generator, Sequence
 
 from repro.cluster.machine import Machine
-from repro.cluster.spec import LinkClass
-from repro.sim.communicator import SimCommunicator
 from repro.sim.fabric import Fabric, MessageTiming
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.request import Request, RequestKind
 from repro.sim.tracing import TraceCollector
-
-# Hot-path constants: enum member lookup is a descriptor call per access.
-_SEND = RequestKind.SEND
-_RECV = RequestKind.RECV
 
 _INF = math.inf
 
@@ -169,23 +159,6 @@ class _WaitAll:
         self.floor = floor
 
 
-class _Compute:
-    """Condition: resume after ``duration`` seconds of local work."""
-
-    __slots__ = ("duration",)
-
-    def __init__(self, duration: float):
-        if duration < 0:
-            raise ValueError(f"compute duration must be >= 0, got {duration}")
-        self.duration = duration
-
-
-class _Barrier:
-    """Condition: resume when all ranks have entered the barrier."""
-
-    __slots__ = ()
-
-
 class _WaitState:
     """Bookkeeping for one blocked process."""
 
@@ -202,8 +175,8 @@ class Engine:
 
     Receives live in flat lists indexed by the slot :meth:`recv` returns:
     ``recv_post`` (post time), ``recv_done`` (completion time, None while
-    pending), ``recv_source``, ``recv_nbytes`` and ``recv_payload`` (the
-    matched message).  Programs read them; only the engine writes them.
+    pending), ``recv_nbytes`` and ``recv_payload`` (the matched message).
+    Programs read them; only the engine writes them.
     """
 
     def __init__(
@@ -242,10 +215,6 @@ class Engine:
         self.events_processed = 0
         #: Messages whose retry budget ran out (never delivered).
         self.messages_lost = 0
-        # Per-rank compute scaling (stragglers); None keeps _resume lean.
-        self._compute_scale: list[float] | None = None
-        if faults is not None and faults.has_stragglers:
-            self._compute_scale = [faults.compute_factor(r) for r in range(n_ranks)]
         # Fail-stop state.  An empty crash table keeps _resume and send
         # branch-cheap for crash-free plans.
         self._crash_times: dict[int, float] = (
@@ -266,55 +235,50 @@ class Engine:
         self._seq = 0
         self._programs: dict[int, Generator] = {}
         self._finished: dict[int, float] = {}
-        #: rank -> "compute" | "barrier" | _WaitState; formatted lazily for
+        #: rank -> _WaitState of each blocked process; formatted lazily for
         #: deadlock reports only, never on the hot path.
-        self._blocked: dict[int, object] = {}
+        self._blocked: dict[int, _WaitState] = {}
 
         # Receive slots (see recv): one entry per posted receive, in post
-        # order.  A slot's completion time, source, size and payload are
-        # None until a message matches it.
+        # order.  A slot's completion time, size and payload are None until
+        # a message matches it.
         self.recv_post: list[float] = []
         self.recv_done: list[float | None] = []
-        self.recv_source: list[int | None] = []
         self.recv_nbytes: list[int | None] = []
         self.recv_payload: list = []
         self._recv_waiter: list[_WaitState | None] = []
         # Matching tables, one per kind, keyed by destination first (see
         # the module docstring); a key is deleted as soon as it drains.
         self._posted: dict[tuple[int, int, int], int | deque[int]] = {}
-        self._posted_any: dict[tuple[int, int], int | deque[int]] = {}
         self._unexpected: dict[tuple[int, int, int], tuple | deque[tuple]] = {}
-        self._useq = 0
-
-        # Barrier state.
-        self._barrier_waiting: list[int] = []
-        self._barrier_latest = 0.0
 
         # Aggregate statistics.
         self.messages_sent = 0
         self.bytes_sent = 0
 
     # ------------------------------------------------------------------ setup
-    def spawn(self, rank: int, program: Callable[..., Generator]) -> None:
-        """Install ``program(comm)`` as the process for ``rank``."""
+    def spawn(self, rank: int, program: Generator | None) -> None:
+        """Install the generator ``program`` as the process for ``rank``.
+
+        ``None`` marks a rank with no work: it finishes at time 0 with no
+        event and no sequence number.
+        """
         if rank in self._programs or rank in self._finished:
             raise ValueError(f"rank {rank} already has a program")
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")
-        gen = program(SimCommunicator(self, rank))
-        if gen is None:
-            # Program did all its (zero-cost) work synchronously.
+        if program is None:
             self._finished[rank] = 0.0
             return
-        self._programs[rank] = gen
+        self._programs[rank] = program
         # Straggler launch delay: the rank's first event fires late.
         start = 0.0 if self.faults is None else self.faults.startup_delay(rank)
         self._schedule(start, rank)
 
-    def spawn_all(self, program_factory: Callable[[int], Callable]) -> None:
-        """Spawn ``program_factory(rank)`` for every rank."""
+    def spawn_all(self, programs: Callable[[int], Generator | None]) -> None:
+        """Spawn ``programs(rank)`` for every rank, in rank order."""
         for rank in range(self.n_ranks):
-            self.spawn(rank, program_factory(rank))
+            self.spawn(rank, programs(rank))
 
     # ------------------------------------------------------------------- time
     def _schedule(self, time: float, rank: int) -> None:
@@ -448,9 +412,7 @@ class Engine:
         state = self._blocked.get(rank)
         if state is None:
             return "runnable"
-        if isinstance(state, _WaitState):
-            return f"waitall({state.remaining} pending)"
-        return str(state)
+        return f"waitall({state.remaining} pending)"
 
     def makespan(self) -> float:
         return max(self._finished.values(), default=0.0)
@@ -463,9 +425,7 @@ class Engine:
 
     # ---------------------------------------------------------------- resume
     def _resume(self, rank: int, time: float) -> None:
-        gen = self._programs.get(rank)
-        if gen is None:  # stale event (e.g. barrier resumed earlier); ignore
-            return
+        gen = self._programs[rank]
         if self._crash_times:
             crash_at = self._crash_times.get(rank)
             if crash_at is not None and time >= crash_at:
@@ -484,25 +444,14 @@ class Engine:
             self._blocked.pop(rank, None)
             self._finished[rank] = rank_now[rank]
             return
-        cls = condition.__class__
-        if cls is _WaitAll:
-            self._begin_wait(rank, condition)
-        elif cls is _Compute:
-            self._blocked[rank] = "compute"
-            duration = condition.duration
-            if self._compute_scale is not None:
-                duration *= self._compute_scale[rank]
-            self._schedule(rank_now[rank] + duration, rank)
-        elif cls is _Barrier:
-            self._enter_barrier(rank)
-        else:
+        if condition.__class__ is not _WaitAll:
             raise TypeError(
-                f"rank {rank} yielded {condition!r}; programs must yield wait conditions "
-                "from SimCommunicator (waitall/wait/compute/memcpy/barrier)"
+                f"rank {rank} yielded {condition!r}; programs must yield wait "
+                "conditions (Engine.waitall_condition)"
             )
-
-    def _begin_wait(self, rank: int, condition: _WaitAll) -> None:
-        latest = self.rank_now[rank]
+        # Wait: resume at once (at the latest completion) when every slot
+        # has completed, else block until the last one does.
+        latest = rank_now[rank]
         if condition.floor > latest:
             latest = condition.floor
         done = self.recv_done
@@ -512,8 +461,6 @@ class Engine:
         for slot in condition.slots:
             t = done[slot]
             if t is None:
-                if waiters[slot] is not None:
-                    raise RuntimeError("request already has a waiter")
                 if state is None:
                     state = _WaitState(rank, latest)
                 waiters[slot] = state
@@ -526,42 +473,6 @@ class Engine:
             state.latest = latest
             state.remaining = remaining
             self._blocked[rank] = state
-
-    def _enter_barrier(self, rank: int) -> None:
-        """MPI-style barrier over the engine's processes.
-
-        Every spawned process must reach the barrier.  A process that
-        already finished can never enter it, so — exactly like real MPI —
-        the collective can never complete: that is a deadlock, reported
-        eagerly instead of silently releasing over a partial communicator.
-        """
-        if self._finished:
-            gone = sorted(self._finished)
-            raise DeadlockError(
-                f"rank {rank} entered a barrier but rank(s) {gone} already "
-                "finished and can never participate; a real MPI barrier over "
-                "this communicator would deadlock"
-            )
-        self._blocked[rank] = "barrier"
-        self._barrier_waiting.append(rank)
-        if self.rank_now[rank] > self._barrier_latest:
-            self._barrier_latest = self.rank_now[rank]
-        live = len(self._programs)
-        if len(self._barrier_waiting) == live:
-            # Dissemination-barrier cost model: ceil(log2 n) network
-            # latencies; a single process synchronizes with nobody and
-            # pays no rounds.
-            if live > 1:
-                alpha = self.machine.params.cost(LinkClass.INTER_NODE).alpha
-                cost = math.ceil(math.log2(live)) * alpha
-            else:
-                cost = 0.0
-            release = self._barrier_latest + cost
-            for r in self._barrier_waiting:
-                self._blocked.pop(r, None)
-                self._schedule(release, r)
-            self._barrier_waiting = []
-            self._barrier_latest = 0.0
 
     # -------------------------------------------------------------- messaging
     def send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> MessageTiming:
@@ -619,90 +530,46 @@ class Engine:
         # the message as unexpected.
         key = (dst, src, tag)
         slot = _take(self._posted, key)
-        if slot is None and self._posted_any:
-            slot = _take(self._posted_any, (dst, tag))
         if slot is None:
-            self._useq = stamp = self._useq + 1
-            _put(self._unexpected, key, (src, nbytes, payload, arrival, stamp))
+            _put(self._unexpected, key, (nbytes, payload, arrival))
             return timing
-        self._complete_recv(slot, src, nbytes, payload, arrival)
+        self._complete_recv(slot, nbytes, payload, arrival)
         return timing
 
-    def post_send(self, src: int, dst: int, nbytes: int, tag: int, payload) -> Request:
-        """:meth:`send`, returning the (already determined) send request."""
-        post_time = self.rank_now[src]
-        timing = self.send(src, dst, nbytes, tag, payload)
-        req = Request(_SEND, src, dst, tag, post_time, completion_time=timing.send_complete)
-        req.attempts = timing.attempts
-        req.lost = timing.arrival == _INF
-        return req
+    def recv(self, dst: int, src: int, tag: int) -> int:
+        """Post a receive from ``src`` at ``dst``'s clock; returns its slot.
 
-    def recv(self, dst: int, src: int | None, tag: int) -> int:
-        """Post a receive at ``dst``'s clock; returns its slot.
-
-        The one receive path; ``src=None`` matches any source
-        (MPI_ANY_SOURCE).  The slot indexes the engine's receive lists:
+        The one receive path.  The slot indexes the engine's receive lists:
         ``recv_done[slot]`` is the completion time (None while the receive
-        is pending), and ``recv_source``, ``recv_nbytes`` and
-        ``recv_payload`` hold the matched message.  The oldest unexpected
-        message on the key completes the receive at once; otherwise it
-        waits in the posted table, FIFO per key.
+        is pending), and ``recv_nbytes`` and ``recv_payload`` hold the
+        matched message.  The oldest unexpected message on the key
+        completes the receive at once; otherwise it waits in the posted
+        table, FIFO per key.
         """
-        if src is not None and not 0 <= src < self.n_ranks:
+        if not 0 <= src < self.n_ranks:
             raise ValueError(f"source rank {src} out of range [0, {self.n_ranks})")
         slot = len(self.recv_post)
         now = self.rank_now[dst]
         self.recv_post.append(now)
         self._recv_waiter.append(None)
-        msg = None
+        key = (dst, src, tag)
         if self._unexpected:
-            if src is None:
-                msg = self._match_unexpected_any(dst, tag)
-            else:
-                msg = _take(self._unexpected, (dst, src, tag))
-        if msg is not None:
-            arrival = msg[3]
-            self.recv_done.append(arrival if arrival > now else now)
-            self.recv_source.append(msg[0])
-            self.recv_nbytes.append(msg[1])
-            self.recv_payload.append(msg[2])
-            return slot
+            msg = _take(self._unexpected, key)
+            if msg is not None:
+                arrival = msg[2]
+                self.recv_done.append(arrival if arrival > now else now)
+                self.recv_nbytes.append(msg[0])
+                self.recv_payload.append(msg[1])
+                return slot
         self.recv_done.append(None)
-        self.recv_source.append(None)
         self.recv_nbytes.append(None)
         self.recv_payload.append(None)
-        if src is None:
-            _put(self._posted_any, (dst, tag), slot)
-        else:
-            _put(self._posted, (dst, src, tag), slot)
+        _put(self._posted, key, slot)
         return slot
 
-    def post_recv(self, dst: int, src: int | None, tag: int) -> Request:
-        """:meth:`recv`, returning a request that reads the receive's slot."""
-        slot = self.recv(dst, src, tag)
-        return Request(_RECV, dst, src, tag, self.recv_post[slot], engine=self, slot=slot)
-
-    def _match_unexpected_any(self, dst: int, tag: int) -> tuple | None:
-        """Earliest-delivered unexpected message to ``dst`` carrying ``tag``,
-        any source, removed from the table.
-
-        A key's head is its source's oldest pending message, so the minimum
-        delivery stamp over matching heads is exactly the message an
-        arrival-ordered ANY queue would surface.
-        """
-        best = best_key = None
-        for key, held in self._unexpected.items():
-            if key[0] == dst and key[2] == tag:
-                head = held[0] if held.__class__ is deque else held
-                if best is None or head[4] < best[4]:
-                    best = head
-                    best_key = key
-        return None if best is None else _take(self._unexpected, best_key)
-
-    def _complete_recv(self, slot: int, src: int, nbytes: int, payload, arrival: float) -> None:
+    def _complete_recv(self, slot: int, nbytes: int, payload, arrival: float) -> None:
         """Complete a matched posted receive; unblock its waiter if this
         was the last slot it waited on."""
-        self.recv_source[slot] = src
         self.recv_nbytes[slot] = nbytes
         self.recv_payload[slot] = payload
         post = self.recv_post[slot]
@@ -732,14 +599,6 @@ class Engine:
     # ------------------------------------------------------------- conditions
     @staticmethod
     def waitall_condition(slots: Sequence[int], floor: float = 0.0) -> _WaitAll:
-        """Condition: every receive slot in ``slots`` has completed, and
-        the clock has reached ``floor``."""
+        """The one wait condition: every receive slot in ``slots`` has
+        completed, and the clock has reached ``floor``."""
         return _WaitAll(slots, floor)
-
-    @staticmethod
-    def compute_condition(duration: float) -> _Compute:
-        return _Compute(duration)
-
-    @staticmethod
-    def barrier_condition() -> _Barrier:
-        return _Barrier()

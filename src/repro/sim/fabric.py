@@ -430,15 +430,15 @@ class Fabric:
         return send_complete, e
 
     # -------------------------------------------------------------- reporting
-    def utilization(self, horizon: float) -> dict[str, dict]:
-        """Busy fractions per resource family over ``[0, horizon]``.
+    def busy(self) -> dict[str, dict]:
+        """Busy seconds per resource family.
 
         Each family maps every listed resource (by rank, node or the
-        network's lane key) to its busy time over ``horizon``.
+        network's lane key) to its busy time.
         """
         def family(keys, next_free, busy):
             return {
-                keys[i]: (b / horizon if horizon > 0 else 0.0)
+                keys[i]: b
                 for i, (nf, b) in enumerate(zip(next_free, busy))
                 if nf != _UNLISTED
             }
@@ -451,4 +451,12 @@ class Fabric:
             "nic_tx": family(nodes, self._tx_next, self._tx_busy),
             "nic_rx": family(nodes, self._rx_next, self._rx_busy),
             "links": family(self._table.lane_keys, self._lane_next, self._lane_busy),
+        }
+
+    def utilization(self, horizon: float) -> dict[str, dict]:
+        """Busy fractions per resource family over ``[0, horizon]``: each
+        :meth:`busy` time over ``horizon``."""
+        return {
+            name: {k: (b / horizon if horizon > 0 else 0.0) for k, b in family.items()}
+            for name, family in self.busy().items()
         }

@@ -5,8 +5,8 @@ with exactly the discrete-event engine's semantics — same event heap ordering
 ``(time, seq, rank)``, same sequence-number allocation, same FIFO matching,
 same resource-claim arithmetic over the same route rows
 (:func:`~repro.sim.fabric.routes_for`) as :class:`~repro.sim.fabric.Fabric`
-— but without generator resumes, :class:`~repro.sim.request.Request`
-objects, or per-message method dispatch.  The result is bit-identical to
+— but without the rank program's generator resumes, the engine's receive
+slots, or per-message method dispatch.  The result is bit-identical to
 the engine for every pristine run (no faults, no jitter, no tracing):
 ``sim_mode="auto"`` is a pure speedup.
 

@@ -30,12 +30,14 @@ Failure semantics
 * :class:`LinkFault` — multiplicative latency (``alpha_factor``, also
   applied to the per-hop surcharge) and bandwidth (``beta_factor``)
   degradation for one link class (or all) over a simulated-time window.
-* :class:`Straggler` — one rank launches ``startup_delay`` seconds late,
-  and the compute/memcpy conditions it *yields* (``comm.compute``,
-  ``comm.memcpy``) are scaled by ``compute_factor``.  The collectives'
-  generic rank program charges its memcpys and call overheads inline and
-  yields none, so ``compute_factor`` changes no allgather's time: a
-  straggler there is a late starter only.
+* :class:`Straggler` — one rank launches ``startup_delay`` seconds late.
+  Its ``compute_factor`` changes no run: the plan carries it (in digests,
+  through :meth:`FaultPlan.shrink`, and as
+  :meth:`FaultInjector.compute_factor`), but the one rank program
+  (:func:`~repro.sim.program.rank_program`) charges its memcpys and call
+  overheads unscaled and nothing else reads it, so a straggler is a late
+  starter only.  ROADMAP.md's straggler item scales the program's charges
+  by it, and re-records the pins that then change.
 * :class:`MessageLoss` — each covered transmission attempt is dropped with
   the given probability.  Drops are detected by the sender via an ack
   timeout and retransmitted under the plan's :class:`RetryPolicy`; every
@@ -116,9 +118,8 @@ class Straggler:
     """One rank that starts late and/or computes slowly.
 
     ``startup_delay`` holds the rank back at launch.  ``compute_factor``
-    scales only the compute/memcpy conditions the rank's program yields;
-    the allgather backends yield none (their generic program charges
-    memcpys and call overheads inline), so on them it has no effect.
+    changes no run yet: the rank program charges memcpys and call
+    overheads unscaled (see the module docstring).
     """
 
     rank: int
@@ -589,10 +590,6 @@ class FaultInjector:
         :meth:`perturb`/:meth:`should_drop` are never called."""
         return bool(self._link_faults or self._losses)
 
-    @property
-    def has_stragglers(self) -> bool:
-        return bool(self._compute_factor or self._startup_delay)
-
     def stats(self) -> dict[str, int]:
         """Counter snapshot for run reports."""
         out = {
@@ -656,9 +653,8 @@ def resilience_profiles(n_ranks: int, seed: int = 0) -> dict[str, FaultPlan | No
             seed=seed,
         ),
         # Two late ranks — the paper's load-imbalance story under a
-        # compute-side perturbation.  ``compute_factor`` is set, but the
-        # allgather backends yield no compute, so only the startup delay
-        # changes their times.
+        # compute-side perturbation.  ``compute_factor`` is set, but no
+        # run applies it yet, so only the startup delay changes times.
         "straggler": FaultPlan(
             stragglers=tuple(
                 Straggler(rank=r, compute_factor=8.0, startup_delay=150e-6)

@@ -4,11 +4,11 @@ A :class:`Schedule` is a rank-by-rank, stage-by-stage transcript of every
 operation a collective performs — memcpy charges, non-blocking
 sends/receives, and waitall boundaries.  It is every rank's op stream
 (:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.rank_ops`)
-materialised: the same stream the engine runs through the generic rank
-program, so the schedule carries exactly the information the
-discrete-event engine discovers lazily, which lets :mod:`repro.sim.fastpath`
-replay the run without generator resumes, request objects, or
-matching-table bookkeeping while staying bit-identical.
+materialised: the same stream the engine runs through its rank program
+(:func:`~repro.sim.program.rank_program`), so the schedule carries exactly
+the information the discrete-event engine discovers lazily, which lets
+:mod:`repro.sim.fastpath` replay the run without generator resumes,
+receive slots, or matching-table bookkeeping while staying bit-identical.
 
 Ops are plain tuples (the fast path compiles them into a size-free plan):
 
@@ -17,7 +17,8 @@ Ops are plain tuples (the fast path compiles them into a size-free plan):
   source-rank block ids ``blocks``.
 * ``("recv", src, tag, nbytes)`` — post a non-blocking receive of a message
   expected to carry ``nbytes``.
-* ``("wait",)`` — waitall over every request posted since the last wait.
+* ``("wait",)`` — wait for every send and receive posted since the last
+  wait.
 
 ``nbytes`` counts blocks of the size the schedule is priced with
 (``execute_schedule(..., unit=...)``): a uniform-size schedule is built in
@@ -48,7 +49,7 @@ class Schedule:
     ``deliveries[r]`` lists the source ranks whose block lands in rank
     ``r``'s receive buffer (``results[r][src] = payloads[src]``), in the
     order of the stream's ``deliver`` ops.  The fast path copies them as
-    declared; on the engine the generic program checks each one against
+    declared; on the engine the rank program checks each one against
     the blocks that really arrived.
     """
 

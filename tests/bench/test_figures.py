@@ -7,6 +7,7 @@ from repro.bench.config import BenchScale
 from repro.bench.figures import (
     ablation_agent_policy,
     ablation_stop_granularity,
+    ext_alltoall,
     fig2_model,
     fig4_latency,
     fig5_speedup_scaling,
@@ -76,6 +77,15 @@ class TestDrivers:
     def test_ablation_stop_granularity(self, isolated_results):
         payload = ablation_stop_granularity(TINY, verbose=False)
         assert all(r["single_over_socket"] > 0 for r in payload["rows"])
+
+    def test_ext_alltoall(self, isolated_results):
+        payload = ext_alltoall(TINY, verbose=False)
+        assert len(payload["rows"]) == len(TINY.densities) * 2  # 64 B and 4 KB
+        assert {r["msg_size"] for r in payload["rows"]} == {64, 4096}
+        for row in payload["rows"]:
+            assert row["naive_messages"] >= row["dh_messages"] > 0
+            assert row["speedup"] > 0 and row["cn_speedup"] > 0
+        assert (isolated_results / "ext_alltoall.json").exists()
 
     def test_verbose_prints_table(self, isolated_results, capsys):
         fig8_overhead(TINY, verbose=True)

@@ -12,7 +12,6 @@ from repro.collectives.base import (
     list_algorithms,
     register_algorithm,
 )
-from repro.sim.communicator import SimCommunicator
 from repro.sim.engine import Engine
 from repro.topology import erdos_renyi_topology
 
@@ -107,24 +106,25 @@ class _Scripted(NeighborhoodAllgatherAlgorithm):
 
 
 class TestGenericProgramValidation:
-    """The generic program posts straight into the engine, which rejects
-    what SimCommunicator rejects, with the communicator's text."""
+    """An allgather's program posts straight into the engine, so a bad op
+    raises what the engine's communicator primitives raise, with their
+    text (a negative charge, the engine's negative-size text)."""
 
     @pytest.mark.parametrize("ops,comm_call", [
-        ([("send", 1, -64, 0, (0,))], lambda comm: comm.isend(1, -64)),
-        ([("charge", -8)], lambda comm: comm.charge_memcpy(-8)),
-        ([("recv", 9, 0, 64), ("wait",)], lambda comm: comm.irecv(9)),
+        ([("send", 1, -64, 0, (0,))], lambda engine: engine.send(0, 1, -64, 0, (0,))),
+        ([("charge", -8)], lambda engine: engine.send(0, 1, -8, 0, ())),
+        ([("recv", 9, 0, 64), ("wait",)], lambda engine: engine.recv(0, 9, 0)),
     ])
     def test_bad_op_raises_communicator_error(self, tiny_machine, ops, comm_call):
         with pytest.raises(ValueError) as expected:
-            comm_call(SimCommunicator(Engine(n_ranks=8, machine=tiny_machine), 0))
+            comm_call(Engine(n_ranks=8, machine=tiny_machine))
         topology = erdos_renyi_topology(8, 0.5, seed=3)
         alg = _Scripted(ops)
         alg.setup(topology, tiny_machine)
         ctx = ExecutionContext(topology, tiny_machine, 64, list(range(8)),
                                [{} for _ in range(8)])
         engine = Engine(n_ranks=8, machine=tiny_machine)
-        engine.spawn_all(alg.program_factory(ctx))
+        engine.spawn_all(lambda rank: alg.program(engine, rank, ctx))
         with pytest.raises(ValueError) as raised:
             engine.run()
         assert str(raised.value) == str(expected.value)

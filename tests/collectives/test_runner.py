@@ -9,6 +9,10 @@ from repro.collectives import (
     run_allgatherv,
     verify_allgather,
 )
+from repro.collectives.base import ExecutionContext
+from repro.exec.spec import MachineSpec, TopologySpec
+from repro.sim.engine import Engine
+from repro.sim.faults import resilience_profiles
 from repro.topology import DistGraphTopology, erdos_renyi_topology
 
 
@@ -47,6 +51,50 @@ class TestRunAllgather:
         assert run.utilization is not None
         ports = run.utilization["send_ports"]
         assert ports and all(0.0 <= u <= 1.0 for u in ports.values())
+
+    @pytest.mark.parametrize("algorithm", ["naive", "distance_halving", "bruck"])
+    def test_recovery_free_utilization_is_the_engine_s(self, small_machine,
+                                                        small_topology, algorithm):
+        """Without a recovery the run's utilization is its one engine's
+        ``Fabric.utilization`` over the makespan, value for value."""
+        alg = get_algorithm(algorithm)
+        run = run_allgather(alg, small_topology, small_machine, 512,
+                            options=RunOptions(trace=True))
+        ctx = ExecutionContext(small_topology, small_machine, 512,
+                               list(range(small_topology.n)),
+                               [{} for _ in range(small_topology.n)])
+        engine = Engine(n_ranks=small_topology.n, machine=small_machine)
+        engine.spawn_all(lambda rank: alg.program(engine, rank, ctx))
+        makespan = engine.run()
+        assert makespan == run.simulated_time
+        assert run.utilization == engine.fabric.utilization(makespan)
+
+    def test_utilization_after_a_recovery_covers_the_whole_run(self):
+        """A recovered run sums every round's busy time, with ports keyed by
+        original rank ids, over the whole run's simulated time."""
+        topology = TopologySpec("random", 48, density=0.1, seed=12).build()
+        machine = MachineSpec.for_ranks(48, 4).build()
+        plan = resilience_profiles(48, seed=7)["crash"]
+        run = run_allgather("distance_halving", topology, machine, 4096,
+                            options=RunOptions(fault_plan=plan, on_failure="degrade",
+                                               trace=True))
+        assert run.recovery["rounds"] == 1 and run.missing_ranks == (12, 36)
+        util = run.utilization
+        # The recovery round ran on 46 survivors renumbered 0..45; original
+        # ids run to 47, and crashed ranks keep what they did before dying.
+        assert set(util["send_ports"]) == set(range(48)) - {12}
+        assert set(util["recv_ports"]) == set(range(48))
+        assert all(0.0 <= u <= 1.0 for family in util.values() for u in family.values())
+        # Every message of every round occupied its sender's port for
+        # alpha + nbytes / beta (the crash plan perturbs no message).
+        port_seconds = sum(
+            machine.params.cost(r.link_class).alpha
+            + r.nbytes / machine.params.cost(r.link_class).beta
+            for r in run.trace.records
+        )
+        assert len(run.trace.records) == run.messages_sent
+        busy = sum(util["send_ports"].values()) * run.simulated_time
+        assert busy == pytest.approx(port_seconds, rel=1e-9)
 
     def test_no_utilization_without_trace(self, small_machine, small_topology):
         run = run_allgather("naive", small_topology, small_machine, 512)

@@ -1,16 +1,21 @@
-"""Simulator composability: applications embed collectives via ``yield from``.
+"""Simulator composability: applications embed collectives in one program.
 
-A rank program can delegate to an algorithm's program generator and mix in
-its own computation — the natural way to model a full application phase
-(and the mechanism behind non-blocking/overlap studies).  These tests pin
+A rank's program is its op stream run by the rank program
+(:func:`~repro.sim.program.rank_program`), so an application phase is an
+op stream that embeds a collective's stream (``yield from``) between its
+own local work, and two collectives with their own buffers run back to
+back as two rank programs chained with ``yield from``.  These tests pin
 that contract, including compute/communication overlap semantics.
 """
+
+import math
 
 import pytest
 
 from repro.collectives import get_algorithm, run_allgather
 from repro.collectives.base import ExecutionContext
 from repro.sim.engine import Engine
+from repro.sim.program import rank_program
 from repro.topology import erdos_renyi_topology
 
 
@@ -24,6 +29,14 @@ def make_ctx(topology, machine, msg_size):
     )
 
 
+def compute_ops(machine, seconds):
+    """Local work: about ``seconds`` of memcpy, then a wait with nothing
+    posted, so the rank resumes once its clock has passed it.  Returns the
+    ops and the exact time they charge."""
+    nbytes = math.ceil(seconds * machine.params.memcpy_beta)
+    return [("charge", nbytes), ("wait",)], nbytes / machine.params.memcpy_beta
+
+
 class TestYieldFromComposition:
     def test_app_program_embeds_collective(self, small_machine, small_topology):
         """compute -> allgather -> compute, per rank, in one program."""
@@ -31,19 +44,18 @@ class TestYieldFromComposition:
         alg.setup(small_topology, small_machine)
         ctx = make_ctx(small_topology, small_machine, 1024)
         engine = Engine(n_ranks=small_topology.n, machine=small_machine)
-        compute = 5e-6
+        work, compute = compute_ops(small_machine, 5e-6)
 
-        def make_program(rank):
-            def program(comm):
-                yield comm.compute(compute)
-                inner = alg.program(comm, ctx)
-                if inner is not None:
-                    yield from inner
-                yield comm.compute(compute)
+        def app_ops(rank):
+            yield from work
+            inner = alg.rank_ops(ctx, rank)
+            if inner is not None:
+                yield from inner
+            yield from work
 
-            return program
-
-        engine.spawn_all(make_program)
+        engine.spawn_all(lambda rank: rank_program(
+            engine, rank, app_ops(rank), (rank,), ctx.payloads, ctx.results[rank]
+        ))
         makespan = engine.run()
 
         # Results are the standard allgather post-condition...
@@ -64,18 +76,15 @@ class TestYieldFromComposition:
         ctx2 = make_ctx(small_topology, small_machine, 256)
         engine = Engine(n_ranks=small_topology.n, machine=small_machine)
 
-        def make_program(rank):
-            def program(comm):
-                first = dh.program(comm, ctx1)
-                if first is not None:
-                    yield from first
-                second = cn.program(comm, ctx2)
-                if second is not None:
-                    yield from second
+        def program(rank):
+            first = dh.program(engine, rank, ctx1)
+            if first is not None:
+                yield from first
+            second = cn.program(engine, rank, ctx2)
+            if second is not None:
+                yield from second
 
-            return program
-
-        engine.spawn_all(make_program)
+        engine.spawn_all(program)
         engine.run()
         for ctx in (ctx1, ctx2):
             for v in range(small_topology.n):
@@ -88,28 +97,23 @@ class TestYieldFromComposition:
         n = small_machine.spec.n_ranks
         topo = erdos_renyi_topology(n, 0.4, seed=91)
         msg = 1 << 16
-        compute = 2e-4  # comparable to the transfer time
+        # Comparable to the transfer time.
+        work, compute = compute_ops(small_machine, 2e-4)
 
         def run_mode(overlap: bool) -> float:
             engine = Engine(n_ranks=n, machine=small_machine)
 
-            def make_program(rank):
-                def program(comm):
-                    recvs = [comm.irecv(src, tag=0) for src in topo.in_neighbors(rank)]
-                    sends = [
-                        comm.isend(dst, msg, tag=0, payload=rank)
-                        for dst in topo.out_neighbors(rank)
-                    ]
-                    if overlap:
-                        yield comm.compute(compute)      # while messages fly
-                        yield comm.waitall(recvs + sends)
-                    else:
-                        yield comm.waitall(recvs + sends)
-                        yield comm.compute(compute)      # strictly after
+            def program(rank):
+                ops = [("recv", src, 0, msg) for src in topo.in_neighbors(rank)]
+                ops += [("send", dst, msg, 0, (rank,)) for dst in topo.out_neighbors(rank)]
+                charge = work[0]
+                if overlap:
+                    ops += [charge, ("wait",)]   # while messages fly
+                else:
+                    ops += [("wait",), charge]   # strictly after
+                return rank_program(engine, rank, ops, held=(rank,))
 
-                return program
-
-            engine.spawn_all(make_program)
+            engine.spawn_all(program)
             return engine.run()
 
         overlapped = run_mode(True)

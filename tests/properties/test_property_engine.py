@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.sim.engine import Engine
+from repro.sim.program import rank_program
 
 
 def make_machine(nodes, rps):
@@ -32,36 +33,34 @@ def test_conservation_and_causality(nodes, rps, raw_msgs):
         per_pair[(s, d)] = per_pair.get((s, d), 0) + 1
 
     engine = Engine(n_ranks=n, machine=machine)
-    received = []
+    # Message i carries block i: its sender holds it, and its receiver
+    # expects its size (FIFO matching pairs a key's k-th send and receive)
+    # and delivers it, which the rank program checks really arrived.
+    received: list[dict[int, int]] = [{} for _ in range(n)]
 
-    def make_program(rank):
-        my_sends = [(d, size) for s, d, size in msgs if s == rank]
-        my_recv_counts = {s: c for (s, d), c in per_pair.items() if d == rank}
+    def program(rank):
+        sends = [("send", d, size, 0, (i,)) for i, (s, d, size) in enumerate(msgs) if s == rank]
+        mine = tuple(i for i, (_, d, _) in enumerate(msgs) if d == rank)
+        recvs = [("recv", msgs[i][0], 0, msgs[i][2]) for i in mine]
+        if not sends and not recvs:
+            return None
+        held = [i for i, (s, _, _) in enumerate(msgs) if s == rank]
+        return rank_program(engine, rank, sends + recvs + [("wait",), ("deliver", mine)],
+                            held, payloads=range(len(msgs)), results=received[rank])
 
-        def program(comm):
-            reqs = []
-            for dst, size in my_sends:
-                reqs.append(comm.isend(dst, size, tag=0, payload=(rank, size)))
-            for src, count in my_recv_counts.items():
-                for _ in range(count):
-                    reqs.append(comm.irecv(src, tag=0))
-            if reqs:
-                yield comm.waitall(reqs)
-            for req in reqs:
-                if req.payload is not None and req.source is not None:
-                    received.append((req.source, rank, req.nbytes, req.completion_time))
-
-        return program
-
-    engine.spawn_all(make_program)
+    engine.spawn_all(program)
     makespan = engine.run()
 
-    assert len(received) == len(msgs)
+    assert sorted(b for got in received for b in got) == list(range(len(msgs)))
     got_pairs: dict[tuple[int, int], int] = {}
-    for s, d, _, t in received:
-        got_pairs[(s, d)] = got_pairs.get((s, d), 0) + 1
-        assert 0.0 <= t <= makespan
+    for d, got in enumerate(received):
+        for b in got:
+            assert msgs[b][1] == d
+            got_pairs[(msgs[b][0], d)] = got_pairs.get((msgs[b][0], d), 0) + 1
     assert got_pairs == per_pair
+    assert len(engine.recv_done) == len(msgs)
+    for t in engine.recv_done:
+        assert 0.0 <= t <= makespan
 
 
 @settings(deadline=None, max_examples=15)
@@ -78,17 +77,12 @@ def test_exchange_is_deterministic(nodes, rps, seed):
     def run_once():
         engine = Engine(n_ranks=n, machine=machine)
 
-        def make_program(rank):
-            def program(comm):
-                dst = peers[rank]
-                reqs = [comm.isend(dst, 512, tag=1, payload=rank)]
-                srcs = [r for r in range(n) if peers[r] == rank]
-                reqs += [comm.irecv(src, tag=1) for src in srcs]
-                yield comm.waitall(reqs)
+        def program(rank):
+            ops = [("send", peers[rank], 512, 1, (rank,))]
+            ops += [("recv", src, 1, 512) for src in range(n) if peers[src] == rank]
+            return rank_program(engine, rank, ops + [("wait",)], held=(rank,))
 
-            return program
-
-        engine.spawn_all(make_program)
+        engine.spawn_all(program)
         engine.run()
         return engine.finish_times()
 
@@ -133,25 +127,12 @@ def test_port_serialization_lower_bound(n_senders, msgs_each, size):
     n_senders = min(n_senders, n - 1)
     engine = Engine(n_ranks=n, machine=machine)
 
-    def receiver(comm):
-        reqs = []
-        for src in range(1, n_senders + 1):
-            for _ in range(msgs_each):
-                reqs.append(comm.irecv(src, tag=0))
-        yield comm.waitall(reqs)
-
-    def make_sender(rank):
-        def sender(comm):
-            reqs = [comm.isend(0, size, tag=0) for _ in range(msgs_each)]
-            yield comm.waitall(reqs)
-
-        return sender
-
-    engine.spawn(0, receiver)
+    recvs = [("recv", src, 0, size) for src in range(1, n_senders + 1)
+             for _ in range(msgs_each)]
+    engine.spawn(0, rank_program(engine, 0, recvs + [("wait",)]))
     for r in range(1, n_senders + 1):
-        engine.spawn(r, make_sender(r))
-    for r in range(n_senders + 1, n):
-        engine.spawn(r, lambda comm: None)
+        engine.spawn(r, rank_program(engine, r, [("send", 0, size, 0, ())] * msgs_each
+                                     + [("wait",)]))
     engine.run()
 
     total_msgs = n_senders * msgs_each

@@ -2,12 +2,19 @@
 
 :func:`run_on_engine` replays any :class:`~repro.sim.schedule.Schedule` on
 the :class:`~repro.sim.engine.Engine` through a timing-only program per
-rank: ``charge`` -> ``charge_memcpy(n * unit)``, ``send`` -> ``isend``,
-``recv`` -> ``irecv``, ``wait`` -> ``waitall`` over the requests posted
-since the last wait, and a ``None`` rank -> a ``None`` program.  It returns
-a :class:`~repro.sim.fastpath.FastRunOutcome`, so an executor run and an
-engine run compare field by field; :func:`assert_matches_engine` does that,
-and compares the exception type and message when either run raises.
+rank that drives the engine's own primitives, as the rank program
+(:func:`~repro.sim.program.rank_program`) does: ``charge`` advances the
+rank's clock by ``n * unit`` bytes of memcpy, ``send`` and ``recv`` charge
+the call overhead and post through :meth:`~repro.sim.engine.Engine.send`
+and :meth:`~repro.sim.engine.Engine.recv`, ``wait`` yields
+:meth:`~repro.sim.engine.Engine.waitall_condition` over the receive slots
+posted since the last wait with the latest send completion as its floor,
+and a ``None`` rank is not spawned.  The schedules here may be short-form
+(sends without block lists, receives without sizes), which is why the
+replay does not go through the rank program.  It returns a
+:class:`~repro.sim.fastpath.FastRunOutcome`, so an executor run and an
+engine run compare field by field; :func:`assert_matches_engine` does
+that, and compares the exception type and message when either run raises.
 """
 
 from __future__ import annotations
@@ -18,30 +25,35 @@ from repro.sim.engine import DeadlockError, Engine, SimTimeoutError
 from repro.sim.fastpath import FastRunOutcome, execute_schedule
 
 
-def _program(ops, unit):
-    if ops is None:
-        return lambda comm: None
-
-    def program(comm):
-        pending = []
-        for op in ops:
-            kind = op[0]
-            if kind == "charge":
-                comm.charge_memcpy(op[1] * unit)
-            elif kind == "send":
-                pending.append(comm.isend(op[1], op[2] * unit, op[3]))
-            elif kind == "recv":
-                pending.append(comm.irecv(op[1], op[2]))
-            else:
-                yield comm.waitall(pending)
-                pending = []
-
-    return program
+def _program(engine, rank, ops, unit):
+    clock = engine.rank_now
+    params = engine.machine.params
+    slots = []
+    floor = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "charge":
+            clock[rank] += op[1] * unit / params.memcpy_beta
+        elif kind == "send":
+            clock[rank] += params.call_overhead
+            done = engine.send(rank, op[1], op[2] * unit, op[3], None).send_complete
+            if done > floor:
+                floor = done
+        elif kind == "recv":
+            clock[rank] += params.call_overhead
+            slots.append(engine.recv(rank, op[1], op[2]))
+        else:
+            yield engine.waitall_condition(slots, floor)
+            slots = []
+            floor = 0.0
 
 
 def _spawned(schedule, machine, unit, **budgets) -> Engine:
     engine = Engine(schedule.n_ranks, machine, **budgets)
-    engine.spawn_all(lambda rank: _program(schedule.ops[rank], unit))
+    engine.spawn_all(
+        lambda rank: None if schedule.ops[rank] is None
+        else _program(engine, rank, schedule.ops[rank], unit)
+    )
     return engine
 
 

@@ -17,6 +17,7 @@ from repro.collectives.runner import RunOptions, run_allgather, verify_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import DeadlockError, Engine, RankFailedError
 from repro.sim.faults import FailureDetector, FaultPlan, RankCrash, resilience_profiles
+from repro.sim.program import rank_program
 from repro.topology import erdos_renyi_topology
 
 ALGORITHMS = ("naive", "common_neighbor", "distance_halving", "bruck")
@@ -30,21 +31,21 @@ def small_topology(n=8, density=0.5, seed=7):
     return erdos_renyi_topology(n, density, seed=seed)
 
 
-def ping_then_reply(comm):
-    """Rank 0 pings rank 1 and waits for the reply; rank 1 echoes."""
-    if comm.rank == 0:
-        yield comm.wait(comm.isend(1, 64, tag=0))
-        yield comm.wait(comm.irecv(1, tag=1))
-    elif comm.rank == 1:
-        yield comm.wait(comm.irecv(0, tag=0))
-        yield comm.wait(comm.isend(0, 64, tag=1))
+def ping_then_reply(engine):
+    """Programs for ``spawn_all``: rank 0 pings rank 1 and waits for the
+    reply, rank 1 echoes, and the other ranks have nothing to do."""
+    streams = {
+        0: [("send", 1, 64, 0, ()), ("wait",), ("recv", 1, 1, 64), ("wait",)],
+        1: [("recv", 0, 0, 64), ("wait",), ("send", 0, 64, 1, ()), ("wait",)],
+    }
+    return lambda rank: rank_program(engine, rank, streams.get(rank, ()))
 
 
 class TestEngineKill:
     def test_detector_raises_structured_failure(self):
         plan = FaultPlan(crashes=(RankCrash(rank=1, time=0.0),))
         engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
-        engine.spawn_all(lambda rank: ping_then_reply)
+        engine.spawn_all(ping_then_reply(engine))
         with pytest.raises(RankFailedError) as excinfo:
             engine.run()
         err = excinfo.value
@@ -60,7 +61,7 @@ class TestEngineKill:
         detector = FailureDetector(heartbeat_interval=1e-3, suspicion_timeout=2e-3)
         plan = FaultPlan(crashes=(RankCrash(rank=1, time=0.0),), detector=detector)
         engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
-        engine.spawn_all(lambda rank: ping_then_reply)
+        engine.spawn_all(ping_then_reply(engine))
         with pytest.raises(RankFailedError) as excinfo:
             engine.run()
         assert excinfo.value.detection_time >= 3e-3
@@ -70,7 +71,7 @@ class TestEngineKill:
         # that as the ordinary drained-heap deadlock.
         plan = FaultPlan(crashes=(RankCrash(rank=1, time=0.0),), detector=None)
         engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
-        engine.spawn_all(lambda rank: ping_then_reply)
+        engine.spawn_all(ping_then_reply(engine))
         with pytest.raises(DeadlockError):
             engine.run()
 
@@ -79,15 +80,15 @@ class TestEngineKill:
         # is rewritten to never arrive and counted as crash-dropped.
         plan = FaultPlan(crashes=(RankCrash(rank=1, time=1e-9),), detector=None)
         engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
-        req = engine.post_send(1, 0, 4096, tag=0, payload=None)
-        assert req.lost
+        timing = engine.send(1, 0, 4096, 0, None)
+        assert timing.lost
         assert engine.faults.crash_dropped == 1
         assert engine.messages_lost == 1
 
     def test_crash_dropped_send_returns_lost_timing(self):
         plan = FaultPlan(crashes=(RankCrash(rank=1, time=1e-9),), detector=None)
         engine = Engine(n_ranks=4, machine=small_machine(), faults=plan)
-        recv = engine.post_recv(0, 1, 0)
+        slot = engine.recv(0, 1, 0)
         timing = engine.send(1, 0, 4096, 0, "lost")
         assert timing.arrival == math.inf
         assert timing.send_complete < math.inf
@@ -95,9 +96,9 @@ class TestEngineKill:
         assert engine.messages_lost == 1
         assert engine.faults.crash_dropped == 1
         # Nothing was delivered, nor queued for a later receive.
-        assert recv.completion_time is None
-        assert recv.payload is None
-        assert engine.post_recv(0, 1, 0).completion_time is None
+        assert engine.recv_done[slot] is None
+        assert engine.recv_payload[slot] is None
+        assert engine.recv_done[engine.recv(0, 1, 0)] is None
 
     def test_late_crash_is_a_noop(self):
         topology = small_topology()

@@ -1,24 +1,25 @@
-"""Engine lifetime and per-receive allocation.
+"""Engine lifetime and receive slots.
 
-An engine holds no reference to its programs' communicators, and a
-receive is a slot in the engine's flat lists, so a finished engine is freed
-by reference counting (no cycle collector), and the collectives' generic
-program allocates no request per receive.
+An engine holds no reference to what its programs were built from, and a
+receive is a slot in the engine's flat lists, so a finished engine is
+freed by reference counting (no cycle collector).
 """
 
 import gc
+import math
 import weakref
 
 import pytest
 
 from repro.cluster import Machine
 from repro.collectives import get_algorithm
+from repro.collectives.alltoall import run_alltoall
 from repro.collectives.base import ExecutionContext
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import Engine, SimTimeoutError
 from repro.sim.faults import CRASH_PROFILE_MODES, get_profile, resilience_profiles
-from repro.sim.request import Request
+from repro.sim.program import rank_program
 from repro.topology import erdos_renyi_topology
 
 
@@ -32,7 +33,7 @@ def naive_engine(topology, machine):
     ctx = ExecutionContext(topology, machine, 1024, list(range(topology.n)),
                            [{} for _ in range(topology.n)])
     engine = Engine(n_ranks=topology.n, machine=machine)
-    engine.spawn_all(alg.program_factory(ctx))
+    engine.spawn_all(lambda rank: alg.program(engine, rank, ctx))
     return engine, ctx
 
 
@@ -79,6 +80,15 @@ class TestEngineFreedByRefcount:
         assert len(engines) == 1
         assert engines[0]() is None
 
+    @pytest.mark.parametrize("name", ["naive_alltoall", "common_neighbor_alltoall",
+                                      "distance_halving_alltoall"])
+    def test_engine_behind_run_alltoall(self, no_cycle_collector, engines, name):
+        topology = erdos_renyi_topology(32, 0.3, seed=5)
+        run = run_alltoall(name, topology, machine32(), 1024)
+        assert run.messages_sent > 0
+        assert len(engines) == 1
+        assert engines[0]() is None
+
     def test_failed_recovery_rounds_free_their_engines(self, no_cycle_collector, engines):
         # The survivors of a failed round are left suspended, and the
         # caught RankFailedError's traceback holds the recovery loop's
@@ -113,44 +123,28 @@ class TestEngineFreedByRefcount:
 
 
 class TestReceiveSlots:
-    def test_generic_program_builds_no_request(self, monkeypatch):
-        calls = []
-        init = Request.__init__
-
-        def counting_init(self, *args, **kwargs):
-            calls.append(args[0])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Request, "__init__", counting_init)
-        topology = erdos_renyi_topology(32, 0.3, seed=5)
-        engine, ctx = naive_engine(topology, machine32())
-        engine.run()
-        assert engine.messages_sent > 0
-        assert all(ctx.results[r] for r in range(32) if topology.in_neighbors(r))
-        assert calls == []
-
     def test_communicator_requests_read_their_slot(self):
-        engine = Engine(n_ranks=4, machine=machine32())
+        """A receive's handle is its slot: the engine's receive lists read
+        ``None`` while it is pending and the matched message after."""
+        machine = machine32()
+        engine = Engine(n_ranks=4, machine=machine)
         seen = {}
 
-        def receiver(comm):
-            req = comm.irecv(2, tag=5)
-            seen["posted_at"] = comm.now
-            seen["pending"] = (req.completion_time, req.payload, req.source, req.nbytes)
-            yield comm.wait(req)
-            seen["done"] = req
+        def receiver_ops():
+            yield ("recv", 2, 5, 96)
+            seen["posted_at"] = engine.rank_now[0]
+            seen["pending"] = (engine.recv_done[0], engine.recv_payload[0],
+                               engine.recv_nbytes[0])
+            yield ("wait",)
 
-        def sender(comm):
-            yield comm.compute(1e-6)
-            yield comm.wait(comm.isend(0, 96, tag=5, payload="block"))
-
-        engine.spawn(0, receiver)
-        engine.spawn(2, sender)
+        engine.spawn(0, rank_program(engine, 0, receiver_ops()))
+        delay = math.ceil(1e-6 * machine.params.memcpy_beta)
+        engine.spawn(2, rank_program(engine, 2, [("charge", delay), ("wait",),
+                                                 ("send", 0, 96, 5, (7,)), ("wait",)],
+                                     held=(7,)))
         engine.run()
-        req = seen["done"]
-        assert seen["pending"] == (None, None, None, None)
-        assert (req.payload, req.source, req.nbytes) == ("block", 2, 96)
-        assert req.completion_time == engine.finish_time(0)
-        assert req.completion_time > 1e-6
-        assert (req.owner, req.peer, req.tag) == (0, 2, 5)
-        assert req.post_time == seen["posted_at"] > 0.0
+        assert seen["pending"] == (None, None, None)
+        assert (engine.recv_payload[0], engine.recv_nbytes[0]) == ((7,), 96)
+        assert engine.recv_done[0] == engine.finish_time(0)
+        assert engine.recv_done[0] > 1e-6
+        assert engine.recv_post[0] == seen["posted_at"] > 0.0

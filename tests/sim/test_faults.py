@@ -27,11 +27,24 @@ from repro.sim.faults import (
     resilience_profiles,
 )
 from repro.cluster.spec import LinkClass
+from repro.sim.program import rank_program
 from repro.topology import cartesian_topology, erdos_renyi_topology
 
 
 def small_machine():
     return Machine.single_switch(nodes=2, sockets_per_node=2, ranks_per_socket=2)
+
+
+def work(machine, seconds):
+    """A stream's local work: about ``seconds`` of memcpy, then a wait with
+    nothing posted, so the rank resumes once its clock has passed it."""
+    return [("charge", math.ceil(seconds * machine.params.memcpy_beta)), ("wait",)]
+
+
+def spin(machine):
+    """A stream that never ends: 1 us of local work per event."""
+    while True:
+        yield from work(machine, 1e-6)
 
 
 def small_topology(n=8, density=0.5, seed=7):
@@ -155,7 +168,6 @@ class TestInjector:
         assert inj.compute_factor(0) == 1.0
         assert inj.startup_delay(2) == 1e-3
         assert inj.startup_delay(1) == 0.0
-        assert inj.has_stragglers
 
 
 class _NoDraws:
@@ -264,7 +276,7 @@ class TestRetryAndLoss:
             ),
         )
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            engine.post_send(0, 1, 64, tag=0, payload=None)
+            engine.send(0, 1, 64, 0, None)
         err = excinfo.value
         assert err.rank == 0
         assert err.peer == 1
@@ -295,7 +307,7 @@ class TestRetryAndLoss:
     def test_retransmission_cost_charged_to_resources(self):
         machine = small_machine()
         plain = Engine(n_ranks=4, machine=machine)
-        t_plain = plain.post_send(0, 3, 4096, tag=0, payload=None).completion_time
+        t_plain = plain.send(0, 3, 4096, 0, None).send_complete
         lossy = Engine(
             n_ranks=4,
             machine=machine,
@@ -304,10 +316,10 @@ class TestRetryAndLoss:
                 retry=RetryPolicy(timeout=1e-6, max_retries=3),
             ),
         )
-        req = lossy.post_send(0, 3, 4096, tag=0, payload=None)
-        assert req.attempts == 2
-        assert not req.lost
-        assert req.completion_time > t_plain  # retry + backoff in sim time
+        timing = lossy.send(0, 3, 4096, 0, None)
+        assert timing.attempts == 2
+        assert not timing.lost
+        assert timing.send_complete > t_plain  # retry + backoff in sim time
 
 
 class TestStragglers:
@@ -316,30 +328,14 @@ class TestStragglers:
         delay = 5e-4
         plan = FaultPlan(stragglers=(Straggler(rank=1, startup_delay=delay),))
         engine = Engine(n_ranks=4, machine=machine, faults=plan)
-
-        def program(comm):
-            yield comm.compute(1e-6)
-
-        engine.spawn_all(lambda rank: program)
+        engine.spawn_all(lambda rank: rank_program(engine, rank, work(machine, 1e-6)))
         engine.run()
         assert engine.finish_time(1) >= delay
         assert engine.finish_time(0) < delay
 
-    def test_compute_factor_scales_compute(self):
-        machine = small_machine()
-        plan = FaultPlan(stragglers=(Straggler(rank=2, compute_factor=10.0),))
-        engine = Engine(n_ranks=4, machine=machine, faults=plan)
-
-        def program(comm):
-            yield comm.compute(1e-5)
-
-        engine.spawn_all(lambda rank: program)
-        engine.run()
-        assert engine.finish_time(2) == pytest.approx(10 * engine.finish_time(0))
-
     @pytest.mark.xfail(strict=True, reason=(
-        "the generic rank program charges memcpys and call overheads "
-        "inline and yields no compute, so compute_factor scales nothing"
+        "the rank program charges memcpys and call overheads unscaled, "
+        "so compute_factor scales nothing"
     ))
     def test_compute_factor_slows_an_allgather(self):
         # A ring, so the straggler's own posts are on the critical path.
@@ -355,35 +351,26 @@ class TestStragglers:
 
 
 class TestWatchdog:
-    def _spin_program(self, comm):
-        while True:
-            yield comm.compute(1e-6)
-
     def test_max_events_raises_sim_timeout(self):
-        engine = Engine(n_ranks=2, machine=small_machine(), max_events=50)
-        engine.spawn_all(lambda rank: self._spin_program)
+        machine = small_machine()
+        engine = Engine(n_ranks=2, machine=machine, max_events=50)
+        engine.spawn_all(lambda rank: rank_program(engine, rank, spin(machine)))
         with pytest.raises(SimTimeoutError, match="event budget exceeded"):
             engine.run()
         assert engine.events_processed == 50
 
     def test_max_sim_time_raises_sim_timeout(self):
-        engine = Engine(n_ranks=2, machine=small_machine(), max_sim_time=1e-4)
-        engine.spawn_all(lambda rank: self._spin_program)
+        machine = small_machine()
+        engine = Engine(n_ranks=2, machine=machine, max_sim_time=1e-4)
+        engine.spawn_all(lambda rank: rank_program(engine, rank, spin(machine)))
         with pytest.raises(SimTimeoutError, match="simulated-time budget"):
             engine.run()
 
     def test_timeout_carries_blocked_diagnostics(self):
-        engine = Engine(n_ranks=2, machine=small_machine(), max_events=5)
-
-        def waiter(comm):
-            yield comm.wait(comm.irecv(src=(comm.rank + 1) % 2))
-
-        def spinner(comm):
-            while True:
-                yield comm.compute(1e-6)
-
-        engine.spawn(0, waiter)
-        engine.spawn(1, spinner)
+        machine = small_machine()
+        engine = Engine(n_ranks=2, machine=machine, max_events=5)
+        engine.spawn(0, rank_program(engine, 0, [("recv", 1, 0, 8), ("wait",)]))
+        engine.spawn(1, rank_program(engine, 1, spin(machine)))
         with pytest.raises(SimTimeoutError, match=r"rank 0 \(waitall\(1 pending\)\)"):
             engine.run()
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster.spec import LinkClass
 from repro.sim.engine import Engine
+from repro.sim.program import rank_program
 from repro.sim.tracing import TraceCollector
 
 
@@ -15,20 +16,10 @@ def machine():
 
 def run_all_to_one(machine, trace):
     engine = Engine(n_ranks=8, machine=machine, trace=trace)
-
-    def make_sender(dst):
-        def sender(comm):
-            yield comm.wait(comm.isend(dst, 128, tag=0, payload=None))
-
-        return sender
-
-    def receiver(comm):
-        reqs = [comm.irecv(src, tag=0) for src in range(1, 8)]
-        yield comm.waitall(reqs)
-
-    engine.spawn(0, receiver)
+    recvs = [("recv", src, 0, 128) for src in range(1, 8)]
+    engine.spawn(0, rank_program(engine, 0, recvs + [("wait",)]))
     for r in range(1, 8):
-        engine.spawn(r, make_sender(0))
+        engine.spawn(r, rank_program(engine, r, [("send", 0, 128, 0, ()), ("wait",)]))
     engine.run()
     return engine
 

@@ -67,6 +67,37 @@ class TestCommands:
         assert main(["compare", *SMALL, "--collective", "alltoall", "--msg", "64"]) == 0
         assert "naive_alltoall" in capsys.readouterr().out
 
+    def test_compare_alltoall_runs_every_algorithm_naive_first(self, capsys):
+        from repro.collectives.alltoall import alltoall_algorithms
+
+        assert main(["compare", *SMALL, "--collective", "alltoall", "--msg", "64"]) == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()
+                if "_alltoall" in line]
+        assert sorted(row[0].strip() for row in rows) == sorted(alltoall_algorithms())
+        assert rows[0][0].strip() == "naive_alltoall"
+        assert rows[0][2].strip() == "1.00x"
+
+    def test_compare_alltoall_honours_algorithms(self, capsys):
+        assert main(["compare", *SMALL, "--collective", "alltoall", "--msg", "64",
+                     "--algorithms", "distance_halving_alltoall"]) == 0
+        out = capsys.readouterr().out
+        assert "distance_halving_alltoall" in out
+        assert "naive_alltoall" not in out and "common_neighbor_alltoall" not in out
+
+    def test_compare_alltoall_rejects_unknown_algorithm(self, capsys):
+        assert main(["compare", *SMALL, "--collective", "alltoall",
+                     "--algorithms", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --algorithms: unknown alltoall algorithm 'bogus'")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", [["--faults", "lossy"], ["--max-sim-time", "1.0"],
+                                      ["--max-events", "10"]])
+    def test_compare_alltoall_rejects_allgather_only_flags(self, capsys, flag):
+        assert main(["compare", *SMALL, "--collective", "alltoall", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[0]} applies to allgather only, not --collective alltoall\n"
+
     def test_model(self, capsys):
         assert main(["model", *SMALL]) == 0
         out = capsys.readouterr().out
