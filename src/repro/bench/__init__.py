@@ -8,7 +8,6 @@ pytest-benchmark targets; EXPERIMENTS.md records paper-vs-measured.
 """
 
 from repro.bench.config import BenchScale, bench_machine, get_scale
-from repro.bench.sweep import SweepRecord, best_common_neighbor, sweep_latency
 from repro.bench.reporting import format_table, save_results
 from repro.bench.wallclock import wallclock_bench
 
@@ -16,9 +15,6 @@ __all__ = [
     "BenchScale",
     "bench_machine",
     "get_scale",
-    "SweepRecord",
-    "sweep_latency",
-    "best_common_neighbor",
     "format_table",
     "save_results",
     "wallclock_bench",

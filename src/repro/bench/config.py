@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.collectives.runner import AllgatherRun
     from repro.exec.cache import ResultCache
     from repro.exec.orchestrator import SweepResult
     from repro.exec.spec import RunSpec
@@ -103,13 +104,12 @@ def bench_machine(n_ranks: int, ranks_per_socket: int = 8) -> Machine:
 class SweepConfig:
     """Shared execution knobs for every bench driver.
 
-    This replaces the per-module grab bag of ``scale=`` / ``seed=`` /
-    ``out_path=`` keywords: one config object carries the scale, the
-    topology seed override, the output path, and — through
-    :mod:`repro.exec` — the process-pool width and the result cache.  Every
-    driver accepts ``config=`` and routes its simulations through
-    :meth:`run`, so ``repro bench --workers 4 --cache-dir ...`` means the
-    same thing for every figure.
+    One config object carries the scale, the topology seed override, the
+    simulation mode and — through :mod:`repro.exec` — the process-pool
+    width and the result cache.  Every driver accepts ``config=``, builds
+    its specs with :meth:`run_options` and runs its grid through
+    :meth:`run_grid`, so ``repro bench --workers 4 --sim-mode auto ...``
+    means the same thing for every figure.
 
     The library default is cacheless and serial (``use_cache=False``,
     ``workers=1``) so programmatic calls and the test suite stay
@@ -118,12 +118,9 @@ class SweepConfig:
 
     scale: BenchScale | None = None
     seed: int | None = None
-    out: str | Path | None = None
     workers: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = False
-    smoke: bool = False
-    repeats: int = 3
     sim_mode: str = "des"
     _cache: "ResultCache | None" = field(default=None, repr=False, compare=False)
 
@@ -159,3 +156,28 @@ class SweepConfig:
         from repro.exec.orchestrator import execute
 
         return execute(specs, workers=self.workers, cache=self.cache())
+
+    def run_grid(
+        self, keyed_specs: "list[tuple[tuple, RunSpec]]", verbose: bool = False
+    ) -> "tuple[dict[tuple, AllgatherRun], dict]":
+        """Execute ``[(key, spec), ...]``: ``({key: AllgatherRun}, stats)``.
+
+        Any failed spec aborts the grid (grids want every cell).  The
+        execution statistics are returned, and printed when ``verbose``;
+        figures keep them out of their payloads, since archived figure JSON
+        must stay bit-identical across worker counts and cache states.
+        """
+        sweep = self.run([spec for _, spec in keyed_specs]).raise_errors()
+        stats = sweep.stats
+        if verbose:
+            cache = stats.get("cache")
+            cache_note = (
+                f", cache {cache['hits']} hits / {cache['misses']} misses"
+                if cache else ""
+            )
+            print(
+                f"[exec] {stats['total']} runs: {stats['from_cache']} from cache, "
+                f"{stats['computed']} computed, workers={stats['workers']}"
+                f"{cache_note}"
+            )
+        return dict(zip((key for key, _ in keyed_specs), sweep.runs)), stats

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.bench.config import BenchScale, SweepConfig, bench_machine, get_scale
 from repro.bench.reporting import format_table, geometric_mean, save_results
-from repro.bench.sweep import DEFAULT_CN_KS, sweep_latency
+from repro.bench.sweep import DEFAULT_CN_KS
 from repro.cluster.calibration import calibrate
 from repro.collectives.base import (
     SETUP_FREE_FALLBACK,
@@ -43,32 +43,6 @@ def _emit(title: str, headers, rows, payload: dict, verbose: bool) -> dict:
         print(format_table(headers, rows, title=title))
     save_results(payload["experiment"], payload)
     return payload
-
-
-def _run_grid(
-    cfg: SweepConfig, keyed_specs: list[tuple[tuple, RunSpec]], verbose: bool
-) -> dict:
-    """Execute ``[(key, spec), ...]`` through the config's orchestrator.
-
-    Returns ``{key: AllgatherRun}``; any failed spec aborts the figure
-    (grids want every cell).  Execution statistics are printed, never
-    embedded in the payload — archived figure JSON must stay bit-identical
-    across worker counts and cache states.
-    """
-    sweep = cfg.run([spec for _, spec in keyed_specs]).raise_errors()
-    if verbose:
-        stats = sweep.stats
-        cache = stats.get("cache")
-        cache_note = (
-            f", cache {cache['hits']} hits / {cache['misses']} misses"
-            if cache else ""
-        )
-        print(
-            f"[exec] {stats['total']} runs: {stats['from_cache']} from cache, "
-            f"{stats['computed']} computed, workers={stats['workers']}"
-            f"{cache_note}"
-        )
-    return dict(zip((key for key, _ in keyed_specs), sweep.runs))
 
 
 def bench_variants() -> list[tuple[str, dict, str]]:
@@ -213,6 +187,7 @@ def fig4_latency(
     fit = calibrate(machine)
     params = ModelParams.from_machine(machine, alpha=fit.alpha, beta=fit.beta)
 
+    options = cfg.run_options()
     keyed_specs = []
     for density in scale.densities:
         topo_spec = TopologySpec("random", scale.ranks, density=density, seed=seed)
@@ -220,9 +195,9 @@ def fig4_latency(
             for size in scale.sizes:
                 keyed_specs.append(
                     ((density, alg, size),
-                     RunSpec(alg, topo_spec, machine_spec, size))
+                     RunSpec(alg, topo_spec, machine_spec, size, options=options))
                 )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     rows: list[tuple] = []
     records: list[dict[str, Any]] = []
@@ -306,7 +281,7 @@ def fig5_speedup_scaling(
                          RunSpec(alg, topo_spec, machine_spec, size,
                                  algorithm_kwargs=kwargs, options=options))
                     )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     labels, extra_headers = _speedup_headers()
     rows: list[tuple] = []
@@ -397,6 +372,7 @@ def fig6_moore(
     n = scale.moore_ranks
     machine_spec = MachineSpec.for_ranks(n, scale.ranks_per_socket)
 
+    options = cfg.run_options()
     variants = bench_variants()
     keyed_specs = []
     for r, d in MOORE_CONFIGS:
@@ -406,9 +382,9 @@ def fig6_moore(
                 keyed_specs.append(
                     (((r, d), size, label),
                      RunSpec(alg, topo_spec, machine_spec, size,
-                             algorithm_kwargs=kwargs))
+                             algorithm_kwargs=kwargs, options=options))
                 )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     labels, _ = _speedup_headers()
     rows: list[tuple] = []
@@ -474,6 +450,7 @@ def fig6_variance_study(
     n = scale.moore_ranks
     topo_spec = TopologySpec("moore", n, radius=moore_r, dims=2)
 
+    options = cfg.run_options()
     algorithms = ("naive", "distance_halving")
     keyed_specs = []
     for trial in range(placements):
@@ -482,9 +459,10 @@ def fig6_variance_study(
         )
         for alg in algorithms:
             keyed_specs.append(
-                ((trial, alg), RunSpec(alg, topo_spec, machine_spec, msg_size))
+                ((trial, alg),
+                 RunSpec(alg, topo_spec, machine_spec, msg_size, options=options))
             )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     samples: dict[str, list[float]] = {alg: [] for alg in algorithms}
     for trial in range(placements):
@@ -740,6 +718,7 @@ def ext_network_sensitivity(
     from repro.cluster.network import DragonflyPlus, FatTree, Torus
     from repro.cluster.machine import Machine
     from repro.cluster.spec import ClusterSpec
+    from repro.collectives.runner import run_allgather
 
     cfg = config or SweepConfig()
     scale = cfg.resolve_scale(scale)
@@ -758,21 +737,25 @@ def ext_network_sensitivity(
     topology = erdos_renyi_topology(scale.ranks, density, seed=seed)
     sizes = ("64", "64KB")
 
+    options = cfg.run_options()
     rows, records = [], []
     for name, network in networks:
         machine = Machine(spec=spec, network=network, params=NIAGARA_LIKE)
-        naive = sweep_latency("naive", topology, machine, sizes)
-        dh = sweep_latency("distance_halving", topology, machine, sizes)
-        for nrec, drec in zip(naive, dh):
-            speedup = nrec.simulated_time / drec.simulated_time
-            rows.append((name, nrec.msg_label, nrec.simulated_time,
-                         drec.simulated_time, speedup))
+        # Fat trees and tori are not MachineSpecs, so these runs are not
+        # RunSpecs: one set-up instance per algorithm serves both sizes.
+        naive, dh = get_algorithm("naive"), get_algorithm("distance_halving")
+        for size in sizes:
+            nrun = run_allgather(naive, topology, machine, size, options=options)
+            drun = run_allgather(dh, topology, machine, size, options=options)
+            speedup = nrun.simulated_time / drun.simulated_time
+            rows.append((name, format_size(nrun.msg_size), nrun.simulated_time,
+                         drun.simulated_time, speedup))
             records.append(
                 {
                     "network": name,
-                    "msg_size": nrec.msg_size,
-                    "naive_time": nrec.simulated_time,
-                    "dh_time": drec.simulated_time,
+                    "msg_size": nrun.msg_size,
+                    "naive_time": nrun.simulated_time,
+                    "dh_time": drun.simulated_time,
                     "speedup": speedup,
                 }
             )
@@ -844,6 +827,7 @@ def ablation_agent_policy(
 
     workloads = list(workload_makers())
     policies = (("aware", {}), ("random", {"selection": "random"}))
+    options = cfg.run_options()
     keyed_specs = []
     for label, _, make in workloads:
         for trial in range(trials):
@@ -852,9 +836,9 @@ def ablation_agent_policy(
                 keyed_specs.append(
                     ((label, trial, policy),
                      RunSpec("distance_halving", topo_spec, machine_spec,
-                             msg_size, algorithm_kwargs=kwargs))
+                             msg_size, algorithm_kwargs=kwargs, options=options))
                 )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     rows, records = [], []
     for label, density, _ in workloads:
@@ -904,6 +888,7 @@ def ablation_stop_granularity(
     seed = cfg.resolve_seed(seed)
     machine_spec = MachineSpec.for_ranks(scale.ranks, scale.ranks_per_socket)
 
+    options = cfg.run_options()
     keyed_specs = []
     for density in scale.densities:
         topo_spec = TopologySpec("random", scale.ranks, density=density, seed=seed)
@@ -911,9 +896,9 @@ def ablation_stop_granularity(
             keyed_specs.append(
                 ((density, variant),
                  RunSpec("distance_halving", topo_spec, machine_spec, msg_size,
-                         algorithm_kwargs=kwargs))
+                         algorithm_kwargs=kwargs, options=options))
             )
-    runs = _run_grid(cfg, keyed_specs, verbose)
+    runs, _ = cfg.run_grid(keyed_specs, verbose)
 
     rows, records = [], []
     for density in scale.densities:

@@ -4,23 +4,13 @@ No plotting dependencies are available offline, so figures render as
 character-shaded grids.  :func:`render_speedup_grid` centers the palette at
 1.0x (parity): ``-`` shades mark slowdowns, ``+``-family shades speedups,
 with the numeric value printed in each cell.
-
-:func:`sweep_heatmap` is the orchestrated front door: it builds the
-(density x size) grid as :class:`~repro.exec.spec.RunSpec` values, runs
-them through :class:`~repro.bench.config.SweepConfig` (so ``--workers``
-and the result cache apply), and renders the speedup grid directly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.utils.sizes import format_size, parse_size
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.bench.config import SweepConfig
 
 #: Shades from strong slowdown to strong speedup (log scale around 1.0x).
 _SHADES = " .:-=+*#%@"
@@ -101,65 +91,3 @@ def render_speedup_grid(
         title=title,
     )
 
-
-def sweep_heatmap(
-    config: "SweepConfig | None" = None,
-    *,
-    ranks: int = 64,
-    ranks_per_socket: int = 8,
-    densities: Sequence[float] = (0.1, 0.3, 0.5),
-    sizes: Sequence[str] = ("1KB", "64KB"),
-    baseline: str = "naive",
-    contender: str = "distance_halving",
-    seed: int = 23,
-    title: str | None = None,
-) -> str:
-    """Run a (density x size) speedup grid via the orchestrator and render it.
-
-    ``baseline`` and ``contender`` are registered algorithm names —
-    unknown names fail here with a one-line error instead of deep inside a
-    worker.
-    """
-    from repro.bench.config import SweepConfig
-    from repro.collectives.base import algorithm_info
-    from repro.exec.spec import MachineSpec, RunSpec, TopologySpec
-
-    for role, name in (("baseline", baseline), ("contender", contender)):
-        try:
-            algorithm_info(name)
-        except KeyError as exc:
-            raise ValueError(f"{role}: {exc.args[0]}") from None
-    cfg = config or SweepConfig()
-    machine = MachineSpec.for_ranks(ranks, ranks_per_socket)
-    keyed: list[tuple[tuple, "RunSpec"]] = []
-    for density in densities:
-        topology = TopologySpec("random", ranks, density=density, seed=seed)
-        for size in sizes:
-            for algorithm in (baseline, contender):
-                keyed.append((
-                    (density, parse_size(size), algorithm),
-                    RunSpec(algorithm, topology, machine, size),
-                ))
-    sweep = cfg.run([spec for _, spec in keyed]).raise_errors()
-    runs = dict(zip((key for key, _ in keyed), sweep.runs))
-    rows = [
-        {
-            "density": density,
-            "msg_bytes": parse_size(size),
-            "speedup": (
-                runs[(density, parse_size(size), baseline)].simulated_time
-                / runs[(density, parse_size(size), contender)].simulated_time
-            ),
-        }
-        for density in densities
-        for size in sizes
-    ]
-    return render_speedup_grid(
-        rows,
-        row_key="density",
-        col_key="msg_bytes",
-        value_key="speedup",
-        title=title or f"{contender} speedup over {baseline} (n={ranks})",
-        col_label=format_size,
-        row_label=lambda d: f"d={d}",
-    )

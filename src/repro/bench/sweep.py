@@ -1,106 +1,45 @@
-"""Sweep helpers: run algorithms across message sizes, pick best-K CN.
+"""The orchestrated smoke grids CI runs: one grid function, two sizes.
 
-A sweep reuses each algorithm instance across message sizes so pattern
-creation is paid once per (algorithm, topology), exactly as an application
-would amortize ``MPI_Dist_graph_create_adjacent``.
-
-:func:`smoke_sweep` is the orchestrated counterpart: a tiny fixed grid of
-:class:`~repro.exec.spec.RunSpec` executed through
-:class:`~repro.bench.config.SweepConfig`, reporting execution statistics
-(cache hit rate, worker count).  CI runs it twice and asserts the second
-pass is answered from cache.
+:func:`smoke_sweep` runs a fixed grid of :class:`~repro.exec.spec.RunSpec`
+through :meth:`~repro.bench.config.SweepConfig.run_grid` and reports the
+execution statistics (cache hit rate, worker count) with the records.
+``repro bench --sweep-smoke`` runs its default tiny grid; ``--paper-smoke``
+runs :data:`PAPER_SMOKE`, a reduced Fig. 5 slice at the paper's scale, on
+the fast path.  CI runs each twice and asserts the second pass is answered
+from cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.bench.config import SweepConfig
-from repro.cluster.machine import Machine
-from repro.collectives.base import (
-    NeighborhoodAllgatherAlgorithm,
-    algorithm_info,
-    get_algorithm,
-    list_algorithms,
-)
-from repro.collectives.runner import run_allgather
+from repro.collectives.base import algorithm_info, list_algorithms
 from repro.exec.spec import MachineSpec, RunSpec, TopologySpec
-from repro.topology.graph import DistGraphTopology
-from repro.utils.sizes import format_size, parse_size
+from repro.utils.sizes import parse_size
 
 #: K values tried for the Common Neighbor baseline (paper: "various values
 #: of K ... we report the best results").  Sourced from the registry's
 #: tuning declaration so the registration site is the single authority.
 DEFAULT_CN_KS = algorithm_info("common_neighbor").tuning_values("k")
 
-
-@dataclass
-class SweepRecord:
-    """One (algorithm, message size) measurement."""
-
-    algorithm: str
-    msg_size: int
-    simulated_time: float
-    messages: int
-    detail: dict
-
-    @property
-    def msg_label(self) -> str:
-        return format_size(self.msg_size)
-
-
-def sweep_latency(
-    algorithm: str | NeighborhoodAllgatherAlgorithm,
-    topology: DistGraphTopology,
-    machine: Machine,
-    sizes: tuple[int | str, ...],
-    **algorithm_kwargs,
-) -> list[SweepRecord]:
-    """Latency of one algorithm across message sizes (setup amortized)."""
-    if isinstance(algorithm, str):
-        algorithm = get_algorithm(algorithm, **algorithm_kwargs)
-    records = []
-    for size in sizes:
-        run = run_allgather(algorithm, topology, machine, size)
-        records.append(
-            SweepRecord(
-                algorithm=run.algorithm,
-                msg_size=run.msg_size,
-                simulated_time=run.simulated_time,
-                messages=run.messages_sent,
-                detail=dict(run.setup_stats.extras),
-            )
-        )
-    return records
-
-
-def best_common_neighbor(
-    topology: DistGraphTopology,
-    machine: Machine,
-    sizes: tuple[int | str, ...],
-    ks: tuple[int, ...] = DEFAULT_CN_KS,
-) -> list[SweepRecord]:
-    """Per-size best Common Neighbor result over the K grid.
-
-    Mirrors the paper's methodology: "We launched the Common Neighbor
-    algorithm with various values of K.  We report the best results."
-    """
-    per_k = {k: sweep_latency("common_neighbor", topology, machine, sizes, k=k) for k in ks}
-    best: list[SweepRecord] = []
-    for i, size in enumerate(sizes):
-        candidates = [per_k[k][i] for k in ks]
-        winner = min(candidates, key=lambda rec: rec.simulated_time)
-        winner.detail["best_k"] = winner.detail.get("k")
-        best.append(winner)
-    return best
-
-
-#: The smoke grid: every bench-enrolled algorithm (with its registry bench
-#: kwargs), two densities, two sizes.
+#: The smoke grid's algorithms: every bench-enrolled one, with its registry
+#: bench kwargs.
 SMOKE_ALGORITHMS = tuple(
     (info.name, info.bench_kwargs) for info in list_algorithms(requires={"bench"})
 )
+
+#: Topology seed of both smoke grids (``repro.select.distill`` shares it,
+#: so the distillation grid holds the default grid's specs).
+SMOKE_SEED = 23
+
+#: ``--paper-smoke``'s grid: the paper's 2160-rank Niagara footprint, run
+#: with ``sim_mode="auto"`` (a DES pass at this scale takes minutes per
+#: spec).
+PAPER_SMOKE = {
+    "ranks": 2160, "ranks_per_socket": 18, "densities": (0.1, 0.3),
+    "sizes": ("8KB",),
+}
 
 
 def smoke_sweep(
@@ -110,72 +49,22 @@ def smoke_sweep(
     ranks_per_socket: int = 4,
     densities: tuple[float, ...] = (0.1, 0.5),
     sizes: tuple[str, ...] = ("64", "16KB"),
-    seed: int = 23,
 ) -> dict[str, Any]:
-    """Tiny orchestrated sweep; returns records plus execution stats.
+    """Every smoke algorithm over ``densities`` x ``sizes`` on random
+    graphs; returns the records plus the execution statistics.
 
     The grid is fixed and fully deterministic, so consecutive invocations
-    against a shared cache should answer ~every spec from cache — the
-    report's ``execution.cache.hit_rate`` is what CI asserts on.
+    against a shared cache answer every spec from cache — the report's
+    ``execution.cache.hit_rate`` is what CI asserts on.  Specs carry
+    ``config.run_options()``, so the config's ``sim_mode`` reaches their
+    digests.
     """
     cfg = config or SweepConfig()
+    options = cfg.run_options()
     machine = MachineSpec.for_ranks(ranks, ranks_per_socket)
     keyed: list[tuple[tuple, RunSpec]] = []
     for density in densities:
-        topology = TopologySpec("random", ranks, density=density, seed=seed)
-        for size in sizes:
-            for name, kwargs in SMOKE_ALGORITHMS:
-                keyed.append((
-                    (name, density, parse_size(size)),
-                    RunSpec(name, topology, machine, size,
-                            algorithm_kwargs=kwargs),
-                ))
-    sweep = cfg.run([spec for _, spec in keyed]).raise_errors()
-    records = [
-        {
-            "algorithm": name,
-            "density": density,
-            "msg_bytes": msg_bytes,
-            "simulated_time": run.simulated_time,
-            "messages": run.messages_sent,
-        }
-        for ((name, density, msg_bytes), _), run in zip(keyed, sweep.runs)
-    ]
-    return {
-        "experiment": "smoke_sweep",
-        "ranks": ranks,
-        "seed": seed,
-        "records": records,
-        "execution": sweep.stats,
-    }
-
-
-def paper_smoke_sweep(
-    config: SweepConfig | None = None,
-    *,
-    ranks: int = 2160,
-    ranks_per_socket: int = 18,
-    densities: tuple[float, ...] = (0.1, 0.3),
-    sizes: tuple[str, ...] = ("8KB",),
-    seed: int = 23,
-) -> dict[str, Any]:
-    """Reduced Fig. 5 slice at full paper scale, hybrid (auto) mode.
-
-    Same shape as :func:`smoke_sweep` but at the paper's 2160-rank Niagara
-    footprint, forced through ``sim_mode="auto"`` so every cell is replayed
-    exactly on the compiled fast path — a pure-DES pass at this scale would
-    take minutes per spec.  The grid is fixed, so a warm cache answers the
-    whole slice; CI gates on both the cold pass's wall clock and the warm
-    pass's hit rate.
-    """
-    cfg = config or SweepConfig()
-    from repro.collectives.runner import RunOptions
-
-    options = RunOptions(sim_mode="auto")
-    machine = MachineSpec.for_ranks(ranks, ranks_per_socket)
-    keyed: list[tuple[tuple, RunSpec]] = []
-    for density in densities:
-        topology = TopologySpec("random", ranks, density=density, seed=seed)
+        topology = TopologySpec("random", ranks, density=density, seed=SMOKE_SEED)
         for size in sizes:
             for name, kwargs in SMOKE_ALGORITHMS:
                 keyed.append((
@@ -183,7 +72,7 @@ def paper_smoke_sweep(
                     RunSpec(name, topology, machine, size,
                             algorithm_kwargs=kwargs, options=options),
                 ))
-    sweep = cfg.run([spec for _, spec in keyed]).raise_errors()
+    runs, stats = cfg.run_grid(keyed)
     records = [
         {
             "algorithm": name,
@@ -193,27 +82,13 @@ def paper_smoke_sweep(
             "messages": run.messages_sent,
             "sim_path": run.sim_path,
         }
-        for ((name, density, msg_bytes), _), run in zip(keyed, sweep.runs)
+        for (name, density, msg_bytes), run in runs.items()
     ]
     return {
-        "experiment": "paper_smoke_sweep",
+        "experiment": "smoke_sweep",
         "ranks": ranks,
-        "seed": seed,
-        "sim_mode": "auto",
+        "seed": SMOKE_SEED,
+        "sim_mode": cfg.sim_mode,
         "records": records,
-        "execution": sweep.stats,
+        "execution": stats,
     }
-
-
-def speedup_over(
-    baseline: list[SweepRecord], contender: list[SweepRecord]
-) -> list[tuple[int, float]]:
-    """(msg_size, baseline_time / contender_time) per size, order-aligned."""
-    if len(baseline) != len(contender):
-        raise ValueError("sweeps have different lengths")
-    out = []
-    for b, c in zip(baseline, contender):
-        if b.msg_size != c.msg_size:
-            raise ValueError(f"size mismatch: {b.msg_size} vs {c.msg_size}")
-        out.append((b.msg_size, b.simulated_time / c.simulated_time))
-    return out

@@ -20,13 +20,15 @@ Commands
 ``bench``
     Regenerate one paper figure (or ``all``) at the selected scale; with
     ``--wallclock`` run the sim-core harness, with ``--resilience`` the
-    per-algorithm fault-injection study, with ``--sweep-smoke`` the tiny
-    orchestrated sweep (prints cache/worker statistics, for CI).  Figure
-    sweeps run through the :mod:`repro.exec` orchestrator: ``--workers N``
-    fans specs over a process pool and the content-addressed result cache
-    (on by default; ``--no-cache`` / ``--cache-dir`` control it) answers
-    previously-computed cells without re-simulating.  Parallel and cached
-    reruns are bit-identical to serial cold runs.
+    per-algorithm fault-injection study, with ``--sweep-smoke`` or
+    ``--paper-smoke`` a fixed orchestrated smoke grid (prints cache/worker
+    statistics, for CI).  Figure sweeps run through the :mod:`repro.exec`
+    orchestrator: ``--workers N`` fans specs over a process pool and the
+    content-addressed result cache (on by default; ``--no-cache`` /
+    ``--cache-dir`` control it) answers previously-computed cells without
+    re-simulating.  Parallel and cached reruns are bit-identical to serial
+    cold runs.  A flag the selected mode does not read exits 2 with a
+    one-line error naming the modes that take it.
 ``advise``
     Adaptive selection (:mod:`repro.select`).  ``--algorithm`` resolves
     ``algorithm="auto"`` for one described workload and prints the
@@ -74,18 +76,25 @@ from repro.sim.faults import CRASH_PROFILE_MODES, PROFILE_NAMES
 from repro.verify.generators import PROFILES as FUZZ_PROFILES
 from repro.utils.sizes import format_size, parse_size
 
-#: Figure name -> driver attribute in repro.bench.figures.
+_EXEC_FLAGS = ("--workers", "--cache-dir", "--no-cache")
+#: What a figure that runs an orchestrated allgather grid reads.
+_GRID_FLAGS = ("--scale", "--seed", "--sim-mode", *_EXEC_FLAGS)
+
+#: Figure name -> (driver attribute in repro.bench.figures, the ``repro
+#: bench`` flags that driver reads); ``all`` reads their union.  Moore
+#: neighborhoods take no topology seed, and fig7, fig8 and alltoall run
+#: serially on the DES, outside the orchestrator.
 FIGURES = {
-    "fig2": "fig2_model",
-    "fig4": "fig4_latency",
-    "fig5": "fig5_speedup_scaling",
-    "fig6": "fig6_moore",
-    "fig6-variance": "fig6_variance_study",
-    "fig7": "fig7_spmm",
-    "fig8": "fig8_overhead",
-    "alltoall": "ext_alltoall",
-    "ablation-agent": "ablation_agent_policy",
-    "ablation-stop": "ablation_stop_granularity",
+    "fig2": ("fig2_model", ("--scale",)),
+    "fig4": ("fig4_latency", _GRID_FLAGS),
+    "fig5": ("fig5_speedup_scaling", _GRID_FLAGS),
+    "fig6": ("fig6_moore", ("--scale", "--sim-mode", *_EXEC_FLAGS)),
+    "fig6-variance": ("fig6_variance_study", ("--scale", "--sim-mode", *_EXEC_FLAGS)),
+    "fig7": ("fig7_spmm", ("--scale", "--seed")),
+    "fig8": ("fig8_overhead", ("--scale", "--seed")),
+    "alltoall": ("ext_alltoall", ("--scale", "--seed")),
+    "ablation-agent": ("ablation_agent_policy", _GRID_FLAGS),
+    "ablation-stop": ("ablation_stop_granularity", _GRID_FLAGS),
 }
 
 
@@ -147,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="regenerate a paper figure")
     bench_p.add_argument("figure", nargs="?", choices=sorted(FIGURES) + ["all"],
-                         help="figure to regenerate (omit with --wallclock)")
+                         help="figure to regenerate (omit with a mode flag: "
+                              "--wallclock, --resilience, --sweep-smoke, "
+                              "--paper-smoke)")
     bench_p.add_argument("--scale", choices=("small", "medium", "large", "paper"),
                          default=None)
     bench_p.add_argument("--wallclock", action="store_true",
@@ -158,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--smoke", action="store_true",
                          help="tiny wallclock/resilience grid (for CI); implies "
                               "--repeats 1")
-    bench_p.add_argument("--repeats", type=int, default=3,
+    bench_p.add_argument("--repeats", type=int, default=None,
                          help="wallclock median-of-k repeats (default 3)")
     bench_p.add_argument("--out", default=None,
                          help="report path (default BENCH_sim_core.json for "
@@ -166,15 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--record-baseline", action="store_true",
                          help="record wallclock measurements as the new baseline")
     bench_p.add_argument("--sim-mode", choices=("compare", "des", "auto"),
-                         default="compare",
-                         help="wallclock timing mode: compare DES vs the "
-                              "hybrid fast path (default), or time one path")
+                         default=None,
+                         help="figures: run the DES (default) or the hybrid "
+                              "fast path (auto); wallclock: compare DES vs "
+                              "the fast path (default), or time one path")
     bench_p.add_argument("--paper-scales", action="store_true",
                          help="append hybrid-only wallclock cases at the "
                               "paper's 540/1080/2048/2160-rank sizes")
     bench_p.add_argument("--seed", type=int, default=None,
                          help="override the driver's default topology seed")
-    bench_p.add_argument("--workers", type=int, default=1,
+    bench_p.add_argument("--workers", type=int, default=None,
                          help="process-pool width for orchestrated sweeps "
                               "(default 1 = serial; simulated times are "
                               "bit-identical either way)")
@@ -525,41 +537,82 @@ def cmd_spmm(args) -> int:
     return 0
 
 
+_SMOKE_FLAGS = (*_EXEC_FLAGS, "--min-cache-hit-rate", "--max-wall-seconds")
+#: The flags each ``repro bench`` mode reads (a figure, the default mode,
+#: reads the flags beside its driver in :data:`FIGURES`); any other flag
+#: exits 2 with the modes and figures that take it.
+_BENCH_MODE_FLAGS = {
+    "--wallclock": ("--scale", "--smoke", "--repeats", "--out", "--record-baseline",
+                    "--sim-mode", "--paper-scales", "--profile",
+                    "--max-auto-wall-kernels", "--min-plan-cache-hit-rate"),
+    "--resilience": ("--scale", "--smoke", "--out", *_EXEC_FLAGS),
+    "--sweep-smoke": _SMOKE_FLAGS,
+    "--paper-smoke": _SMOKE_FLAGS,
+}
+
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
+def _bench_flag_error(args) -> str | None:
+    """One line naming the first flag the selected mode or figure does not
+    read."""
+    modes = [mode for mode in _BENCH_MODE_FLAGS if _flag_value(args, mode)]
+    if len(modes) > 1:
+        return ("--wallclock, --resilience, --sweep-smoke and --paper-smoke "
+                "are mutually exclusive")
+    if not modes and args.figure is None:
+        return ("a figure name is required unless --wallclock, --resilience, "
+                "--sweep-smoke or --paper-smoke is given")
+    if modes and args.figure is not None:
+        return f"a figure name ({args.figure}) applies to figures only, not {modes[0]}"
+    readers = {name: flags for name, (_, flags) in FIGURES.items()}
+    readers["all"] = tuple(dict.fromkeys(f for flags in readers.values() for f in flags))
+    readers.update(_BENCH_MODE_FLAGS)
+    current = modes[0] if modes else args.figure
+    for flag in dict.fromkeys(f for flags in readers.values() for f in flags):
+        value = _flag_value(args, flag)
+        if value is not None and value is not False and flag not in readers[current]:
+            takers = ", ".join(m for m, flags in readers.items() if flag in flags)
+            where = current if modes else f"figure {current}"
+            return f"{flag} applies to {takers} only, not {where}"
+    if not modes and args.sim_mode == "compare":
+        return ("--sim-mode compare applies to --wallclock only; figures take "
+                "des or auto")
+    return None
+
+
 def cmd_bench(args) -> int:
     from repro.bench.config import SweepConfig
 
-    scale = get_scale(args.scale)
-    if sum(map(bool, (args.wallclock, args.resilience, args.sweep_smoke,
-                      args.paper_smoke))) > 1:
-        print("error: --wallclock, --resilience, --sweep-smoke and "
-              "--paper-smoke are mutually exclusive", file=sys.stderr)
+    error = _bench_flag_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
+    scale = get_scale(args.scale)
     config = SweepConfig(
         scale=scale,
         seed=args.seed,
-        out=args.out,
-        workers=args.workers,
+        workers=1 if args.workers is None else args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        smoke=args.smoke,
-        repeats=args.repeats,
-        # "compare" is a wallclock-harness mode; figure sweeps run one path.
-        sim_mode=args.sim_mode if args.sim_mode != "compare" else "des",
+        # The paper slice runs on the fast path: a DES pass at 2160 ranks
+        # takes minutes per spec.
+        sim_mode="auto" if args.paper_smoke else args.sim_mode or "des",
     )
     if args.sweep_smoke or args.paper_smoke:
         import time
 
-        if args.paper_smoke:
-            from repro.bench.sweep import paper_smoke_sweep as sweep_fn
-        else:
-            from repro.bench.sweep import smoke_sweep as sweep_fn
+        from repro.bench.sweep import PAPER_SMOKE, smoke_sweep
 
         start = time.perf_counter()
-        report = sweep_fn(config)
+        report = smoke_sweep(config, **(PAPER_SMOKE if args.paper_smoke else {}))
         wall = time.perf_counter() - start
         ex = report["execution"]
         cache_stats = ex.get("cache")
-        print(f"{report['experiment']}: {ex['total']} specs, "
+        print(f"{report['experiment']} ({report['ranks']} ranks, "
+              f"sim_mode={report['sim_mode']}): {ex['total']} specs, "
               f"{ex['from_cache']} from cache, {ex['computed']} computed, "
               f"workers={ex['workers']}, wall={wall:.1f}s")
         if cache_stats is None:
@@ -584,19 +637,20 @@ def cmd_bench(args) -> int:
     if args.wallclock:
         from repro.bench.wallclock import wallclock_bench
 
-        if args.repeats < 1:
-            print(f"error: --repeats must be >= 1, got {args.repeats}",
+        repeats = 3 if args.repeats is None else args.repeats
+        if repeats < 1:
+            print(f"error: --repeats must be >= 1, got {repeats}",
                   file=sys.stderr)
             return 2
         try:
             payload = wallclock_bench(
                 scale=scale,
-                repeats=1 if args.smoke else args.repeats,
+                repeats=1 if args.smoke else repeats,
                 smoke=args.smoke,
                 out_path=args.out or "BENCH_sim_core.json",
                 record_baseline=args.record_baseline,
                 verbose=True,
-                sim_mode=args.sim_mode,
+                sim_mode=args.sim_mode or "compare",
                 paper_scales=args.paper_scales,
                 profile=args.profile,
             )
@@ -636,16 +690,11 @@ def cmd_bench(args) -> int:
             config=config,
         )
         return 0
-    if args.figure is None:
-        print("error: a figure name is required unless --wallclock or "
-              "--resilience is given", file=sys.stderr)
-        return 2
-
     import repro.bench.figures as figures
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
-        driver = getattr(figures, FIGURES[name])
+        driver = getattr(figures, FIGURES[name][0])
         driver(scale, verbose=True, config=config)
     return 0
 

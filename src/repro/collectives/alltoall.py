@@ -312,7 +312,7 @@ def run_alltoall(
     n = topology.n
     payloads = {u * n + v: payload_fn(u, v) for u, v in topology.edges()}
     delivered: list[dict[int, Any]] = [{} for _ in range(n)]
-    collector = TraceCollector(keep_records=trace) if trace else None
+    collector = TraceCollector() if trace else None
     engine = Engine(n_ranks=n, machine=machine, trace=collector)
 
     def program(rank: int):

@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.collectives.distance_halving.matrix_a import adjacency_matrix
+from repro.collectives.distance_halving.matrix_a import adjacency_matrix, half_scores
 from repro.collectives.distance_halving.negotiation import (
     NegotiationOutcome,
     greedy_matching,
@@ -57,6 +57,34 @@ from repro.collectives.distance_halving.pattern import (
 from repro.topology.graph import DistGraphTopology
 
 _SELECTIONS = ("greedy", "protocol", "random")
+
+
+def halving_levels(
+    n: int, stop: int
+) -> list[list[tuple[tuple[int, int], tuple[int, int]]]]:
+    """The lockstep halving geometry: per level, the ``(lower, upper)``
+    halves of every half-open rank interval that splits at that level.
+
+    Level 0 splits ``[0, n)``.  An interval ``[lo, hi)`` of more than
+    ``stop`` ranks splits into ``lower = (lo, mid + 1)`` and
+    ``upper = (mid + 1, hi)`` around the paper's inclusive midpoint
+    ``mid = (lo + hi - 1) // 2``, so the lower half keeps the odd rank; an
+    interval of at most ``stop`` ranks splits no further.  Halving ends at
+    the first level where nothing splits, so every level is non-empty and
+    ``len(levels)`` is the number of halving steps.
+    """
+    levels = []
+    intervals = [(0, n)]
+    while True:
+        level = []
+        for lo, hi in intervals:
+            if hi - lo > stop:
+                mid = (lo + hi - 1) // 2
+                level.append(((lo, mid + 1), (mid + 1, hi)))
+        if not level:
+            return levels
+        levels.append(level)
+        intervals = [half for split in level for half in split]
 
 
 def build_patterns(
@@ -122,23 +150,16 @@ def build_patterns(
     rank_ids = np.array(range(n), dtype=object)
     blocks: list[list[int]] = [[r] for r in rank_ids.tolist()]
 
-    intervals: list[tuple[int, int]] = [(0, n)]  # half-open [lo, hi)
-    t = 0
-    while any(hi - lo > L for lo, hi in intervals):
-        next_intervals: list[tuple[int, int]] = []
+    levels = halving_levels(n, L)
+    for t, level in enumerate(levels):
         agent_of = np.full(n, -1, dtype=np.int32)
         # Every splitting rank's opposite half h2 = [h2_lo, h2_hi); empty
         # for the other ranks.
         h2_lo = np.zeros(n, dtype=np.int32)
         h2_hi = np.zeros(n, dtype=np.int32)
-        for lo, hi in intervals:
-            if hi - lo <= L:
-                continue  # this interval reached socket granularity earlier
-            mid = (lo + hi - 1) // 2  # paper's mid_rank (inclusive midpoint)
-            lower, upper = (lo, mid + 1), (mid + 1, hi)
-            next_intervals.extend((lower, upper))
-            h2_lo[lo : mid + 1], h2_hi[lo : mid + 1] = upper
-            h2_lo[mid + 1 : hi], h2_hi[mid + 1 : hi] = lower
+        for lower, upper in level:
+            h2_lo[slice(*lower)], h2_hi[slice(*lower)] = upper
+            h2_lo[slice(*upper)], h2_hi[slice(*upper)] = lower
             for searcher_iv, h2_iv in ((lower, upper), (upper, lower)):
                 matching = _match_round(adj_f32, searcher_iv, h2_iv, selection, stats, rng)
                 agent_of[list(matching)] = list(matching.values())
@@ -205,10 +226,7 @@ def build_patterns(
         for giver, agent in agents_of.items():
             blocks[agent].extend(sent_blocks[giver])
 
-        intervals = next_intervals
-        t += 1
-
-    stats.levels = t
+    stats.levels = len(levels)
     _build_final_phase(patterns, blocks, rank_ids, holder[alive], src[alive], dst[alive])
     return CommunicationPattern(n=n, ranks_per_socket=L, ranks=patterns, stats=stats)
 
@@ -226,11 +244,10 @@ def _match_round(
     Scores are shared outgoing neighbors restricted to ``h2_iv`` — agents
     always live in the searcher's ``h2``, so the acceptors are ``h2_iv``.
     """
-    s_lo, s_hi = searcher_iv
-    h_lo, h_hi = h2_iv
-    scores = adj_f32[s_lo:s_hi, h_lo:h_hi] @ adj_f32[h_lo:h_hi, h_lo:h_hi].T
-    searchers = list(range(s_lo, s_hi))
-    acceptors = list(range(h_lo, h_hi))
+    h2 = range(*h2_iv)
+    scores = half_scores(adj_f32, range(*searcher_iv), h2, h2)
+    searchers = list(range(*searcher_iv))
+    acceptors = list(h2)
     if selection == "protocol":
         outcome: NegotiationOutcome = protocol_matching(searchers, acceptors, scores)
         stats.protocol_messages += outcome.total_messages

@@ -7,10 +7,10 @@ scores are row sums of ``A`` restricted to the columns that fall in the
 current opposite half.
 
 The builder never materializes per-rank A matrices (at 2000+ ranks that is
-quadratic memory per rank); it computes block score matrices directly from
-the boolean adjacency matrix with one matmul per halving split — numerically
-identical, and vectorized.  :func:`build_matrix_a` exists for API fidelity,
-tests, and documentation examples.
+quadratic memory per rank); each matching round computes its block score
+matrix directly from the adjacency matrix with one :func:`half_scores`
+matmul — numerically identical, and vectorized.  :func:`build_matrix_a`
+exists for API fidelity, tests, and documentation examples.
 """
 
 from __future__ import annotations

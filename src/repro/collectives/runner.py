@@ -533,7 +533,7 @@ def _run_engine_rounds(
     topology, machine = ctx.topology, ctx.machine
     mode = opts.on_failure
     trace = opts.trace
-    collector = TraceCollector(keep_records=trace) if trace else None
+    collector = TraceCollector() if trace else None
     wall_start = time.perf_counter()
 
     plan = opts.fault_plan

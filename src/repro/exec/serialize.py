@@ -113,9 +113,8 @@ def run_from_dict(data: dict) -> AllgatherRun:
         fault_stats=data["fault_stats"],
         requested_algorithm=data["requested_algorithm"],
         trace_summary=data["trace_summary"],
-        # Absent in pre-hybrid payloads (every run was the engine then).
-        sim_path=data.get("sim_path", "des"),
-        missing_ranks=tuple(data.get("missing_ranks", ())),
-        recovery=data.get("recovery"),
-        selected_algorithm=data.get("selected_algorithm"),
+        sim_path=data["sim_path"],
+        missing_ranks=tuple(data["missing_ranks"]),
+        recovery=data["recovery"],
+        selected_algorithm=data["selected_algorithm"],
     )

@@ -12,8 +12,6 @@ results refine.
 
 from __future__ import annotations
 
-import math
-
 from repro.model.equations import ModelParams, dh_total_time, naive_total_time
 
 #: The two algorithms Eqs. (1)-(8) actually model.
@@ -126,9 +124,3 @@ def crossover_size(
             lo = mid
     return hi
 
-
-def halving_viable(n: int, ranks_per_socket: int) -> bool:
-    """Does the halving recursion have at least one off-socket level?"""
-    if n <= ranks_per_socket:
-        return False
-    return math.ceil(math.log2(n / max(1, ranks_per_socket))) + 1 >= 1

@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -118,9 +119,13 @@ class DecisionTable:
         """Does the table cover the entire bucket-key space?"""
         return set(self.entries) >= set(all_keys())
 
-    @property
+    @cached_property
     def version(self) -> str:
-        """Content digest of the canonical payload (short, stable)."""
+        """Content digest of the canonical payload (short, stable).
+
+        Computed on first read and kept: the table is frozen, and each
+        ``auto`` run reads it more than once.
+        """
         payload = json.dumps(self._canonical(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

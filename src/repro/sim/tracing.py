@@ -39,8 +39,7 @@ class MessageRecord:
 class TraceCollector:
     """Accumulates message records and per-class aggregates."""
 
-    def __init__(self, keep_records: bool = True, max_records: int = 1_000_000):
-        self.keep_records = keep_records
+    def __init__(self, max_records: int = 1_000_000):
         self.max_records = max_records
         self.records: list[MessageRecord] = []
         self.count_by_class: Counter[LinkClass] = Counter()
@@ -72,7 +71,7 @@ class TraceCollector:
             self.delivered_bytes_by_class[cls] += nbytes
         self.sends_by_rank[src] += 1
         self.recvs_by_rank[dst] += 1
-        if self.keep_records and len(self.records) < self.max_records:
+        if len(self.records) < self.max_records:
             self.records.append(
                 MessageRecord(src, dst, nbytes, tag, cls,
                               post_time, timing.send_complete, timing.arrival,

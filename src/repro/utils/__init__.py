@@ -1,31 +1,24 @@
-"""Small shared utilities: validation, intervals, RNG handling, size parsing.
+"""Small shared utilities: validation, RNG handling, size parsing.
 
 These helpers are deliberately dependency-light; every other subpackage of
 :mod:`repro` may import from here, but :mod:`repro.utils` imports nothing
 from the rest of the package.
 """
 
-from repro.utils.intervals import Interval, halving_steps
 from repro.utils.rng import RandomState, resolve_rng
 from repro.utils.sizes import format_size, parse_size
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 __all__ = [
-    "Interval",
-    "halving_steps",
     "RandomState",
     "resolve_rng",
     "format_size",
     "parse_size",
-    "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
 ]

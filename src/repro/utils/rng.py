@@ -26,12 +26,3 @@ def resolve_rng(seed: RandomState = None) -> np.random.Generator:
         return np.random.default_rng(seed)
     raise TypeError(f"seed must be None, int, or numpy Generator, got {type(seed).__name__}")
 
-
-def spawn_rng(rng: np.random.Generator, key: int) -> np.random.Generator:
-    """Derive an independent child generator from ``rng`` keyed by ``key``.
-
-    Used when a single experiment seed must fan out into per-trial or
-    per-rank streams without correlations.
-    """
-    seed = int(rng.integers(0, 2**63 - 1)) ^ (key * 0x9E3779B97F4A7C15 % (2**63))
-    return np.random.default_rng(seed % (2**63))

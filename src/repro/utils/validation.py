@@ -13,14 +13,6 @@ from numbers import Integral, Real
 from typing import Any
 
 
-def check_type(name: str, value: Any, types: type | tuple[type, ...]) -> Any:
-    """Require ``value`` to be an instance of ``types``."""
-    if not isinstance(value, types):
-        expected = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
-    return value
-
-
 def check_positive(name: str, value: Any) -> int | float:
     """Require a strictly positive number; integral values are returned as int."""
     if not isinstance(value, Real) or isinstance(value, bool):
@@ -47,11 +39,3 @@ def check_probability(name: str, value: Any) -> float:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
 
-
-def check_in_range(name: str, value: Any, lo: float, hi: float) -> int | float:
-    """Require ``lo <= value <= hi``."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-    return int(value) if isinstance(value, Integral) else float(value)

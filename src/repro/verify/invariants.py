@@ -57,10 +57,11 @@ The catalog (see ``docs/ARCHITECTURE.md`` §6 for the full rationale):
     — the hybrid path and the DES are mutual differential oracles.
 ``dh_structure``
     Structural checks on the Distance Halving pattern itself: the
-    exactly-once delivery invariant (:func:`check_pattern`), at most one
-    agent/origin per rank per level, agents always in the opposite half
-    of the searcher's interval, and ``recv_for_me`` consistent with the
-    incoming buffer and the topology.
+    exactly-once delivery invariant (:func:`check_pattern`), each split
+    just after the paper's midpoint of an interval of more than L ranks,
+    at most one agent/origin per rank per level, agents always in the
+    opposite half of the searcher's interval, and ``recv_for_me``
+    consistent with the incoming buffer and the topology.
 ``auto_selection``
     Re-runs the trial under ``algorithm="auto"`` (:mod:`repro.select`):
     the resolved pick must come from the fault class's registry candidate
@@ -659,22 +660,6 @@ def check_payload_independence(
     return violations
 
 
-def _halving_intervals(n: int, stop: int) -> list[list[tuple[int, int]]]:
-    """Interval layout per level, mirroring the builder's lockstep halving."""
-    levels = []
-    intervals = [(0, n)]
-    while any(hi - lo > stop for lo, hi in intervals):
-        levels.append(list(intervals))
-        nxt: list[tuple[int, int]] = []
-        for lo, hi in intervals:
-            if hi - lo <= stop:
-                continue
-            mid = (lo + hi - 1) // 2
-            nxt.extend(((lo, mid + 1), (mid + 1, hi)))
-        intervals = nxt
-    return levels
-
-
 def check_dh_structure(
     scenario: "Scenario", topology: "DistGraphTopology"
 ) -> list[Violation]:
@@ -686,6 +671,7 @@ def check_dh_structure(
     from repro.collectives.distance_halving.builder import (
         build_patterns,
         check_pattern,
+        halving_levels,
     )
 
     machine = scenario.machine.build()
@@ -705,14 +691,22 @@ def check_dh_structure(
     except AssertionError as exc:
         bad(f"exactly-once delivery violated: {exc}")
 
-    levels = _halving_intervals(topology.n, pattern.ranks_per_socket)
-    interval_at: list[dict[int, tuple[int, int]]] = []
-    for intervals in levels:
-        level_map: dict[int, tuple[int, int]] = {}
-        for lo, hi in intervals:
-            for r in range(lo, hi):
-                level_map[r] = (lo, hi)
-        interval_at.append(level_map)
+    levels = halving_levels(topology.n, pattern.ranks_per_socket)
+    # The geometry itself, independently of the builder: each split halves
+    # an interval of more than L ranks at the paper's midpoint.
+    for index, level in enumerate(levels):
+        for (lo, cut), (upper_lo, hi) in level:
+            if not (cut == upper_lo and lo < cut < hi
+                    and cut - 1 == (lo + hi - 1) // 2
+                    and hi - lo > pattern.ranks_per_socket):
+                bad(f"level {index} splits [{lo},{hi}) into [{lo},{cut}) + "
+                    f"[{upper_lo},{hi}), not just after the paper's midpoint "
+                    f"{(lo + hi - 1) // 2} of an interval of more than "
+                    f"L={pattern.ranks_per_socket} ranks")
+    split_at = [
+        {r: split for split in level for r in range(split[0][0], split[1][1])}
+        for level in levels
+    ]
 
     for rp in pattern.ranks:
         seen_levels: set[int] = set()
@@ -725,23 +719,23 @@ def check_dh_structure(
                 bad(f"rank {rp.rank} has a step at level {step.index} but "
                     f"halving stops after {len(levels)} level(s)")
                 continue
-            lo, hi = interval_at[step.index][rp.rank]
-            if hi - lo <= pattern.ranks_per_socket:
-                bad(f"rank {rp.rank} stepped at level {step.index} inside an "
-                    f"already-stopped interval [{lo},{hi})")
+            split = split_at[step.index].get(rp.rank)
+            if split is None:
+                bad(f"rank {rp.rank} stepped at level {step.index}, where "
+                    "its interval no longer splits")
                 continue
-            mid = (lo + hi - 1) // 2
-            in_lower = rp.rank <= mid
+            (lo, cut), (_, hi) = split  # halves [lo, cut) and [cut, hi)
+            in_lower = rp.rank < cut
             for role, peer in (("agent", step.agent), ("origin", step.origin)):
                 if peer is None:
                     continue
                 if not lo <= peer < hi:
                     bad(f"rank {rp.rank} level {step.index}: {role} {peer} "
                         f"outside interval [{lo},{hi})")
-                elif (peer <= mid) == in_lower:
+                elif (peer < cut) == in_lower:
                     bad(f"rank {rp.rank} level {step.index}: {role} {peer} "
-                        f"is in the same half (mid={mid}) — agents must "
-                        "live in the opposite half")
+                        f"is in the same half of [{lo},{cut})+[{cut},{hi}) — "
+                        "agents must live in the opposite half")
             if step.origin is not None:
                 # recv_for_me must name blocks actually present in the
                 # incoming buffer and correspond to real topology edges.

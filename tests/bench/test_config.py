@@ -97,3 +97,29 @@ class TestSweepConfig:
         second = cfg.run([spec])
         assert first.runs[0].simulated_time == second.runs[0].simulated_time
         assert second.stats["from_cache"] == 1
+
+    def test_run_grid_keys_runs_and_returns_stats(self, capsys):
+        from repro.bench.config import SweepConfig
+        from repro.exec import MachineSpec, RunSpec, TopologySpec
+
+        machine = MachineSpec.for_ranks(8, ranks_per_socket=2)
+        keyed = [
+            ((alg,), RunSpec(alg, TopologySpec("random", 8, density=0.5, seed=1),
+                             machine, 64))
+            for alg in ("naive", "distance_halving")
+        ]
+        runs, stats = SweepConfig().run_grid(keyed, verbose=True)
+        assert list(runs) == [("naive",), ("distance_halving",)]
+        assert runs[("naive",)].algorithm == "naive"
+        assert stats["total"] == stats["computed"] == 2
+        assert "[exec] 2 runs: 0 from cache, 2 computed" in capsys.readouterr().out
+
+    def test_run_grid_fails_on_any_failed_spec(self):
+        from repro.bench.config import SweepConfig
+        from repro.exec import MachineSpec, RunSpec, TopologySpec
+
+        # 16 ranks on an 8-rank machine: setup raises inside the spec.
+        bad = RunSpec("naive", TopologySpec("random", 16, density=0.5, seed=1),
+                      MachineSpec.for_ranks(8, ranks_per_socket=2), 64)
+        with pytest.raises(RuntimeError, match="1/1 specs failed"):
+            SweepConfig().run_grid([(("bad",), bad)])

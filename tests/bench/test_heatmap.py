@@ -66,14 +66,3 @@ class TestRenderSpeedupGrid:
         with pytest.raises(ValueError, match="full row x column grid"):
             render_speedup_grid(rows, "d", "m", "s")
 
-
-class TestSweepHeatmap:
-    def test_orchestrated_grid_renders(self):
-        from repro.bench.heatmap import sweep_heatmap
-
-        text = sweep_heatmap(
-            ranks=16, ranks_per_socket=4,
-            densities=(0.1, 0.5), sizes=("64", "16KB"),
-        )
-        assert "speedup over naive" in text
-        assert "d=0.1" in text and "16KB" in text

@@ -3,9 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import Machine
-from repro.collectives.distance_halving.builder import build_patterns, check_pattern
+from repro.collectives.distance_halving import builder
+from repro.collectives.distance_halving.builder import (
+    build_patterns,
+    check_pattern,
+    halving_levels,
+)
 from repro.topology import (
     DistGraphTopology,
     cartesian_topology,
@@ -17,6 +23,117 @@ from repro.topology import (
 @pytest.fixture
 def machine():
     return Machine.niagara_like(nodes=4, ranks_per_socket=4)  # 32 ranks, L=4
+
+
+class TestHalvingLevels:
+    """The one halving geometry the builder and ``check_dh_structure`` share."""
+
+    def test_power_of_two(self):
+        assert len(halving_levels(16, 4)) == 2
+        assert len(halving_levels(128, 8)) == 4
+
+    def test_already_small(self):
+        assert halving_levels(4, 8) == []
+        assert halving_levels(8, 8) == []
+
+    def test_single_socket_has_no_levels(self):
+        # A communicator that fits on one socket has nothing to halve.
+        for n in range(1, 9):
+            assert halving_levels(n, 8) == []
+
+    def test_multi_socket_halves(self):
+        # One rank past the socket starts the halving.
+        for n in (9, 16, 64):
+            assert halving_levels(n, 8)
+
+    def test_matches_log_formula_for_powers(self):
+        for n, stop in ((32, 4), (2048, 16), (1024, 32), (2, 1), (256, 256)):
+            assert len(halving_levels(n, stop)) == math.ceil(math.log2(n / stop))
+
+    def test_non_power_of_two(self):
+        # 2160 ranks, L=18: the largest half goes 1080, 540, 270, 135, 68,
+        # 34, 17.
+        assert len(halving_levels(2160, 18)) == 7
+
+    def test_mid_matches_paper_formula(self):
+        # Algorithm 1 line 13: mid_rank = (start + end) / 2, floor, over the
+        # inclusive [start, end]; the lower half ends at mid_rank.
+        for n, stop in ((8, 1), (7, 1), (10, 1), (2160, 18)):
+            for level in halving_levels(n, stop):
+                for (lo, cut), (_, hi) in level:
+                    assert cut - 1 == (lo + (hi - 1)) // 2
+        # [5, 10) is the upper half of [0, 10): inclusive [5, 9], mid 7.
+        assert ((5, 8), (8, 10)) in halving_levels(10, 1)[1]
+
+    def test_split_halves(self):
+        assert halving_levels(8, 4) == [[((0, 4), (4, 8))]]
+        assert halving_levels(8, 2)[1] == [((0, 2), (2, 4)), ((4, 6), (6, 8))]
+
+    def test_split_odd_interval(self):
+        # The midpoint stays low: the lower half keeps the odd rank.
+        assert halving_levels(7, 4) == [[((0, 4), (4, 7))]]
+
+    @given(st.integers(1, 10_000), st.integers(1, 64))
+    def test_split_partitions(self, n, stop):
+        intervals = [(0, n)]
+        for level in halving_levels(n, stop):
+            assert level  # a level exists only when something splits
+            assert [(lower[0], upper[1]) for lower, upper in level] == [
+                (lo, hi) for lo, hi in intervals if hi - lo > stop
+            ]
+            for (lo, cut), (cut_, hi) in level:
+                assert lo < cut == cut_ < hi
+                assert (cut - lo) - (hi - cut) in (0, 1)
+            intervals = [half for split in level for half in split]
+        assert all(hi - lo <= stop for lo, hi in intervals)
+
+    @given(st.integers(1, 10_000), st.integers(1, 64))
+    def test_steps_shrink_below_limit(self, n, stop):
+        steps = len(halving_levels(n, stop))
+        size = n
+        for _ in range(steps):
+            size = math.ceil(size / 2)
+        assert size <= stop
+        # One fewer step would not have been enough (unless already small).
+        if steps:
+            size = n
+            for _ in range(steps - 1):
+                size = math.ceil(size / 2)
+            assert size > stop
+
+    def test_builder_levels_are_the_geometry(self, machine):
+        topo = erdos_renyi_topology(30, 0.4, seed=4)
+        pattern = build_patterns(topo, machine)
+        levels = halving_levels(30, 4)
+        assert pattern.stats.levels == len(levels)
+        for rp in pattern.ranks:
+            for step in rp.steps:
+                (lo, cut), (_, hi) = next(
+                    split for split in levels[step.index]
+                    if split[0][0] <= rp.rank < split[1][1]
+                )
+                for peer in (step.agent, step.origin):
+                    if peer is not None:
+                        assert lo <= peer < hi and (peer < cut) != (rp.rank < cut)
+
+    def test_matching_scores_come_from_half_scores(self, machine, monkeypatch):
+        calls = []
+        original = builder.half_scores
+
+        def recording(adj_f32, side_a, side_b, half):
+            calls.append((side_a, side_b, half))
+            return original(adj_f32, side_a, side_b, half)
+
+        monkeypatch.setattr(builder, "half_scores", recording)
+        topo = erdos_renyi_topology(32, 0.3, seed=0)
+        build_patterns(topo, machine)
+        splits = [split for level in halving_levels(32, 4) for split in level]
+        # two matching rounds per split, each scored over the searchers'
+        # opposite half
+        assert len(calls) == 2 * len(splits)
+        for lower, upper in splits:
+            lower, upper = range(*lower), range(*upper)
+            assert (lower, upper, upper) in calls and (upper, lower, lower) in calls
 
 
 class TestStructure:

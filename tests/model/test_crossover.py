@@ -7,7 +7,6 @@ from repro.model.crossover import (
     analytic_ranking,
     crossover_density,
     crossover_size,
-    halving_viable,
     model_params_for,
     predicted_times,
 )
@@ -70,10 +69,3 @@ class TestCrossovers:
         hi = analytic_ranking(PARAMS, min(1.0, cross + 0.05), 65536.0)
         assert hi[0] == "distance_halving"
 
-
-class TestHalvingViable:
-    def test_single_socket_communicator_has_no_levels(self):
-        assert not halving_viable(4, 8)
-
-    def test_multi_socket_communicator_does(self):
-        assert halving_viable(64, 8)

@@ -1,17 +1,16 @@
 """The discrete-event engine as the fast path's reference.
 
 :func:`run_on_engine` replays any :class:`~repro.sim.schedule.Schedule` on
-the :class:`~repro.sim.engine.Engine` through a timing-only program per
-rank that drives the engine's own primitives, as the rank program
-(:func:`~repro.sim.program.rank_program`) does: ``charge`` advances the
-rank's clock by ``n * unit`` bytes of memcpy, ``send`` and ``recv`` charge
-the call overhead and post through :meth:`~repro.sim.engine.Engine.send`
-and :meth:`~repro.sim.engine.Engine.recv`, ``wait`` yields
-:meth:`~repro.sim.engine.Engine.waitall_condition` over the receive slots
-posted since the last wait with the latest send completion as its floor,
-and a ``None`` rank is not spawned.  The schedules here may be short-form
-(sends without block lists, receives without sizes), which is why the
-replay does not go through the rank program.  It returns a
+the :class:`~repro.sim.engine.Engine` through the production rank program
+(:func:`~repro.sim.program.rank_program`), so the executor is compared with
+the program the engine really runs.  The schedules here may be short-form
+(sends without block lists, receives without sizes), so each is first
+normalised to the rank program's ops: byte fields are scaled by ``unit``,
+a short-form send carries ``()``, and a receive expects the size of the
+send :func:`~repro.sim.schedule.static_matching` pairs it with (or its own
+``op[3]`` when it has one; an unmatched receive never completes, so its
+size is never checked).  Every rank starts holding every block the
+schedule sends, and a ``None`` rank is not spawned.  It returns a
 :class:`~repro.sim.fastpath.FastRunOutcome`, so an executor run and an
 engine run compare field by field; :func:`assert_matches_engine` does
 that, and compares the exception type and message when either run raises.
@@ -23,36 +22,53 @@ import pytest
 
 from repro.sim.engine import DeadlockError, Engine, SimTimeoutError
 from repro.sim.fastpath import FastRunOutcome, execute_schedule
+from repro.sim.program import rank_program
+from repro.sim.schedule import static_matching
 
 
-def _program(engine, rank, ops, unit):
-    clock = engine.rank_now
-    params = engine.machine.params
-    slots = []
-    floor = 0.0
-    for op in ops:
-        kind = op[0]
-        if kind == "charge":
-            clock[rank] += op[1] * unit / params.memcpy_beta
-        elif kind == "send":
-            clock[rank] += params.call_overhead
-            done = engine.send(rank, op[1], op[2] * unit, op[3], None).send_complete
-            if done > floor:
-                floor = done
-        elif kind == "recv":
-            clock[rank] += params.call_overhead
-            slots.append(engine.recv(rank, op[1], op[2]))
-        else:
-            yield engine.waitall_condition(slots, floor)
-            slots = []
-            floor = 0.0
+def _normalised(schedule, unit):
+    """``schedule``'s ops in the rank program's long form at ``unit``-byte
+    blocks, and every block id its sends carry."""
+    send_slots, n_slots, _ = static_matching(schedule)
+    sizes = [0] * n_slots
+    sends = iter(send_slots)
+    for ops in schedule.ops:
+        for op in ops or ():
+            if op[0] == "send":
+                slot = next(sends)
+                if slot >= 0:
+                    sizes[slot] = op[2] * unit
+    slots = iter(range(n_slots))
+    rank_ops, blocks = [], set()
+    for ops in schedule.ops:
+        if ops is None:
+            rank_ops.append(None)
+            continue
+        out = []
+        for op in ops:
+            kind = op[0]
+            if kind == "charge":
+                out.append(("charge", op[1] * unit))
+            elif kind == "send":
+                carried = op[4] if len(op) > 4 else ()
+                blocks.update(carried)
+                out.append(("send", op[1], op[2] * unit, op[3], carried))
+            elif kind == "recv":
+                slot = next(slots)
+                size = op[3] * unit if len(op) > 3 else sizes[slot]
+                out.append(("recv", op[1], op[2], size))
+            else:
+                out.append(op)
+        rank_ops.append(out)
+    return rank_ops, blocks
 
 
 def _spawned(schedule, machine, unit, **budgets) -> Engine:
+    rank_ops, held = _normalised(schedule, unit)
     engine = Engine(schedule.n_ranks, machine, **budgets)
     engine.spawn_all(
-        lambda rank: None if schedule.ops[rank] is None
-        else _program(engine, rank, schedule.ops[rank], unit)
+        lambda rank: None if rank_ops[rank] is None
+        else rank_program(engine, rank, rank_ops[rank], held)
     )
     return engine
 

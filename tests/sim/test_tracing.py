@@ -47,15 +47,10 @@ class TestTraceCollector:
         assert trace.off_socket_messages() == 6
 
     def test_records_kept_until_cap(self, machine):
-        trace = TraceCollector(keep_records=True, max_records=3)
+        trace = TraceCollector(max_records=3)
         run_all_to_one(machine, trace)
         assert len(trace.records) == 3  # capped
         assert trace.total_messages == 7  # aggregates still complete
-
-    def test_records_disabled(self, machine):
-        trace = TraceCollector(keep_records=False)
-        run_all_to_one(machine, trace)
-        assert trace.records == []
 
     def test_summary_shape(self, machine):
         trace = TraceCollector()

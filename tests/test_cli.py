@@ -34,7 +34,7 @@ class TestParser:
     def test_all_figures_resolvable(self):
         import repro.bench.figures as figures
 
-        for attr in FIGURES.values():
+        for attr, _flags in FIGURES.values():
             assert hasattr(figures, attr)
 
 
@@ -226,15 +226,132 @@ class TestExecFlags:
         # two writes that straddle a second still compare whole.
         monkeypatch.setattr(reporting, "time", types.SimpleNamespace(
             strftime=lambda fmt: "2024-01-01T00:00:00"))
+        # fig6-variance is the cheapest figure that runs an orchestrated
+        # grid, so it is one that reads --workers and the cache flags.
+        archive = isolated_results / "fig6_variance_study.json"
         cache = tmp_path / "figcache"
-        assert main(["bench", "fig2", "--cache-dir", str(cache),
+        assert main(["bench", "fig6-variance", "--cache-dir", str(cache),
                      "--workers", "2"]) == 0
-        first = json.loads((isolated_results / "fig2_model.json").read_text())
-        assert main(["bench", "fig2", "--cache-dir", str(cache),
+        first = json.loads(archive.read_text())
+        assert main(["bench", "fig6-variance", "--cache-dir", str(cache),
                      "--workers", "2"]) == 0
-        second = json.loads((isolated_results / "fig2_model.json").read_text())
+        second = json.loads(archive.read_text())
+        assert main(["bench", "fig6-variance", "--no-cache"]) == 0
+        serial = json.loads(archive.read_text())
         assert first["timestamp"] == "2024-01-01T00:00:00"
-        assert first == second
+        assert first == second == serial
+
+
+class GridBuilt(Exception):
+    """Raised by a patched ``SweepConfig.run`` to stop before simulating."""
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """The specs the next orchestrated grid is handed; running it raises
+    :class:`GridBuilt` instead of simulating."""
+    from repro.bench.config import SweepConfig
+
+    specs = []
+
+    def run(self, grid):
+        specs.extend(grid)
+        raise GridBuilt
+
+    monkeypatch.setattr(SweepConfig, "run", run)
+    return specs
+
+
+class TestBenchFlags:
+    """``repro bench`` rejects each flag its mode or figure does not read:
+    exit 2 and one line naming the flag and the modes and figures that
+    take it."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["fig4", "--out", "x.json"], "--out"),
+        (["fig4", "--smoke"], "--smoke"),
+        (["fig4", "--repeats", "5"], "--repeats"),
+        (["--sweep-smoke", "--seed", "3"], "--seed"),
+        (["--wallclock", "--workers", "2"], "--workers"),
+        (["--paper-smoke", "--scale", "small"], "--scale"),
+        (["--resilience", "--sim-mode", "auto"], "--sim-mode"),
+        (["--resilience", "--repeats", "2"], "--repeats"),
+        (["--wallclock", "--min-cache-hit-rate", "0.5"], "--min-cache-hit-rate"),
+        (["--sweep-smoke", "--profile"], "--profile"),
+        (["fig2", "--max-wall-seconds", "5"], "--max-wall-seconds"),
+        (["fig2", "--workers", "2"], "--workers"),
+        (["fig2", "--seed", "3"], "--seed"),
+        (["fig6", "--seed", "3"], "--seed"),
+        (["fig6-variance", "--seed", "3"], "--seed"),
+        (["fig7", "--sim-mode", "auto"], "--sim-mode"),
+        (["fig8", "--no-cache"], "--no-cache"),
+        (["alltoall", "--workers", "2"], "--workers"),
+        (["all", "--out", "x.json"], "--out"),
+    ])
+    def test_unread_flag_exits_2(self, argv, flag, capsys):
+        assert main(["bench", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} applies to ")
+        assert err.count("\n") == 1
+
+    def test_every_bench_flag_is_assigned_to_its_modes(self):
+        from repro.cli import _BENCH_MODE_FLAGS
+
+        subparsers = build_parser()._subparsers._group_actions[0]
+        flags = {opt for action in subparsers.choices["bench"]._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        tables = [*_BENCH_MODE_FLAGS.values(), *(fl for _, fl in FIGURES.values())]
+        assert flags == set(_BENCH_MODE_FLAGS) | {f for fl in tables for f in fl}
+
+    def test_error_names_the_modes_that_take_the_flag(self, capsys):
+        assert main(["bench", "--wallclock", "--workers", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --workers applies to fig4, fig5, fig6, fig6-variance, "
+            "ablation-agent, ablation-stop, all, --resilience, "
+            "--sweep-smoke, --paper-smoke only, not --wallclock\n"
+        )
+
+    def test_figure_name_with_a_mode_flag_exits_2(self, capsys):
+        assert main(["bench", "fig4", "--wallclock"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a figure name (fig4) applies to figures only, not --wallclock\n"
+
+    def test_figures_reject_sim_mode_compare(self, capsys):
+        assert main(["bench", "fig4", "--sim-mode", "compare"]) == 2
+        assert "figures take des or auto" in capsys.readouterr().err
+
+    def test_figure_takes_its_flags(self, isolated_results, capsys):
+        assert main(["bench", "fig4", "--scale", "small", "--seed", "11",
+                     "--sim-mode", "auto", "--workers", "1", "--no-cache"]) == 0
+        assert (isolated_results / "fig4_latency.json").exists()
+
+    def test_all_takes_every_figure_flag(self):
+        from repro.cli import _bench_flag_error
+
+        args = build_parser().parse_args([
+            "bench", "all", "--scale", "small", "--seed", "3",
+            "--sim-mode", "auto", "--workers", "2", "--cache-dir", "c",
+            "--no-cache",
+        ])
+        assert _bench_flag_error(args) is None
+
+    def test_sim_mode_reaches_the_figure_specs(self, built_specs):
+        with pytest.raises(GridBuilt):
+            main(["bench", "ablation-stop", "--sim-mode", "auto", "--no-cache"])
+        assert built_specs
+        assert {spec.options.sim_mode for spec in built_specs} == {"auto"}
+
+    @pytest.mark.parametrize("mode,count,ranks,sim_mode", [
+        # The paper slice runs on the fast path whatever the flags say.
+        ("--paper-smoke", 8, 2160, "auto"),
+        ("--sweep-smoke", 16, 16, "des"),
+    ])
+    def test_smoke_grid_specs(self, built_specs, mode, count, ranks, sim_mode):
+        with pytest.raises(GridBuilt):
+            main(["bench", mode, "--no-cache"])
+        assert len(built_specs) == count
+        assert {spec.topology.n for spec in built_specs} == {ranks}
+        assert {spec.options.sim_mode for spec in built_specs} == {sim_mode}
 
 
 class TestAdvise:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import resolve_rng, spawn_rng
+from repro.utils.rng import resolve_rng
 
 
 class TestResolveRng:
@@ -31,11 +31,3 @@ class TestResolveRng:
         with pytest.raises(TypeError, match="seed must be"):
             resolve_rng("seed")
 
-
-class TestSpawnRng:
-    def test_children_differ_by_key(self):
-        parent = resolve_rng(0)
-        a = spawn_rng(parent, 1).integers(0, 1 << 30, size=4)
-        parent = resolve_rng(0)
-        b = spawn_rng(parent, 2).integers(0, 1 << 30, size=4)
-        assert not (a == b).all()

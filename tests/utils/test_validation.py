@@ -4,24 +4,10 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
-
-
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        assert check_type("x", 5, int) == 5
-
-    def test_accepts_tuple_of_types(self):
-        assert check_type("x", "s", (int, str)) == "s"
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("x", "nope", int)
 
 
 class TestCheckPositive:
@@ -74,12 +60,3 @@ class TestCheckProbability:
         with pytest.raises(ValueError):
             check_probability("p", value)
 
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range("x", 1, 1, 5) == 1
-        assert check_in_range("x", 5, 1, 5) == 5
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError, match=r"\[1, 5\]"):
-            check_in_range("x", 6, 1, 5)

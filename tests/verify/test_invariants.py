@@ -197,6 +197,34 @@ class TestDHStructure:
             )
             assert check_dh_structure(scenario, spec.build()) == []
 
+    def test_red_on_a_halving_geometry_off_the_paper_s_midpoint(self, monkeypatch):
+        # The builder and the checker share ``halving_levels``; a geometry
+        # bug there changes both alike, so the checker re-derives the
+        # midpoint on its own.
+        from repro.collectives.distance_halving import builder
+
+        def upper_keeps_the_odd_rank(n, stop):
+            levels, intervals = [], [(0, n)]
+            while True:
+                level = [((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))
+                         for lo, hi in intervals if hi - lo > stop]
+                if not level:
+                    return levels
+                levels.append(level)
+                intervals = [half for split in level for half in split]
+
+        monkeypatch.setattr(builder, "halving_levels", upper_keeps_the_odd_rank)
+        spec = TopologySpec("random", 12, density=0.4, seed=3)
+        scenario = Scenario(
+            topology=spec,
+            # L = 2: [0, 12) halves into intervals of 3, which split unevenly.
+            machine=MachineSpec(nodes=3, sockets_per_node=2, ranks_per_socket=2),
+            msg_size=64,
+        )
+        details = [v.detail for v in check_dh_structure(scenario, spec.build())]
+        assert details
+        assert all("not just after the paper's midpoint" in d for d in details)
+
     def test_battery_skips_dh_structure_after_fallback(self):
         # A fallback run executed naive's schedule; DH pattern checks
         # would assert properties of code that never ran.
