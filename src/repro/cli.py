@@ -167,10 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the fault-injection resilience study instead "
                               "of a figure")
     bench_p.add_argument("--smoke", action="store_true",
-                         help="tiny wallclock/resilience grid (for CI); implies "
-                              "--repeats 1")
+                         help="tiny wallclock/resilience grid (for CI); makes "
+                              "--repeats default to 1")
     bench_p.add_argument("--repeats", type=int, default=None,
-                         help="wallclock median-of-k repeats (default 3)")
+                         help="wallclock median-of-k repeats (default 3, or 1 "
+                              "with --smoke)")
     bench_p.add_argument("--out", default=None,
                          help="report path (default BENCH_sim_core.json for "
                               "--wallclock, BENCH_resilience.json for --resilience)")
@@ -637,7 +638,8 @@ def cmd_bench(args) -> int:
     if args.wallclock:
         from repro.bench.wallclock import wallclock_bench
 
-        repeats = 3 if args.repeats is None else args.repeats
+        default_repeats = 1 if args.smoke else 3
+        repeats = default_repeats if args.repeats is None else args.repeats
         if repeats < 1:
             print(f"error: --repeats must be >= 1, got {repeats}",
                   file=sys.stderr)
@@ -645,7 +647,7 @@ def cmd_bench(args) -> int:
         try:
             payload = wallclock_bench(
                 scale=scale,
-                repeats=1 if args.smoke else repeats,
+                repeats=repeats,
                 smoke=args.smoke,
                 out_path=args.out or "BENCH_sim_core.json",
                 record_baseline=args.record_baseline,

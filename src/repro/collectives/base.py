@@ -149,16 +149,20 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         :class:`~repro.sim.schedule.Schedule`.
 
         ``deliver`` ops become ``Schedule.deliveries``, in stream order; the
-        other ops, unchanged, become ``Schedule.ops``.
+        other ops, unchanged, become the rank's op list, which is encoded
+        (:func:`~repro.sim.schedule.encode_ops`) as soon as the rank's stream
+        is drained, so no op tuple outlives its rank.  The encoding is
+        in-process only, never stored across processes or interpreter
+        versions.
         """
-        from repro.sim.schedule import Schedule
+        from repro.sim.schedule import Schedule, encode_ops
 
-        all_ops: list[list[tuple] | None] = []
+        encoded: list[bytes | None] = []
         deliveries: list[list[int]] = []
         for rank in range(ctx.topology.n):
             stream = self.rank_ops(ctx, rank)
             if stream is None:
-                all_ops.append(None)
+                encoded.append(None)
                 deliveries.append([])
                 continue
             ops: list[tuple] = []
@@ -168,9 +172,9 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
                     delivered.extend(op[1])
                 else:
                     ops.append(op)
-            all_ops.append(ops)
+            encoded.append(encode_ops(ops))
             deliveries.append(delivered)
-        return Schedule(ctx.topology.n, all_ops, deliveries)
+        return Schedule(ctx.topology.n, tuple(encoded), deliveries)
 
     def schedule_for(self, ctx: ExecutionContext):
         """Memoized :meth:`build_schedule`, in block counts for uniform sizes.

@@ -21,6 +21,9 @@ Three ideas make replay fast:
   each send's NIC ids and lanes from its socket pair's route row, and
   per-op ids into the distinct pricing cohorts — cached per
   ``(structural digest, machine digest)`` in :mod:`repro.sim.plancache`.
+  The compiler decodes the schedule's per-rank encodings one rank at a
+  time (:meth:`~repro.sim.schedule.Schedule.iter_ops`), so no rank's op
+  tuples outlive its turn; only the plan's own tables stay.
 * **Price each call, vectorized.**  A call prices the cohorts (distinct
   ``(socket pair, block count)`` sends, distinct charge counts) in one
   numpy pass over ``nb = count * unit`` — ``alpha + nb*inv_beta``, NIC and
@@ -163,7 +166,7 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     messages = 0
     blocks = 0
     ladder_len = 0
-    for rank, ops in enumerate(schedule.ops):
+    for rank, ops in enumerate(schedule.iter_ops()):
         if ops is None:
             rank_segs.append(None)
             continue

@@ -30,39 +30,125 @@ Op order is the stream's program order (post order is what determines
 resource-claim order and therefore timing).  A rank whose stream is ``None``
 gets ``None`` instead of an op list — the engine never spawns such ranks,
 and event sequence parity depends on reproducing that.
+
+Storage is one immutable ``bytes`` per rank: the rank's op list encoded by
+:func:`encode_ops` (``marshal`` format 2, which encodes every value in full,
+with no references between equal objects, so the bytes depend only on the
+ops' values).  A cold 264-rank cell's schedule holds tens of thousands of
+ops; kept as tuples, every one is an object the cyclic garbage collector
+walks for as long as the schedule lives, while the encoding is one opaque
+buffer per rank.  :meth:`Schedule.iter_ops` decodes one rank at a time, and
+the plan-cache digest hashes the bytes as they are.  The encoding is
+in-process only: ``marshal`` bytes are never stored or sent across
+processes or interpreter versions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
+
+#: ``marshal`` format of the per-rank encodings: version 2 is the newest
+#: that writes no back-references, so equal op lists encode to equal bytes.
+_MARSHAL_VERSION = 2
+#: ``marshal``'s encoding of ``None``: what the digest hashes for a rank
+#: the engine does not spawn.
+_NONE = marshal.dumps(None, _MARSHAL_VERSION)
+
+
+def encode_ops(ops: list[tuple]) -> bytes:
+    """One rank's op list as the immutable bytes a :class:`Schedule` stores."""
+    return marshal.dumps(ops, _MARSHAL_VERSION)
+
+
+class RankOps:
+    """One rank's encoded op list, read as a sequence of op tuples.
+
+    ``len`` reads the op count from the encoding's list header (``marshal``
+    writes ``[`` and a 4-byte little-endian length), so counting a
+    schedule's ops decodes nothing; iterating, indexing, comparing and
+    printing decode the whole list on each call.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+
+    def __len__(self) -> int:
+        return int.from_bytes(self._data[1:5], "little")
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(marshal.loads(self._data))
+
+    def __getitem__(self, index):
+        return marshal.loads(self._data)[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RankOps):
+            return self._data == other._data
+        if isinstance(other, list):
+            return marshal.loads(self._data) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(marshal.loads(self._data))
 
 
 @dataclass
 class Schedule:
-    """Per-rank op lists plus the result-buffer contents they imply.
+    """Per-rank encoded op lists plus the result-buffer contents they imply.
 
-    ``ops[r]`` is rank ``r``'s operation list (``None`` when the rank's
-    stream is ``None`` — no events, no engine sequence number);
-    ``deliveries[r]`` lists the source ranks whose block lands in rank
-    ``r``'s receive buffer (``results[r][src] = payloads[src]``), in the
-    order of the stream's ``deliver`` ops.  The fast path copies them as
-    declared; on the engine the rank program checks each one against
-    the blocks that really arrived.
+    ``encoded[r]`` is rank ``r``'s operation list, encoded by
+    :func:`encode_ops` (``None`` when the rank's stream is ``None`` — no
+    events, no engine sequence number); :meth:`iter_ops` decodes it and
+    :attr:`ops` reads it.  ``deliveries[r]`` lists the source ranks whose
+    block lands in rank ``r``'s receive buffer (``results[r][src] =
+    payloads[src]``), in the order of the stream's ``deliver`` ops.  The
+    fast path copies them as declared; on the engine the rank program
+    checks each one against the blocks that really arrived.
     """
 
     n_ranks: int
-    ops: list[list[tuple] | None]
+    encoded: tuple[bytes | None, ...]
     deliveries: list[list[int]]
 
     def __post_init__(self) -> None:
-        if len(self.ops) != self.n_ranks or len(self.deliveries) != self.n_ranks:
+        if len(self.encoded) != self.n_ranks or len(self.deliveries) != self.n_ranks:
             raise ValueError(
                 f"schedule arity mismatch: {self.n_ranks} ranks, "
-                f"{len(self.ops)} op lists, {len(self.deliveries)} delivery lists"
+                f"{len(self.encoded)} op lists, {len(self.deliveries)} delivery lists"
             )
+
+    @classmethod
+    def from_ops(
+        cls,
+        n_ranks: int,
+        ops: Sequence[list[tuple] | None],
+        deliveries: list[list[int]],
+    ) -> "Schedule":
+        """A schedule of per-rank op lists (``None`` for an unspawned rank)."""
+        return cls(
+            n_ranks,
+            tuple(None if op_list is None else encode_ops(op_list) for op_list in ops),
+            deliveries,
+        )
+
+    def iter_ops(self) -> Iterator[list[tuple] | None]:
+        """Each rank's op list (or ``None``), decoded one rank at a time."""
+        for data in self.encoded:
+            yield None if data is None else marshal.loads(data)
+
+    @property
+    def ops(self) -> list[RankOps | None]:
+        """Every rank's op list (or ``None``) as a :class:`RankOps` view."""
+        return [None if data is None else RankOps(data) for data in self.encoded]
 
 
 def structural_digest(schedule: Schedule) -> str:
@@ -73,20 +159,22 @@ def structural_digest(schedule: Schedule) -> str:
     stream (kinds, endpoints, block counts, tags, block ids, ``None``
     ranks) — the compiler's inputs, plus the block ids it ignores.
     ``deliveries`` is excluded on purpose: it names result-buffer contents,
-    which no plan depends on.  The ops are hashed as
-    ``marshal.dumps((n_ranks, ops), 2)``: format version 2 encodes every
-    value in full, with no references between equal objects, so the bytes
-    depend only on the ops' values, and it is several times cheaper than
-    ``repr`` on block-carrying sends.  This is the schedule half of the
-    compiled-plan cache key (the machine half is
-    :func:`repro.sim.plancache.machine_digest`), realizing the
+    which no plan depends on.  It is a SHA-256, cut to 128 bits, of the
+    rank count (8 bytes) followed by every rank's encoding as stored
+    (``marshal``'s ``N`` for a ``None`` rank), so nothing is encoded twice.
+    Each encoding is a self-delimiting ``marshal`` stream that depends only
+    on the ops' values, so the concatenation names the op lists exactly.
+    This is the schedule half of the compiled-plan cache key (the machine
+    half is :func:`repro.sim.plancache.machine_digest`), realizing the
     isomorphic-neighborhood observation: sweep cells whose schedules are
     structurally identical share one compilation.
     """
     digest = getattr(schedule, "_structural_digest", None)
     if digest is None:
-        encoded = marshal.dumps((schedule.n_ranks, schedule.ops), 2)
-        digest = hashlib.blake2b(encoded, digest_size=16).hexdigest()
+        h = hashlib.sha256(schedule.n_ranks.to_bytes(8, "little"))
+        for data in schedule.encoded:
+            h.update(_NONE if data is None else data)
+        digest = h.hexdigest()[:32]
         schedule._structural_digest = digest
     return digest
 
@@ -103,7 +191,7 @@ def spawn_wake_order(schedule: Schedule) -> tuple[int, ...]:
     executor reproduces (see :mod:`repro.sim.fastpath`).
     """
     return tuple(
-        rank for rank, ops in enumerate(schedule.ops) if ops is not None
+        rank for rank, data in enumerate(schedule.encoded) if data is not None
     )
 
 
@@ -117,7 +205,9 @@ def static_matching(schedule: Schedule):
     per-key orders are static — a key's sends all originate from one rank
     and ranks execute their segments in program order — so the pairing is
     a compile-time function of the schedule alone, valid across stage
-    boundaries.
+    boundaries.  It is computed as one stable sort of every receive and
+    send by key, followed by a join on each op's FIFO ordinal within its
+    key.
 
     Returns ``(send_slots, n_slots, fully_matched)``: receives are numbered
     ("slots") in rank-major program order, ``send_slots[i]`` is the slot
@@ -129,26 +219,55 @@ def static_matching(schedule: Schedule):
     the run deadlocks; the fast path's executor reports it with the
     engine's message.
     """
-    recv_q: dict[tuple, deque] = {}
-    n_slots = 0
-    for rank, ops in enumerate(schedule.ops):
-        if not ops:
-            continue
-        for op in ops:
-            if op[0] == "recv":
-                key = (rank, op[1], op[2])
-                q = recv_q.get(key)
-                if q is None:
-                    recv_q[key] = q = deque()
-                q.append(n_slots)
-                n_slots += 1
-    send_slots: list[int] = []
-    for rank, ops in enumerate(schedule.ops):
-        if not ops:
-            continue
-        for op in ops:
-            if op[0] == "send":
-                q = recv_q.get((op[1], rank, op[3]))
-                send_slots.append(q.popleft() if q else -1)
-    fully_matched = not any(recv_q.values())
-    return send_slots, n_slots, fully_matched
+    recv_src: list[int] = []
+    recv_tag: list[int] = []
+    send_dst: list[int] = []
+    send_tag: list[int] = []
+    recv_counts: list[int] = []
+    send_counts: list[int] = []
+    for ops in schedule.iter_ops():
+        recvs = [op for op in ops if op[0] == "recv"] if ops else []
+        sends = [op for op in ops if op[0] == "send"] if ops else []
+        recv_src += [op[1] for op in recvs]
+        recv_tag += [op[2] for op in recvs]
+        send_dst += [op[1] for op in sends]
+        send_tag += [op[3] for op in sends]
+        recv_counts.append(len(recvs))
+        send_counts.append(len(sends))
+    n = schedule.n_ranks
+    n_slots = len(recv_src)
+    ranks = np.arange(n, dtype=np.int64)
+    # Every receive (in slot order), then every send (in send order), as
+    # (dst, src, tag).  A peer outside [0, n) names no rank, so its op gets
+    # a key of its own and never matches, as under per-key FIFO queues.
+    dst = np.concatenate([np.repeat(ranks, recv_counts),
+                          np.asarray(send_dst, dtype=np.int64)])
+    src = np.concatenate([np.asarray(recv_src, dtype=np.int64),
+                          np.repeat(ranks, send_counts)])
+    tags, tag_ids = np.unique(np.asarray(recv_tag + send_tag, dtype=np.int64),
+                              return_inverse=True)
+    key = (dst * n + src) * len(tags) + tag_ids
+    total = len(key)
+    stray = (dst < 0) | (dst >= n) | (src < 0) | (src >= n)
+    key[stray] = -1 - np.flatnonzero(stray)
+    # A stable sort keeps program order within a key, and every receive
+    # sits before every send: per key, the receives in slot order, then the
+    # sends in send order.  The j-th send of a key takes its j-th receive.
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    pos = np.arange(total)
+    first = np.ones(total, dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    start = np.maximum.accumulate(np.where(first, pos, 0))
+    is_recv = order < n_slots
+    # At a send, every receive of its key lies between the key's start and
+    # the send: key_recvs counts them, and ordinal is the send's FIFO place
+    # among its key's sends.
+    recvs_before = np.cumsum(is_recv) - is_recv
+    key_recvs = recvs_before - recvs_before[start]
+    ordinal = pos - start - key_recvs
+    send_pos = np.flatnonzero(~is_recv)
+    matched = send_pos[ordinal[send_pos] < key_recvs[send_pos]]
+    send_slots = np.full(total - n_slots, -1, dtype=np.int64)
+    send_slots[order[matched] - n_slots] = order[start[matched] + ordinal[matched]]
+    return send_slots.tolist(), n_slots, len(matched) == n_slots

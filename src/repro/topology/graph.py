@@ -42,7 +42,7 @@ class DistGraphTopology:
                 raw = out_neighbors.get(u, ())
             else:
                 raw = out_neighbors[u] if u < len(out_neighbors) else ()
-            nbrs = sorted(set(int(v) for v in raw))
+            nbrs = sorted(set(map(int, raw)))
             if nbrs and (nbrs[0] < 0 or nbrs[-1] >= n):
                 bad = [v for v in nbrs if not 0 <= v < n]
                 raise ValueError(f"rank {u} has out-of-range neighbors {bad} (n={n})")
@@ -51,7 +51,8 @@ class DistGraphTopology:
             for v in nbrs:
                 incoming[v].append(u)
         self._out = tuple(out)
-        self._in = tuple(tuple(sorted(lst)) for lst in incoming)
+        # The ascending u loop appends each in-list sorted and duplicate-free.
+        self._in = tuple(map(tuple, incoming))
         self._n_edges = n_edges
 
     # ----------------------------------------------------------------- basics

@@ -14,6 +14,7 @@ from repro.bench.wallclock import (
     wallclock_bench,
 )
 from repro.cli import main
+from repro.sim.plancache import reset_plan_cache
 
 SMALL = get_scale("small")
 
@@ -192,6 +193,9 @@ class TestCli:
         assert "time the hybrid path" in capsys.readouterr().err
 
     def test_plan_cache_gate(self, tmp_path, capsys):
+        # Start cold: the plan cache is process-wide, so without the reset
+        # the rate below would count plans compiled by earlier tests.
+        reset_plan_cache()
         out = tmp_path / "BENCH_sim_core.json"
         # repeats >= 2 warms the plan cache within the run, so a modest
         # hit-rate floor passes...
@@ -200,6 +204,7 @@ class TestCli:
             "--repeats", "3", "--out", str(out),
             "--min-plan-cache-hit-rate", "0.01",
         ]) == 0
+        assert json.loads(out.read_text())["repeats"] == 3  # --smoke keeps it
         capsys.readouterr()
         # ...while an impossible floor trips the gate.
         assert main([

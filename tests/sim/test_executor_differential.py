@@ -82,7 +82,7 @@ def _random_schedule(rng: random.Random, n: int) -> Schedule:
             if s < n_stages - 1 or rng.random() < 0.8:
                 rank_ops.append(("wait",))
         ops.append(rank_ops)
-    return Schedule(n_ranks=n, ops=ops, deliveries=[[] for _ in range(n)])
+    return Schedule.from_ops(n_ranks=n, ops=ops, deliveries=[[] for _ in range(n)])
 
 
 def _cases():

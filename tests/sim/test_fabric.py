@@ -270,7 +270,7 @@ def test_route_memo_does_not_keep_machines_alive():
     ops[dst] = [("recv", 0, 0, 1), ("wait",)]
     deliveries = [[] for _ in ops]
     deliveries[dst] = [0]
-    plan = _compile_multi(Schedule(len(ops), ops, deliveries), machine)
+    plan = _compile_multi(Schedule.from_ops(len(ops), ops, deliveries), machine)
     table = routes_for(machine)
     alive = weakref.ref(machine)
 

@@ -92,7 +92,7 @@ class TestExecutorEdgeCases:
              ("recv", 0, 0), ("recv", 1, 3), ("wait",)],
             None,
         ]
-        schedule = Schedule(n_ranks=4, ops=ops, deliveries=[[], [], [], []])
+        schedule = Schedule.from_ops(n_ranks=4, ops=ops, deliveries=[[], [], [], []])
         out = _assert_identical(schedule, machine)
         assert out.messages_sent == 4
 
@@ -104,14 +104,14 @@ class TestExecutorEdgeCases:
             [("wait",), ("wait",), ("send", 1, 64, 0), ("wait",), ("wait",)],
             [("recv", 0, 0), ("wait",), ("wait",)],
         ]
-        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], []])
+        schedule = Schedule.from_ops(n_ranks=2, ops=ops, deliveries=[[], []])
         _assert_identical(schedule, machine)
 
     def test_single_rank_schedule(self):
         machine = _machine(nodes=1, sockets=1, rps=1)
         ops = [[("charge", 512), ("send", 0, 128, 0), ("recv", 0, 0),
                 ("wait",), ("charge", 64), ("wait",)]]
-        schedule = Schedule(n_ranks=1, ops=ops, deliveries=[[0]])
+        schedule = Schedule.from_ops(n_ranks=1, ops=ops, deliveries=[[0]])
         out = _assert_identical(schedule, machine)
         assert out.finish_times[0] == out.simulated_time
 
@@ -122,7 +122,7 @@ class TestExecutorEdgeCases:
             None,
             [("recv", 0, 0), ("wait",)],
         ]
-        schedule = Schedule(n_ranks=3, ops=ops, deliveries=[[], [], [0]])
+        schedule = Schedule.from_ops(n_ranks=3, ops=ops, deliveries=[[], [], [0]])
         assert spawn_wake_order(schedule) == (0, 2)
         out = _assert_identical(schedule, machine)
         assert out.finish_times[1] == 0.0
@@ -136,16 +136,18 @@ class TestExecutorEdgeCases:
             [("send", 1, 64, 0), ("send", 1, 64, 99), ("wait",)],
             [("recv", 0, 0), ("wait",)],
         ]
-        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
+        schedule = Schedule.from_ops(n_ranks=2, ops=ops, deliveries=[[], [0]])
         slots, n_slots, fully_matched = static_matching(schedule)
         assert fully_matched and slots == [0, -1] and n_slots == 1
         _assert_identical(schedule, machine)
 
     def test_negative_unit_is_rejected(self):
         machine = _machine(nodes=1, sockets=1, rps=2)
-        schedule = Schedule(n_ranks=2, ops=[[("send", 1, 1, 0), ("wait",)],
-                                            [("recv", 0, 0), ("wait",)]],
-                            deliveries=[[], [0]])
+        schedule = Schedule.from_ops(
+            n_ranks=2,
+            ops=[[("send", 1, 1, 0), ("wait",)], [("recv", 0, 0), ("wait",)]],
+            deliveries=[[], [0]],
+        )
         with pytest.raises(ValueError, match="unit"):
             execute_schedule(schedule, machine, unit=-8)
 
@@ -157,7 +159,7 @@ class TestExecutorEdgeCases:
             [("send", 1, 64, 0), ("wait",)],
             [("recv", 0, 0), ("recv", 0, 7), ("wait",)],
         ]
-        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
+        schedule = Schedule.from_ops(n_ranks=2, ops=ops, deliveries=[[], [0]])
         assert static_matching(schedule)[2] is False
         blocked = r"blocked processes: rank 1 \(waitall\(1 pending\)\)$"
         events = assert_deadlocks_like_engine(schedule, machine)

@@ -92,11 +92,15 @@ class TestTransforms:
     )
 )
 def test_in_out_duality(args):
-    """u in in_neighbors(v) iff v in out_neighbors(u), and edge counts agree."""
+    """u in in_neighbors(v) iff v in out_neighbors(u), edge counts agree,
+    and every in-neighbor tuple is strictly ascending."""
     n, edges = args
     topo = DistGraphTopology.from_edges(n, edges)
     for u in range(n):
         for v in topo.out_neighbors(u):
             assert u in topo.in_neighbors(v)
+    for v in range(n):
+        nbrs = topo.in_neighbors(v)
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
     assert sum(topo.indegree(v) for v in range(n)) == topo.n_edges
     assert sum(topo.outdegree(u) for u in range(n)) == topo.n_edges
