@@ -229,6 +229,7 @@ class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
 
     @staticmethod
     def _ops(ctx: ExecutionContext, rank: int, plan: _BruckPlan) -> Iterator[tuple]:
+        sizes_of = ctx.sizer()
         my_size = ctx.size_of(rank)
         if plan.self_copy:
             yield ("charge", my_size)
@@ -247,28 +248,28 @@ class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
         # Stage 2 — rotation rounds.
         for send_to, send_blocks, recv_from, recv_blocks, tag in plan.rounds:
             if recv_from >= 0:
-                yield ("recv", recv_from, tag, ctx.sizes_of(recv_blocks))
+                yield ("recv", recv_from, tag, sizes_of(recv_blocks))
             if send_to >= 0:
-                nbytes = ctx.sizes_of(send_blocks)
+                nbytes = sizes_of(send_blocks)
                 yield ("charge", nbytes)  # pack rotation message
                 yield ("send", send_to, nbytes, tag, send_blocks)
             yield ("wait",)
             if recv_from >= 0:
-                yield ("charge", ctx.sizes_of(recv_blocks))  # unpack
+                yield ("charge", sizes_of(recv_blocks))  # unpack
 
         # Stage 3 — redistribute to members / local copies.
         for member, blocks in plan.dist_sends:
-            nbytes = ctx.sizes_of(blocks)
+            nbytes = sizes_of(blocks)
             yield ("charge", nbytes)  # pack
             yield ("send", member, nbytes, BRUCK_DIST_TAG, blocks)
         if plan.dist_recv is not None:
             leader, blocks = plan.dist_recv
-            yield ("recv", leader, BRUCK_DIST_TAG, ctx.sizes_of(blocks))
+            yield ("recv", leader, BRUCK_DIST_TAG, sizes_of(blocks))
         if plan.dist_sends or plan.dist_recv is not None:
             yield ("wait",)
         if plan.dist_recv is not None:
             blocks = plan.dist_recv[1]
-            yield ("charge", ctx.sizes_of(blocks))  # unpack into rbuf
+            yield ("charge", sizes_of(blocks))  # unpack into rbuf
             yield ("deliver", blocks)
         # A leader copies its own in-neighbours' blocks from the store only
         # after redistribution: under a crash, what was delivered by then

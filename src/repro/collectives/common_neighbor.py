@@ -8,6 +8,17 @@ carrying all the group's blocks destined to that neighbor (phase 2).
 Neighbors of only one member keep their original sender, so combining never
 adds hops where it cannot remove messages.
 
+A group's plan depends only on which members feed each target, so the
+planner (:func:`_plan`) works from *source masks*: for every (group,
+target) pair, the bitmask of the members that send to the target (bit
+``i`` is the group's ``i``-th rank).  One sort of the edges by pair gives
+every mask; the least-loaded assignment of shared targets runs the groups
+side by side, one round per shared target of a group, with the members'
+single-source targets as prefix counts; a target's block tuple is its
+mask's member list, built once per distinct (group, mask) and shared by
+the send and receive lists; and the phase-1 exchanges are the OR of the
+masks each assignee covers.
+
 The paper runs this baseline "with various values of K" and reports the
 best; the benchmarks do the same (see ``repro.bench``).
 """
@@ -16,7 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
+from numbers import Integral
 from typing import Iterator
+
+import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.collectives.base import (
@@ -60,6 +75,8 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
 
     def __init__(self, k: int = 4) -> None:
         super().__init__()
+        if not isinstance(k, Integral):
+            raise TypeError(f"k must be an integer, got {k!r}")
         self.k = check_positive("k", k)
         self.plans: list[_RankPlan] | None = None
 
@@ -72,27 +89,14 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
     def _build(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:
         start = time.perf_counter()
         n = topology.n
-        plans = [_RankPlan() for _ in range(n)]
         groups = self._form_groups(n, machine)
+        self.plans = _plan(topology, groups)
 
         # Setup communication, as in the published design: every rank learns
         # the outgoing-neighbor lists of the others to build its Matrix A
         # (an all-to-all of neighbor lists, n*(n-1) messages), plus the
         # intra-group exchange that settles assignments.
-        setup_messages = n * (n - 1)
-        for group in groups:
-            setup_messages += len(group) * (len(group) - 1)
-            self._plan_group(topology, group, plans)
-        # Mirror phase-2 sends into receive lists.
-        recvs: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(n)}
-        for r, plan in enumerate(plans):
-            if r in topology.out_neighbors(r):
-                plan.self_copy = True
-            for target, blocks in plan.phase2_sends:
-                recvs[target].append((r, blocks))
-        for v, lst in recvs.items():
-            plans[v].phase2_recvs = tuple(sorted(lst))
-        self.plans = plans
+        setup_messages = n * (n - 1) + sum(len(g) * (len(g) - 1) for g in groups)
 
         wall = time.perf_counter() - start
         cost = machine.params.cost(LinkClass.INTER_NODE)
@@ -116,72 +120,12 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
                 groups.append(tuple(range(lo, min(lo + self.k, socket_end))))
         return groups
 
-    def _plan_group(
-        self,
-        topology: DistGraphTopology,
-        group: tuple[int, ...],
-        plans: list[_RankPlan],
-    ) -> None:
-        members = set(group)
-        # srcs[v]: group members whose block target v needs, in member order.
-        srcs: dict[int, list[int]] = {}
-        for g in group:
-            for v in topology.out_neighbors(g):
-                if v == g:
-                    continue  # self-loops handled locally
-                srcs.setdefault(v, []).append(g)
-
-        # Assignment: member targets deliver to themselves (via phase 1);
-        # single-source targets keep their original sender; shared external
-        # targets round-robin to the least-loaded member.
-        load = {g: 0 for g in group}
-        assignee: dict[int, int] = {}
-        for v in sorted(srcs):
-            if v in members:
-                assignee[v] = v
-            elif len(srcs[v]) == 1:
-                assignee[v] = srcs[v][0]
-                load[srcs[v][0]] += 1
-            else:
-                best = min(group, key=lambda g: (load[g], g))
-                assignee[v] = best
-                load[best] += len(srcs[v])
-
-        # Phase-1 pairs: g's block must reach assignee a for every target.
-        p1_pairs: set[tuple[int, int]] = set()
-        for v, a in assignee.items():
-            for g in srcs[v]:
-                if g != a:
-                    p1_pairs.add((g, a))
-
-        p1_send: dict[int, list[int]] = {g: [] for g in group}
-        p1_recv: dict[int, list[int]] = {g: [] for g in group}
-        for g, a in sorted(p1_pairs):
-            p1_send[g].append(a)
-            p1_recv[a].append(g)
-
-        p2_send: dict[int, list[tuple[int, tuple[int, ...]]]] = {g: [] for g in group}
-        for v in sorted(assignee):
-            a = assignee[v]
-            if v in members:
-                continue  # delivered by phase 1 + local rbuf copy
-            p2_send[a].append((v, tuple(srcs[v])))
-
-        for g in group:
-            plan = plans[g]
-            plan.group = group
-            plan.phase1_sends = tuple(p1_send[g])
-            plan.phase1_recvs = tuple(p1_recv[g])
-            plan.phase1_for_me = tuple(
-                src for src in p1_recv[g] if g in topology.out_neighbors(src)
-            )
-            plan.phase2_sends = tuple(p2_send[g])
-
     # -------------------------------------------------------------- operation
     def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple]:
         self.require_setup()
         assert self.plans is not None
         plan = self.plans[rank]
+        sizes_of = ctx.sizer()
         my_size = ctx.size_of(rank)
         own = (rank,)
         if plan.self_copy:
@@ -202,13 +146,207 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
 
         # Phase 2: one combined message per assigned external target.
         for target, blocks in plan.phase2_sends:
-            nbytes = ctx.sizes_of(blocks)
+            nbytes = sizes_of(blocks)
             yield ("charge", nbytes)  # pack
             yield ("send", target, nbytes, P2_TAG, blocks)
         for sender, blocks in plan.phase2_recvs:
-            yield ("recv", sender, P2_TAG, ctx.sizes_of(blocks))
+            yield ("recv", sender, P2_TAG, sizes_of(blocks))
         if plan.phase2_sends or plan.phase2_recvs:
             yield ("wait",)
         for _, blocks in plan.phase2_recvs:
-            yield ("charge", ctx.sizes_of(blocks))  # unpack into rbuf
+            yield ("charge", sizes_of(blocks))  # unpack into rbuf
             yield ("deliver", blocks)
+
+
+def _plan(topology: DistGraphTopology, groups: list[tuple[int, ...]]) -> list[_RankPlan]:
+    """Every rank's plan, built from the groups' source masks.
+
+    A *pair* is a group and a target that at least one of its members
+    sends to (self-loops are local copies and set no bit).  Its target's
+    *assignee* delivers the group's blocks to it:
+
+    * a member target receives them itself, through phase 1;
+    * an outside target of one member keeps that member as its sender;
+    * an outside target of several members (a *shared* target) goes, in
+      ascending target order, to the member with the least load so far,
+      ties to the lowest rank, where a member's load is its number of
+      one-member targets so far plus the blocks of the shared targets it
+      took.
+
+    Everything but the shared targets' assignment is array work, and that
+    runs every group at once (:func:`_least_loaded`).  The result is the
+    per-target planner's, plan for plan.
+    """
+    n = topology.n
+    out = [topology.out_neighbors(u) for u in range(n)]
+    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in out])
+    dst = np.fromiter(chain.from_iterable(out), dtype=np.intp, count=topology.n_edges)
+    loop = src == dst
+    self_copy = np.zeros(n, dtype=bool)
+    self_copy[src[loop]] = True
+    src, dst = src[~loop], dst[~loop]
+
+    sizes = [len(group) for group in groups]
+    n_groups, width = len(groups), max(sizes)
+    group_of = np.repeat(np.arange(n_groups), sizes)
+    lows = np.array([group[0] for group in groups])
+    slot = np.arange(n) - lows[group_of]  # a rank's bit in its group's masks
+    # Codes below put a rank or group above a mask's bits; where that
+    # passes int64, masks are Python ints.
+    dtype = np.int64 if n << width < 1 << 63 else object
+    bits = np.array([1 << i for i in range(width)], dtype=dtype)
+    rank_ids = np.fromiter(range(n), dtype=object, count=n)  # one int per rank
+
+    # Edges sorted by pair: group, then target.
+    key = group_of[src] * n + dst
+    order = np.argsort(key)
+    key, src = key[order], src[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first edge
+    count = np.diff(first, append=key.size)
+    mask = np.bitwise_or.reduceat(bits[slot[src]], first)
+    group, target = np.divmod(key[first], n)
+    member = group_of[target] == group
+    assignee = np.where(member, target, src[first])  # exact but for shared pairs
+
+    shared = np.flatnonzero(~member & (count > 1))
+    if shared.size:
+        assignee[shared] = lows[group[shared]] + _least_loaded(
+            shared, group, count, slot[assignee], ~member & (count == 1), sizes, key.size
+        )
+
+    # Phase 2: a pair's blocks are its mask's members, one tuple per
+    # distinct (group, mask), shared by the send and the receive lists.
+    # A receive entry (assignee, blocks) depends only on the assignee and
+    # the mask, so the receive lists share one entry per such pair too.
+    outside = np.flatnonzero(~member)
+    senders, targets, masks = assignee[outside], target[outside], mask[outside]
+    codes, kind, _ = _unique((group[outside].astype(dtype) << width) + masks, n_groups << width)
+    blocks = _objects(_member_tuples(
+        lows[(codes >> width).astype(np.intp)], _bits(codes & ((1 << width) - 1), width)
+    ))
+    _, entry, rep = _unique((senders.astype(dtype) << width) + masks, n << width)
+    entries = _objects(list(zip(rank_ids[senders[rep]].tolist(), blocks[kind[rep]].tolist())))
+    by_sender = _stable_order(senders, n)  # targets stay ascending
+    by_target = _stable_order(targets, n)  # assignees stay ascending
+    sends = _per_rank(
+        senders, zip(rank_ids[targets[by_sender]].tolist(), blocks[kind[by_sender]].tolist()), n
+    )
+    recvs = _per_rank(targets, entries[entry[by_target]].tolist(), n)
+
+    # Phase 1: an assignee needs the blocks of every member in the masks
+    # of its targets but its own; a member target's own mask is what
+    # phase 1 delivers to it.
+    need = np.zeros(n, dtype=dtype)
+    np.bitwise_or.at(need, assignee, mask)
+    need &= ~bits[slot]
+    for_me = np.zeros(n, dtype=dtype)
+    for_me[target[member]] = mask[member]
+    recv_from = _bits(need, width)
+    # Rank r sends to the members whose needs have r's bit: its group's
+    # block of recv_from, transposed.
+    rank_lows = lows[group_of]
+    peers = rank_lows[:, None] + np.arange(width)
+    in_group = peers < (rank_lows + np.array(sizes)[group_of])[:, None]
+    send_to = recv_from[np.where(in_group, peers, 0), slot[:, None]] & in_group
+    return list(map(
+        _RankPlan,
+        [groups[g] for g in group_of.tolist()],
+        _member_tuples(rank_lows, send_to),
+        _member_tuples(rank_lows, recv_from),
+        _member_tuples(rank_lows, _bits(for_me, width)),
+        sends,
+        recvs,
+        self_copy.tolist(),
+    ))
+
+
+def _least_loaded(
+    shared: np.ndarray,
+    group: np.ndarray,
+    count: np.ndarray,
+    owner_slot: np.ndarray,
+    single: np.ndarray,
+    sizes: list[int],
+    n_edges: int,
+) -> np.ndarray:
+    """The slot of each shared pair's assignee.
+
+    ``shared`` indexes the shared pairs among all pairs (sorted by group,
+    then target); ``single`` flags the one-member pairs, whose member's
+    slot is ``owner_slot``.  A group's shared pairs are assigned in target
+    order, so the groups run side by side: round ``j`` assigns every
+    group's ``j``-th shared pair at once.
+    """
+    width = max(sizes)
+    # owned[s, i]: slot i's one-member pairs in shared pair s's group
+    # before it, a difference of prefix counts.
+    onehot = np.zeros((group.size + 1, width), dtype=np.int32)
+    ones = np.flatnonzero(single)
+    onehot[ones + 1, owner_slot[ones]] = 1
+    before = onehot.cumsum(axis=0, dtype=np.int32)
+    shared_group = group[shared]
+    owned = before[shared] - before[np.searchsorted(group, shared_group)]
+
+    # In round order, each round's pairs are one slice.
+    rounds = np.arange(shared.size) - np.searchsorted(shared_group, shared_group)
+    by_round = np.argsort(rounds)
+    bounds = np.searchsorted(rounds[by_round], np.arange(rounds.max() + 2)).tolist()
+    owned, shared_group, blocks = owned[by_round], shared_group[by_round], count[shared[by_round]]
+    # taken[g, i]: blocks of the shared pairs slot i of group g took so
+    # far; a slot past the group's size is never least loaded.
+    taken = np.where(np.arange(width) < np.array(sizes)[:, None], 0, n_edges + 1)
+    picks = np.empty(shared.size, dtype=np.intp)
+    for a, b in zip(bounds, bounds[1:]):
+        groups = shared_group[a:b]  # distinct: one pair per group a round
+        best = (owned[a:b] + taken[groups]).argmin(axis=1)  # ties: lowest slot
+        taken[groups, best] += blocks[a:b]
+        picks[by_round[a:b]] = best
+    return picks
+
+
+def _bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """``masks`` as a bool matrix: row ``r`` column ``i`` is bit ``i``."""
+    return (masks[:, None] >> np.arange(width)) & 1 == 1
+
+
+def _member_tuples(lows: np.ndarray, has: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row ``r`` of the bool matrix ``has``, the tuple of ranks
+    ``lows[r] + i`` of its set columns ``i``, ascending."""
+    ranks = (lows[:, None] + np.arange(has.shape[1]))[has].tolist()
+    ends = np.cumsum(has.sum(axis=1)).tolist()
+    return [tuple(ranks[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _objects(items: list) -> np.ndarray:
+    """``items`` as a 1-d object array (which ``np.array`` would not make
+    of equal-length tuples)."""
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+def _unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``codes`` (ints in ``[0, bound)``) ascending, each
+    code's index among them, and one position of each distinct code: as
+    ``np.unique`` finds them, or, where ``bound`` is small, through a table
+    of ``bound`` slots instead of a sort."""
+    if codes.dtype == object or bound > 4 * codes.size:
+        distinct, position, index = np.unique(codes, return_index=True, return_inverse=True)
+        return distinct, index, position
+    at = np.full(bound, -1, dtype=np.intp)
+    at[codes] = np.arange(codes.size)
+    distinct = np.flatnonzero(at >= 0)
+    index = np.zeros(bound, dtype=np.intp)
+    index[distinct] = np.arange(distinct.size)
+    return distinct, index[codes], at[distinct]
+
+
+def _stable_order(ranks: np.ndarray, n: int) -> np.ndarray:
+    """A stable argsort of rank ids below ``n``: numpy radix-sorts 16-bit
+    keys, several times faster than its merge sort."""
+    return np.argsort(ranks.astype(np.uint16) if n <= 1 << 16 else ranks, kind="stable")
+
+
+def _per_rank(keys: np.ndarray, items, n: int) -> list[tuple]:
+    """``items``, sorted by rank, as one tuple per rank: rank ``r`` takes
+    as many as ``keys`` holds ``r``."""
+    items = iter(items)
+    return [tuple(islice(items, count)) for count in np.bincount(keys, minlength=n).tolist()]

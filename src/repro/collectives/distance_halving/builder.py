@@ -57,6 +57,9 @@ from repro.collectives.distance_halving.pattern import (
 from repro.topology.graph import DistGraphTopology
 
 _SELECTIONS = ("greedy", "protocol", "random")
+#: Builds a pattern record from a tuple of its fields, in field order,
+#: without the Python-level ``__new__`` of a named tuple's keyword call.
+_new = tuple.__new__
 
 
 def halving_levels(
@@ -208,16 +211,16 @@ def build_patterns(
             agent = agents_of.get(r)
             origin = origins_of.get(r)
             patterns[r].steps.append(
-                HalvingStep(
-                    index=t,
-                    agent=agent,
-                    origin=origin,
-                    send_block_count=len(sent_blocks[r]) if agent is not None else 0,
-                    recv_blocks=sent_blocks[origin] if origin is not None else (),
-                    recv_for_me=recv_for_me.get(r, ()),
-                    send_pairs=pair_lists.get(r) if agent is not None else None,
-                    recv_pairs=pair_lists.get(origin) if origin is not None else None,
-                )
+                _new(HalvingStep, (
+                    t,
+                    agent,
+                    origin,
+                    len(sent_blocks[r]) if agent is not None else 0,
+                    sent_blocks[origin] if origin is not None else (),
+                    recv_for_me.get(r, ()),
+                    pair_lists.get(r) if agent is not None else None,
+                    pair_lists.get(origin) if origin is not None else None,
+                ))
             )
 
         # ---- move the descriptors' edges and buffers to the agents ---------
@@ -299,13 +302,17 @@ def _build_final_phase(
     19-33 of Algorithm 4): one combined message per (holder, target) pair,
     its blocks in ``main_buf`` order, sends by target and receives by
     sender."""
-    order = np.lexsort((_first_positions(blocks, holder, src), dst, holder))
-    key = holder.astype(np.int64) * len(blocks) + dst
+    n = len(blocks)
+    key = holder.astype(np.int64) * n + dst
+    # Sorted by (holder, dst, position of src in main_buf), one int64 key:
+    # a buffer at most doubles per level, so a position is below 2n and
+    # the key below 2n**3.
+    order = np.argsort(key * (2 * n) + _first_positions(blocks, holder, src))
     runs, (holder, src, dst) = _sorted_runs(rank_ids, order, key, holder, src, dst)
     for a, b in runs:
         sender, target, packed = holder[a], dst[a], tuple(src[a:b])
-        patterns[sender].final_sends.append(FinalSend(target=target, blocks=packed))
-        patterns[target].final_recvs.append(FinalRecv(sender=sender, blocks=packed))
+        patterns[sender].final_sends.append(_new(FinalSend, (target, packed)))
+        patterns[target].final_recvs.append(_new(FinalRecv, (sender, packed)))
 
 
 def check_pattern(topology: DistGraphTopology, pattern: CommunicationPattern) -> None:

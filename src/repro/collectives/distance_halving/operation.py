@@ -28,6 +28,7 @@ FINAL_TAG = 1 << 20
 
 
 def distance_halving_ops(ctx: ExecutionContext, rank: int, rp: RankPattern) -> Iterator[tuple]:
+    sizes_of = ctx.sizer()
     my_size = ctx.size_of(rank)
     if rp.self_copy:
         yield ("charge", my_size)
@@ -50,7 +51,7 @@ def distance_halving_ops(ctx: ExecutionContext, rank: int, rp: RankPattern) -> I
                 )
             yield ("send", step.agent, buf_bytes, step.index, tuple(buf))
         if step.origin is not None:
-            recv_bytes = ctx.sizes_of(step.recv_blocks)
+            recv_bytes = sizes_of(step.recv_blocks)
             yield ("recv", step.origin, step.index, recv_bytes)
         yield ("wait",)
 
@@ -60,19 +61,19 @@ def distance_halving_ops(ctx: ExecutionContext, rank: int, rp: RankPattern) -> I
             buf_bytes += recv_bytes
             if step.recv_for_me:  # Lines 15-17: copy to rbuf
                 yield ("deliver", step.recv_for_me)
-                yield ("charge", ctx.sizes_of(step.recv_for_me))
+                yield ("charge", sizes_of(step.recv_for_me))
 
     # ------------------------------------------------------ intra-socket phase
     if not rp.final_sends and not rp.final_recvs:
         return
     for fs in rp.final_sends:  # Lines 21-28: pack into temp buffer, send
-        nbytes = ctx.sizes_of(fs.blocks)
+        nbytes = sizes_of(fs.blocks)
         yield ("charge", nbytes)
         yield ("send", fs.target, nbytes, FINAL_TAG, fs.blocks)
     for fr in rp.final_recvs:
-        yield ("recv", fr.sender, FINAL_TAG, ctx.sizes_of(fr.blocks))
+        yield ("recv", fr.sender, FINAL_TAG, sizes_of(fr.blocks))
     yield ("wait",)
 
     for fr in rp.final_recvs:  # Line 33: copy to rbuf
-        yield ("charge", ctx.sizes_of(fr.blocks))
+        yield ("charge", sizes_of(fr.blocks))
         yield ("deliver", fr.blocks)

@@ -10,10 +10,10 @@ operation time — no control information travels with the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class HalvingStep:
+class HalvingStep(NamedTuple):
     """One halving step of one rank (Algorithm 1's ``step``).
 
     Attributes
@@ -40,6 +40,11 @@ class HalvingStep:
         (needed by the alltoall variant, where every (source, target) pair
         carries distinct data): the exact duty pairs shipped to the agent /
         received from the origin this step, in a deterministic order.
+
+    The pattern's records are named tuples: the builder makes thousands per
+    setup, at the cost of a tuple each.  Change a field with ``_replace``.
+    Being tuples, they compare equal to plain tuples of the same values,
+    and ``step.index`` is the level, not ``tuple.index``.
     """
 
     index: int
@@ -52,8 +57,7 @@ class HalvingStep:
     recv_pairs: tuple[tuple[int, int], ...] | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FinalSend:
+class FinalSend(NamedTuple):
     """Intra-socket-phase (or direct leftover) message to ``target``.
 
     ``blocks`` lists the source ranks whose data is packed, in main-buffer
@@ -64,8 +68,7 @@ class FinalSend:
     blocks: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class FinalRecv:
+class FinalRecv(NamedTuple):
     """Final-phase message expected from ``sender``; all blocks are for me."""
 
     sender: int

@@ -164,6 +164,7 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
         self.require_setup()
         assert self.plans is not None
         plan = self.plans[rank]
+        sizes_of = ctx.sizer()
         my_size = ctx.size_of(rank)
         own = (rank,)
         if plan.self_copy:
@@ -188,16 +189,16 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
 
         # Phase 2: leader-to-leader combined exchange.
         for peer, block_ids in plan.exch_sends:
-            nbytes = ctx.sizes_of(block_ids)
+            nbytes = sizes_of(block_ids)
             yield ("charge", nbytes)
             yield ("send", peer, nbytes, EXCH_TAG, block_ids)
         for peer, block_ids in plan.exch_recvs:
-            yield ("recv", peer, EXCH_TAG, ctx.sizes_of(block_ids))
+            yield ("recv", peer, EXCH_TAG, sizes_of(block_ids))
         if plan.exch_sends or plan.exch_recvs:
             yield ("wait",)
         out_neighbors = ctx.topology.out_neighbors
         for _, block_ids in plan.exch_recvs:
-            yield ("charge", ctx.sizes_of(block_ids))
+            yield ("charge", sizes_of(block_ids))
             # The leader may itself be a target of a block it forwards.
             mine = tuple(src for src in block_ids if rank in out_neighbors(src))
             if mine:
@@ -205,13 +206,13 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
 
         # Phase 3: distribute to local targets.
         for target, block_ids in plan.dist_sends:
-            nbytes = ctx.sizes_of(block_ids)
+            nbytes = sizes_of(block_ids)
             yield ("charge", nbytes)
             yield ("send", target, nbytes, DIST_TAG, block_ids)
         for leader, block_ids in plan.dist_recvs:
-            yield ("recv", leader, DIST_TAG, ctx.sizes_of(block_ids))
+            yield ("recv", leader, DIST_TAG, sizes_of(block_ids))
         if plan.dist_sends or plan.dist_recvs:
             yield ("wait",)
         for _, block_ids in plan.dist_recvs:
-            yield ("charge", ctx.sizes_of(block_ids))
+            yield ("charge", sizes_of(block_ids))
             yield ("deliver", block_ids)

@@ -21,8 +21,11 @@ class TestGroupFormation:
         assert all(1 <= len(p.group) <= 3 for p in alg.plans)
 
     def test_invalid_k_rejected(self):
-        with pytest.raises(ValueError):
-            get_algorithm("common_neighbor", k=0)
+        # A non-integral k must fail here, naming k, not later inside
+        # setup() with "'float' object cannot be interpreted as an integer".
+        for k, error in ((0, ValueError), (-2, ValueError), (2.5, TypeError), (2.0, TypeError)):
+            with pytest.raises(error, match=r"^k "):
+                get_algorithm("common_neighbor", k=k)
 
 
 class TestMessageCombining:

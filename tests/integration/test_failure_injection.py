@@ -7,13 +7,11 @@ pattern fails loudly instead of silently delivering wrong data.  These tests cor
 is caught — either by the executor's own checks or by result verification.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.collectives import get_algorithm, run_allgather, verify_allgather
 from repro.collectives.alltoall import DistanceHalvingAlltoall, run_alltoall
-from repro.collectives.distance_halving.pattern import FinalRecv, FinalSend, HalvingStep
+from repro.collectives.distance_halving.pattern import FinalRecv, FinalSend
 from repro.sim.engine import DeadlockError
 from repro.topology import erdos_renyi_topology
 
@@ -39,7 +37,7 @@ class TestCorruptedPatterns:
         topo, machine, alg = setup
         rp, i = find_rank_with_agent(alg)
         step = rp.steps[i]
-        rp.steps[i] = dataclasses.replace(step, send_block_count=step.send_block_count + 3)
+        rp.steps[i] = step._replace(send_block_count=step.send_block_count + 3)
         with pytest.raises(AssertionError, match="pattern says"):
             run_allgather(alg, topo, machine, 128)
 
@@ -48,9 +46,7 @@ class TestCorruptedPatterns:
         for rp in alg.pattern.ranks:
             for i, step in enumerate(rp.steps):
                 if step.origin is not None and step.recv_blocks:
-                    rp.steps[i] = dataclasses.replace(
-                        step, recv_blocks=step.recv_blocks + (0,)
-                    )
+                    rp.steps[i] = step._replace(recv_blocks=step.recv_blocks + (0,))
                     with pytest.raises(AssertionError, match="expected"):
                         run_allgather(alg, topo, machine, 128)
                     return
@@ -168,9 +164,7 @@ class TestCorruptedAlltoall:
         for rp in alg.pattern.ranks:
             for i, step in enumerate(rp.steps):
                 if step.agent is not None and step.send_pairs:
-                    rp.steps[i] = dataclasses.replace(
-                        step, send_pairs=step.send_pairs[1:]
-                    )
+                    rp.steps[i] = step._replace(send_pairs=step.send_pairs[1:])
                     with pytest.raises(AssertionError):
                         run_alltoall(alg, topo, small_machine, 64)
                     return
