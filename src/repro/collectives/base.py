@@ -69,20 +69,15 @@ class ExecutionContext:
         """Byte size of rank ``src``'s block."""
         return self.msg_size if self.block_sizes is None else self.block_sizes[src]
 
-    def sizes_of(self, blocks) -> int:
-        """Total bytes of a sequence of source-rank block ids."""
-        if self.block_sizes is None:
-            return self.msg_size * len(blocks)
-        return sum(self.block_sizes[src] for src in blocks)
-
     def sizer(self) -> Callable[[Sequence[int]], int]:
-        """:meth:`sizes_of` as a plain function, for a stream to bind once:
-        for uniform sizes a closure over ``msg_size``, which costs a third
-        of a method call."""
+        """A function giving the total bytes of a sequence of source-rank
+        block ids, for a stream to bind once: a closure over ``msg_size``
+        for uniform sizes, a per-source sum over ``block_sizes`` otherwise."""
         if self.block_sizes is None:
             m = self.msg_size
             return lambda blocks: m * len(blocks)
-        return self.sizes_of
+        sizes = self.block_sizes
+        return lambda blocks: sum(sizes[src] for src in blocks)
 
 
 class NeighborhoodAllgatherAlgorithm(abc.ABC):
@@ -130,9 +125,9 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         source ranks: a send's ``blocks`` tuple holds the source ranks whose
         blocks make up its ``nbytes``.
 
-        Byte fields come from ``ctx.size_of``/``ctx.sizes_of`` (or the
-        ``ctx.sizer()`` function) only, never ``ctx.msg_size``, which is
-        what lets :meth:`schedule_for` build in block counts.  ``deliver``
+        Byte fields come from ``ctx.size_of`` and the ``ctx.sizer()``
+        function only, never ``ctx.msg_size``, which is what lets
+        :meth:`schedule_for` build in block counts.  ``deliver``
         points are part of the algorithm: under fail-stop faults the
         blocks delivered before a crash decide the residual topology of
         the recovery round.
@@ -190,7 +185,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         """Memoized :meth:`build_schedule`, in block counts for uniform sizes.
 
         Backends size their ops only through ``ctx.size_of`` and
-        ``ctx.sizes_of``, so a uniform-size schedule is linear in the block
+        ``ctx.sizer()``, so a uniform-size schedule is linear in the block
         size: built once on a copy of ``ctx`` with ``msg_size=1``, its byte
         fields are block counts, and the schedule at ``m`` is that one
         priced with ``unit=m`` (see :func:`repro.sim.fastpath.execute_schedule`).

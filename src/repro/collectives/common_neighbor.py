@@ -220,14 +220,16 @@ def _plan(topology: DistGraphTopology, groups: list[tuple[int, ...]]) -> list[_R
     # the mask, so the receive lists share one entry per such pair too.
     outside = np.flatnonzero(~member)
     senders, targets, masks = assignee[outside], target[outside], mask[outside]
-    codes, kind, _ = _unique((group[outside].astype(dtype) << width) + masks, n_groups << width)
+    codes, kind = np.unique((group[outside].astype(dtype) << width) + masks, return_inverse=True)
     blocks = _objects(_member_tuples(
         lows[(codes >> width).astype(np.intp)], _bits(codes & ((1 << width) - 1), width)
     ))
-    _, entry, rep = _unique((senders.astype(dtype) << width) + masks, n << width)
+    _, rep, entry = np.unique(
+        (senders.astype(dtype) << width) + masks, return_index=True, return_inverse=True
+    )
     entries = _objects(list(zip(rank_ids[senders[rep]].tolist(), blocks[kind[rep]].tolist())))
-    by_sender = _stable_order(senders, n)  # targets stay ascending
-    by_target = _stable_order(targets, n)  # assignees stay ascending
+    by_sender = np.argsort(senders, kind="stable")  # targets stay ascending
+    by_target = np.argsort(targets, kind="stable")  # assignees stay ascending
     sends = _per_rank(
         senders, zip(rank_ids[targets[by_sender]].tolist(), blocks[kind[by_sender]].tolist()), n
     )
@@ -321,28 +323,6 @@ def _objects(items: list) -> np.ndarray:
     """``items`` as a 1-d object array (which ``np.array`` would not make
     of equal-length tuples)."""
     return np.fromiter(items, dtype=object, count=len(items))
-
-
-def _unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``codes`` (ints in ``[0, bound)``) ascending, each
-    code's index among them, and one position of each distinct code: as
-    ``np.unique`` finds them, or, where ``bound`` is small, through a table
-    of ``bound`` slots instead of a sort."""
-    if codes.dtype == object or bound > 4 * codes.size:
-        distinct, position, index = np.unique(codes, return_index=True, return_inverse=True)
-        return distinct, index, position
-    at = np.full(bound, -1, dtype=np.intp)
-    at[codes] = np.arange(codes.size)
-    distinct = np.flatnonzero(at >= 0)
-    index = np.zeros(bound, dtype=np.intp)
-    index[distinct] = np.arange(distinct.size)
-    return distinct, index[codes], at[distinct]
-
-
-def _stable_order(ranks: np.ndarray, n: int) -> np.ndarray:
-    """A stable argsort of rank ids below ``n``: numpy radix-sorts 16-bit
-    keys, several times faster than its merge sort."""
-    return np.argsort(ranks.astype(np.uint16) if n <= 1 << 16 else ranks, kind="stable")
 
 
 def _per_rank(keys: np.ndarray, items, n: int) -> list[tuple]:
