@@ -82,8 +82,10 @@ _GRID_FLAGS = ("--scale", "--seed", "--sim-mode", *_EXEC_FLAGS)
 
 #: Figure name -> (driver attribute in repro.bench.figures, the ``repro
 #: bench`` flags that driver reads); ``all`` reads their union.  Moore
-#: neighborhoods take no topology seed, and fig7, fig8 and alltoall run
-#: serially on the DES, outside the orchestrator.
+#: neighborhoods take no topology seed, fig7, fig8 and alltoall run
+#: serially on the DES, outside the orchestrator, and networks runs
+#: serially on either path (its fat-tree and torus machines are not
+#: ``MachineSpec``s).
 FIGURES = {
     "fig2": ("fig2_model", ("--scale",)),
     "fig4": ("fig4_latency", _GRID_FLAGS),
@@ -93,6 +95,7 @@ FIGURES = {
     "fig7": ("fig7_spmm", ("--scale", "--seed")),
     "fig8": ("fig8_overhead", ("--scale", "--seed")),
     "alltoall": ("ext_alltoall", ("--scale", "--seed")),
+    "networks": ("ext_network_sensitivity", ("--scale", "--seed", "--sim-mode")),
     "ablation-agent": ("ablation_agent_policy", _GRID_FLAGS),
     "ablation-stop": ("ablation_stop_granularity", _GRID_FLAGS),
 }

@@ -12,7 +12,7 @@ discrete-event simulator and the analytic model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.cluster.spec import LinkClass
 from repro.utils.validation import check_non_negative, check_positive
@@ -28,16 +28,6 @@ class LinkCost:
     def __post_init__(self) -> None:
         check_non_negative("alpha", self.alpha)
         check_positive("beta", self.beta)
-
-    def time(self, nbytes: int | float) -> float:
-        """Uncontended transfer time for ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.alpha + nbytes / self.beta
-
-    def serialization(self, nbytes: int | float) -> float:
-        """Time the link/port is exclusively occupied by ``nbytes``."""
-        return nbytes / self.beta
 
 
 @dataclass(frozen=True)
@@ -68,11 +58,6 @@ class HockneyParameters:
         System-noise amplitude: each network message's startup latency is
         multiplied by ``1 + U(0, jitter)`` (deterministic per engine seed).
         0 (default) = noiseless; ~0.3 resembles a busy production fabric.
-    adaptive_routing:
-        UGAL-like lane selection: each message crossing a shared bottleneck
-        picks the least-loaded of the alternative lanes the network offers
-        (:meth:`NetworkTopology.link_choices`).  ``False`` falls back to
-        oblivious hash routing.
     """
 
     links: dict[LinkClass, LinkCost]
@@ -82,7 +67,6 @@ class HockneyParameters:
     nic_message_overhead: float = 1.5e-7
     link_message_overhead: float = 2.0e-8
     jitter: float = 0.0
-    adaptive_routing: bool = True
 
     def __post_init__(self) -> None:
         check_positive("memcpy_beta", self.memcpy_beta)
@@ -106,12 +90,6 @@ class HockneyParameters:
         if link_class is LinkClass.SELF:
             return LinkCost(alpha=0.0, beta=self.memcpy_beta)
         return self.links[link_class]
-
-    def memcpy_time(self, nbytes: int | float) -> float:
-        """Time to copy ``nbytes`` through local memory."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return nbytes / self.memcpy_beta
 
     def with_overrides(self, **link_costs: LinkCost) -> "HockneyParameters":
         """Copy with some classes replaced, e.g. ``with_overrides(INTER_NODE=...)``."""

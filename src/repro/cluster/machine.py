@@ -8,9 +8,8 @@ harness, the benchmarks, and the analytic model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
-from repro.cluster.hockney import NIAGARA_LIKE, HockneyParameters, LinkCost
+from repro.cluster.hockney import NIAGARA_LIKE, HockneyParameters
 from repro.cluster.network import (
     DragonflyPlus,
     NetworkTopology,
@@ -47,14 +46,6 @@ class Machine:
             return base
         return self.network.classify(self.spec.node_of(rank_a), self.spec.node_of(rank_b))
 
-    def link_cost(self, rank_a: int, rank_b: int) -> LinkCost:
-        return self.params.cost(self.link_class(rank_a, rank_b))
-
-    def path_alpha(self, rank_a: int, rank_b: int) -> float:
-        """Total startup latency: class alpha plus per-hop surcharge."""
-        cls = self.link_class(rank_a, rank_b)
-        return self.params.cost(cls).alpha + self.hop_extra_alpha(rank_a, rank_b)
-
     def hop_extra_alpha(self, rank_a: int, rank_b: int) -> float:
         """Latency surcharge for hops beyond the 2-hop base path."""
         cls = self.link_class(rank_a, rank_b)
@@ -62,20 +53,6 @@ class Machine:
             hops = self.network.hops(self.spec.node_of(rank_a), self.spec.node_of(rank_b))
             return self.params.per_hop_alpha * max(0, hops - 2)
         return 0.0
-
-    def shared_link_keys(self, rank_a: int, rank_b: int) -> tuple[Hashable, ...]:
-        """Bottleneck resources a cross-node message occupies (may be empty)."""
-        na, nb = self.spec.node_of(rank_a), self.spec.node_of(rank_b)
-        if na == nb:
-            return ()
-        return self.network.shared_link_keys(na, nb)
-
-    def ptp_time(self, rank_a: int, rank_b: int, nbytes: int) -> float:
-        """Uncontended point-to-point time estimate (no ports, no queueing)."""
-        if rank_a == rank_b:
-            return self.params.memcpy_time(nbytes)
-        cost = self.link_cost(rank_a, rank_b)
-        return self.path_alpha(rank_a, rank_b) + cost.serialization(nbytes)
 
     # ----------------------------------------------------------- constructors
     @classmethod

@@ -6,8 +6,8 @@ A :class:`NetworkTopology` refines the cluster's cross-node link picture:
   short path (``INTER_NODE``) or across a structural bottleneck
   (``INTER_GROUP`` — a Dragonfly+ global link, a fat-tree core uplink).
 * :meth:`~NetworkTopology.hops` counts switch hops, which add latency.
-* :meth:`~NetworkTopology.shared_link_keys` names the *shared resources* a
-  message occupies, so the simulator can serialize concurrent traffic on
+* :meth:`~NetworkTopology.link_choices` names the *shared resources* a
+  message may occupy, so the simulator can serialize concurrent traffic on
   them.  This is where the congestion that motivates the paper (Section IV)
   comes from: reducing traffic to distant nodes reduces waiting on exactly
   these resources.
@@ -24,7 +24,12 @@ from repro.utils.validation import check_positive
 
 
 class NetworkTopology(abc.ABC):
-    """Classifies node pairs; all methods must be symmetric in (a, b)."""
+    """Classifies node pairs.
+
+    :meth:`classify` and :meth:`hops` must be symmetric in (a, b);
+    :meth:`link_choices` lists a path's lane groups from ``node_a``'s end
+    to ``node_b``'s (a fat tree's source uplinks, then its destination's).
+    """
 
     @abc.abstractmethod
     def classify(self, node_a: int, node_b: int) -> LinkClass:
@@ -35,22 +40,14 @@ class NetworkTopology(abc.ABC):
         """Switch hops between distinct nodes (0 for the same node)."""
 
     @abc.abstractmethod
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
-        """Keys of shared bottleneck resources this node pair's traffic crosses.
-
-        This is the *oblivious* (hash-routed) lane choice; adaptive routing
-        uses :meth:`link_choices` instead.
-        """
-
     def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
-        """Alternative-lane groups for adaptive (UGAL-like) routing.
+        """Shared bottleneck lanes this node pair's traffic crosses.
 
-        Returns one *choice group* per bottleneck the path crosses; each
-        group lists interchangeable resource keys, and an adaptive router
-        picks the least-loaded key per group.  The default wraps each
-        oblivious key in a singleton group (no routing freedom).
+        Returns one *choice group* per bottleneck the path crosses (empty
+        when it crosses none); each group lists interchangeable resource
+        keys, and the simulator's adaptive (UGAL-like) router claims the
+        least-loaded key of each group.
         """
-        return tuple((key,) for key in self.shared_link_keys(node_a, node_b))
 
     def describe(self) -> str:  # pragma: no cover - cosmetic
         return type(self).__name__
@@ -83,9 +80,6 @@ class PermutedNodes(NetworkTopology):
     def hops(self, node_a: int, node_b: int) -> int:
         return self.base.hops(self._map(node_a), self._map(node_b))
 
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
-        return self.base.shared_link_keys(self._map(node_a), self._map(node_b))
-
     def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
         return self.base.link_choices(self._map(node_a), self._map(node_b))
 
@@ -102,7 +96,7 @@ class SingleSwitch(NetworkTopology):
     def hops(self, node_a: int, node_b: int) -> int:
         return 0 if node_a == node_b else 2
 
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
+    def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
         return ()
 
 
@@ -133,15 +127,6 @@ class DragonflyPlus(NetworkTopology):
         if node_a == node_b:
             return 0
         return 2 if self.group_of(node_a) == self.group_of(node_b) else 5
-
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
-        ga, gb = self.group_of(node_a), self.group_of(node_b)
-        if ga == gb:
-            return ()
-        lo, hi = min(ga, gb), max(ga, gb)
-        # Deterministically spread node pairs over the parallel global links.
-        lane = (node_a + node_b) % self.links_per_pair
-        return (("global", lo, hi, lane),)
 
     def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
         """Adaptive routing may use any of the group pair's global links."""
@@ -184,14 +169,6 @@ class FatTree(NetworkTopology):
         if node_a == node_b:
             return 0
         return 2 if self.leaf_of(node_a) == self.leaf_of(node_b) else 4
-
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
-        la, lb = self.leaf_of(node_a), self.leaf_of(node_b)
-        if la == lb:
-            return ()
-        lane_a = node_a % self.uplinks_per_leaf
-        lane_b = node_b % self.uplinks_per_leaf
-        return (("up", la, lane_a), ("up", lb, lane_b))
 
     def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
         """Adaptive routing picks a lane at each leaf independently."""
@@ -256,12 +233,6 @@ class Torus(NetworkTopology):
         xa = self.coords_of(node_a)[0]
         xb = self.coords_of(node_b)[0]
         return (xa < half) != (xb < half)
-
-    def shared_link_keys(self, node_a: int, node_b: int) -> tuple[Hashable, ...]:
-        if node_a == node_b or not self._crosses_bisection(node_a, node_b):
-            return ()
-        lane = (node_a + node_b) % self.bisection_ways
-        return (("bisect", lane),)
 
     def link_choices(self, node_a: int, node_b: int) -> tuple[tuple[Hashable, ...], ...]:
         """Adaptive routing spreads bisection crossings over the lanes."""

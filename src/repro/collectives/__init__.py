@@ -26,7 +26,7 @@ materialises the same streams as a static schedule.  So every backend,
 Every backend registers through the capability-aware registry in
 :mod:`repro.collectives.base`: benches, the differential fuzzer, and the
 CLI query :func:`list_algorithms` for the capabilities they need
-(``oracle``, ``bench``, ``replan``, ...) instead of hardcoding names, so
+(``oracle``, ``bench``, ``setup_free``) instead of hardcoding names, so
 registering a backend enrolls it everywhere at once.  All oracle-capable
 algorithms run through :func:`run_allgather` and produce byte-identical
 receive buffers (property-tested), differing only in messaging schedule

@@ -116,11 +116,13 @@ class DistanceHalvingAlltoall:
         self.selection = selection
         self.stop_ranks = stop_ranks
         self.pattern: CommunicationPattern | None = None
-        self._key: tuple[int, int] | None = None
+        # What the pattern was built for, held (not by id) so a recycled
+        # address can never replay another topology's pattern.
+        self._topology: DistGraphTopology | None = None
+        self._machine: Machine | None = None
 
     def setup(self, topology: DistGraphTopology, machine: Machine) -> None:
-        key = (id(topology), id(machine))
-        if self._key == key and self.pattern is not None:
+        if self._topology is topology and self._machine is machine:
             return
         self.pattern = build_patterns(
             topology,
@@ -129,7 +131,7 @@ class DistanceHalvingAlltoall:
             stop_ranks=self.stop_ranks,
             record_pairs=True,
         )
-        self._key = key
+        self._topology, self._machine = topology, machine
 
     def rank_ops(
         self, rank: int, topology: DistGraphTopology, psize: PairSizeFn

@@ -20,6 +20,7 @@ A backend defines the operation once, as one op stream per rank
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator, Iterator, Sequence
 
@@ -211,25 +212,21 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         self._schedule_cache = (ctx.topology, ctx.machine, sizes, schedule)
         return schedule
 
-    def replan(
-        self,
-        survivors: tuple[int, ...],
-        delivered_state: list[dict[int, Any]],
-    ) -> "NeighborhoodAllgatherAlgorithm":
-        """ULFM-style recovery hook: a fresh instance for the shrunk run.
+    def replan(self) -> "NeighborhoodAllgatherAlgorithm":
+        """ULFM-style recovery: a fresh, not set up instance for the shrunk run.
 
         After a fail-stop failure the runner rebuilds the communicator over
-        ``survivors`` (original rank ids, ascending) and re-runs the
-        collective over the *residual* topology — only the edges whose
-        blocks ``delivered_state`` shows as not yet delivered.  This hook
-        returns the algorithm instance to set up over that residual
-        topology; the default clones the type with default parameters, and
-        parameterized algorithms override it to carry their tuning across
-        the replan.  The returned instance is ``setup()`` by the runner
-        (recovery pays pattern-creation cost again, like a real
-        ``MPI_Comm_shrink`` + re-negotiation).
+        the survivors and re-runs the collective over the *residual*
+        topology — only the edges whose blocks were not yet delivered.  The
+        instance this returns is ``setup()`` over that topology by the
+        runner (recovery pays pattern-creation cost again, like a real
+        ``MPI_Comm_shrink`` + re-negotiation).  It is built with this
+        instance's constructor arguments, so a backend's tuning carries
+        across the replan: every backend stores each ``__init__`` argument
+        as an attribute of the same name.
         """
-        return type(self)()
+        cls = type(self)
+        return cls(**{p: getattr(self, p) for p in inspect.signature(cls).parameters})
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -250,11 +247,9 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
 #: bench silently skips the backend.  See docs/ARCHITECTURE.md ("the
 #: algorithm zoo") for what each flag promises.
 CAPABILITIES = frozenset({
-    "replan",      # supports on_failure="shrink" over a residual topology
     "setup_free",  # zero pattern-creation cost; usable as a degrade target
     "oracle",      # enrolled as a mutual oracle in repro.verify fuzzing
     "bench",       # enrolled in the bench sweeps / figures / resilience grids
-    "tunable",     # has a tuning grid (declared via ``tuning=``)
 })
 
 #: The registry-resolved degrade/fallback target: the algorithm every
@@ -309,10 +304,9 @@ def register_algorithm(
     Usable bare (``@register_algorithm``, no capabilities — the backend is
     lookup-only) or with arguments.  Declarations are validated here so a
     broken registration fails at import time: unknown capability names,
-    ``replan`` without the matching method override, ``tunable``
-    without a grid (or a grid without ``tunable``), ``bench_kwargs`` the
-    constructor rejects, and a :data:`SETUP_FREE_FALLBACK` registration
-    that is not actually setup-free are all errors.
+    ``bench_kwargs`` the constructor rejects, and a
+    :data:`SETUP_FREE_FALLBACK` registration that is not actually
+    setup-free are all errors.
     """
 
     def _register(cls: type[NeighborhoodAllgatherAlgorithm]):
@@ -326,15 +320,6 @@ def register_algorithm(
             raise ValueError(
                 f"{cls.name!r} declares unknown capabilities {sorted(unknown)}; "
                 f"known: {sorted(CAPABILITIES)}"
-            )
-        if "replan" in caps and cls.replan is NeighborhoodAllgatherAlgorithm.replan:
-            raise ValueError(
-                f"{cls.name!r} declares 'replan' but does not override replan"
-            )
-        if ("tunable" in caps) != bool(tuning):
-            raise ValueError(
-                f"{cls.name!r}: 'tunable' capability and a tuning= grid "
-                "must be declared together"
             )
         if cls.name == SETUP_FREE_FALLBACK and "setup_free" not in caps:
             raise ValueError(

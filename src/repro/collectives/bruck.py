@@ -102,7 +102,7 @@ def _rotation_offsets(n_groups: int) -> tuple[tuple[int, int], ...]:
 
 
 @register_algorithm(
-    capabilities=("replan", "oracle", "bench"),
+    capabilities=("oracle", "bench"),
     label="bruck",
 )
 class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
@@ -127,12 +127,6 @@ class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
             )
         self.locality = locality
         self.plans: list[_BruckPlan] | None = None
-
-    def replan(self, survivors, delivered_state):
-        """Carry the locality domain into the shrunk communicator; groups,
-        leaders, and rotation rounds are rebuilt over the survivors'
-        residual topology."""
-        return LocalityAwareBruckAllgather(locality=self.locality)
 
     # -------------------------------------------------------------- building
     def _build(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:

@@ -63,7 +63,7 @@ class _RankPlan:
 
 
 @register_algorithm(
-    capabilities=("replan", "oracle", "bench", "tunable"),
+    capabilities=("oracle", "bench"),
     label="cn",
     bench_kwargs=(("k", 4),),
     tuning=(("k", (2, 4, 8)),),
@@ -79,11 +79,6 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
             raise TypeError(f"k must be an integer, got {k!r}")
         self.k = check_positive("k", k)
         self.plans: list[_RankPlan] | None = None
-
-    def replan(self, survivors, delivered_state):
-        """Carry the group size ``k`` into the shrunk communicator; groups
-        are re-formed from scratch over the survivors' residual topology."""
-        return CommonNeighborAllgather(k=self.k)
 
     # -------------------------------------------------------------- building
     def _build(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:

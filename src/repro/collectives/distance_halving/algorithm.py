@@ -20,7 +20,7 @@ from repro.topology.graph import DistGraphTopology
 
 
 @register_algorithm(
-    capabilities=("replan", "oracle", "bench"),
+    capabilities=("oracle", "bench"),
     label="dh",
 )
 class DistanceHalvingAllgather(NeighborhoodAllgatherAlgorithm):
@@ -45,14 +45,6 @@ class DistanceHalvingAllgather(NeighborhoodAllgatherAlgorithm):
         self.selection = selection
         self.stop_ranks = stop_ranks
         self.pattern: CommunicationPattern | None = None
-
-    def replan(self, survivors, delivered_state):
-        """Carry selection policy and stop granularity into the shrunk
-        communicator; halving patterns are rebuilt over the survivors'
-        residual topology."""
-        return DistanceHalvingAllgather(
-            selection=self.selection, stop_ranks=self.stop_ranks
-        )
 
     def _build(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:
         start = time.perf_counter()

@@ -25,7 +25,7 @@ NAIVE_TAG = 0
 
 
 @register_algorithm(
-    capabilities=("replan", "setup_free", "oracle", "bench"),
+    capabilities=("setup_free", "oracle", "bench"),
     label="naive",
 )
 class NaiveAllgather(NeighborhoodAllgatherAlgorithm):
@@ -35,10 +35,6 @@ class NaiveAllgather(NeighborhoodAllgatherAlgorithm):
 
     def _build(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:
         return SetupStats()  # nothing to build
-
-    def replan(self, survivors, delivered_state):
-        """Setup-free: a fresh instance is a complete replan."""
-        return NaiveAllgather()
 
     def rank_ops(self, ctx: ExecutionContext, rank: int) -> Iterator[tuple] | None:
         topo = ctx.topology

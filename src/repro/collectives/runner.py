@@ -521,14 +521,14 @@ def _run_engine_rounds(
     (delivered blocks are never resent), re-plan over it, charge the
     replan's setup negotiation in simulated time, and run the next round
     under the shrunk fault plan, merging its deliveries back under the
-    original rank ids.  ``shrink`` keeps the algorithm (via its ``replan``
-    hook); ``degrade`` switches to setup-free naive; either drops to naive
-    when the shrunk plan would starve the replanned setup.  One trace
-    collector spans all rounds, so conservation laws hold over the whole
-    recovered run, and a traced run's utilization sums every round's busy
-    times (ports mapped back to original ids) over the whole run's
-    simulated time.  Every round's engine is closed when its run ends,
-    however it ends.
+    original rank ids.  ``shrink`` keeps the algorithm and its constructor
+    arguments (via its ``replan()``); ``degrade`` switches to setup-free
+    naive; either drops to naive when the shrunk plan would starve the
+    replanned setup.  One trace collector spans all rounds, so
+    conservation laws hold over the whole recovered run, and a traced
+    run's utilization sums every round's busy times (ports mapped back to
+    original ids) over the whole run's simulated time.  Every round's
+    engine is closed when its run ends, however it ends.
     """
     topology, machine = ctx.topology, ctx.machine
     mode = opts.on_failure
@@ -622,7 +622,7 @@ def _run_engine_rounds(
         if mode == "degrade":
             next_alg = get_algorithm(SETUP_FREE_FALLBACK)
         else:
-            next_alg = current_alg.replan(tuple(new_map), merged)
+            next_alg = current_alg.replan()
         current_alg, replan_stats = _set_up(
             next_alg, current_topology, machine, plan, SETUP_FREE_FALLBACK
         )

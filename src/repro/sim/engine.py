@@ -208,8 +208,7 @@ class Engine:
         self.faults = faults
         self.fabric = Fabric(machine, noise_seed=noise_seed, faults=faults)
         self.trace = trace
-        # Watchdog budgets; checked in run() only when set (the pristine
-        # event loop stays branch-free).
+        # Watchdog budgets, checked by run() on every event.
         self._max_sim_time = max_sim_time
         self._max_events = max_events
         self.events_processed = 0
@@ -300,25 +299,13 @@ class Engine:
         heap = self._heap
         pop = heapq.heappop
         resume = self._resume
-        max_time = self._max_sim_time
+        max_time = math.inf if self._max_sim_time is None else self._max_sim_time
         max_events = self._max_events
         events = self.events_processed
-        if max_time is None and max_events is None:
-            try:
-                while heap:
-                    time, _, rank = pop(heap)
-                    events += 1
-                    self.now = time
-                    resume(rank, time)
-            finally:
-                self.events_processed = events
-        else:
-            if max_time is None:
-                max_time = math.inf
+        try:
             while heap:
                 time, _, rank = pop(heap)
                 if time > max_time:
-                    self.events_processed = events
                     raise SimTimeoutError(
                         f"simulated-time budget exceeded: next event at "
                         f"{time:.6e}s > max_sim_time={max_time:.6e}s "
@@ -327,18 +314,18 @@ class Engine:
                         budget="sim_time", events_processed=events,
                         limit=max_time,
                     )
-                events += 1
-                if max_events is not None and events > max_events:
-                    self.events_processed = events - 1
+                if max_events is not None and events >= max_events:
                     raise SimTimeoutError(
-                        f"event budget exceeded: processed {events - 1} events "
+                        f"event budget exceeded: processed {events} events "
                         f"(max_events={max_events}); "
                         f"processes: {self._blocked_detail()}",
-                        budget="events", events_processed=events - 1,
+                        budget="events", events_processed=events,
                         limit=max_events,
                     )
+                events += 1
                 self.now = time
                 resume(rank, time)
+        finally:
             self.events_processed = events
         if self._programs:
             self._on_stall()

@@ -62,11 +62,9 @@ class MessageTiming:
 
 
 #: :attr:`Route.lane_mode` values: how a message claims the route's lanes.
-LANES_NONE = 0       #: no shared link
-LANES_OBLIVIOUS = 1  #: every lane of ``lanes`` (hash routing)
-LANES_PAIR = 2       #: the less loaded of the two lanes in ``lanes``
-LANES_GROUP = 3      #: the least loaded lane in ``lanes``
-LANES_PER_HOP = 4    #: the least loaded lane of each group in ``lanes``
+LANES_NONE = 0     #: no shared link
+LANES_PAIR = 1     #: the less loaded of the two lanes in ``lanes``
+LANES_PER_HOP = 2  #: the least loaded lane of each group in ``lanes``
 
 
 @dataclass(slots=True)
@@ -75,12 +73,12 @@ class Route:
 
     ``tx``/``rx`` are the sending and receiving node's NIC ids, ``-1`` on an
     intra-node path.  ``lanes`` holds ids into :attr:`RouteTable.lane_keys`
-    (a tuple of lane groups under ``LANES_PER_HOP``), claimed as
-    ``lane_mode`` says: oblivious routing claims every lane the network
-    hashes the path onto
-    (:meth:`~repro.cluster.network.NetworkTopology.shared_link_keys`),
-    adaptive routing the least loaded lane (of each hop, under
-    ``LANES_PER_HOP``), the first one on ties.
+    for the lane groups the network offers the path
+    (:meth:`~repro.cluster.network.NetworkTopology.link_choices`): a
+    message claims the least loaded lane of each group, the first one on
+    ties.  A cross-group path with one group of two lanes is
+    ``LANES_PAIR`` and keeps that pair flat in ``lanes``; every other
+    cross-group path is ``LANES_PER_HOP``, a tuple of groups, one per hop.
     """
 
     link_class: LinkClass
@@ -138,18 +136,11 @@ class RouteTable:
             tx, rx = spec.node_of(src), spec.node_of(dst)
             if cls is LinkClass.INTER_GROUP:
                 link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
-                network = machine.network
-                if not params.adaptive_routing:
-                    lanes = self._ids(network.shared_link_keys(tx, rx))
-                    if lanes:
-                        mode = LANES_OBLIVIOUS
+                groups = tuple(self._ids(g) for g in machine.network.link_choices(tx, rx))
+                if len(groups) == 1 and len(groups[0]) == 2:
+                    mode, (lanes,) = LANES_PAIR, groups
                 else:
-                    groups = tuple(self._ids(g) for g in network.link_choices(tx, rx))
-                    if len(groups) != 1:
-                        mode, lanes = LANES_PER_HOP, groups
-                    else:
-                        (lanes,) = groups
-                        mode = LANES_PAIR if len(lanes) == 2 else LANES_GROUP
+                    mode, lanes = LANES_PER_HOP, groups
         route = Route(cls, cost.alpha, machine.hop_extra_alpha(src, dst),
                       1.0 / cost.beta, link_inv_beta, tx, rx, mode, lanes)
         self.rows[key] = route
@@ -389,9 +380,7 @@ class Fabric:
                 if mode == LANES_PAIR:
                     a, b = lanes
                     lanes = (a if lane_next[a] <= lane_next[b] else b,)
-                elif mode == LANES_GROUP:
-                    lanes = (min(lanes, key=lane_next.__getitem__),)
-                elif mode == LANES_PER_HOP:  # pick every lane before claiming any
+                else:  # LANES_PER_HOP: pick every lane before claiming any
                     lanes = [min(g, key=lane_next.__getitem__) for g in lanes]
                 for ln in lanes:
                     nf = lane_next[ln]

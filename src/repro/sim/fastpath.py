@@ -58,13 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.engine import DeadlockError, SimTimeoutError
-from repro.sim.fabric import (
-    LANES_GROUP,
-    LANES_NONE,
-    LANES_OBLIVIOUS,
-    LANES_PAIR,
-    routes_for,
-)
+from repro.sim.fabric import LANES_NONE, LANES_PAIR, routes_for
 from repro.sim.plancache import PLAN_CACHE, machine_digest
 from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
 
@@ -472,14 +466,8 @@ def _execute_multi(
                         lane_next[ln] = e
                         prev = s
                         pe = e
-                    else:
-                        if lmode == LANES_OBLIVIOUS:
-                            lanes = lspec
-                        elif lmode == LANES_GROUP:
-                            lanes = (min(lspec, key=lane_next.__getitem__),)
-                        else:  # LANES_PER_HOP
-                            lanes = [min(g, key=lane_next.__getitem__)
-                                     for g in lspec]
+                    else:  # LANES_PER_HOP: pick every lane before claiming any
+                        lanes = [min(g, key=lane_next.__getitem__) for g in lspec]
                         for ln in lanes:
                             nf = lane_next[ln]
                             s = prev if prev > nf else nf

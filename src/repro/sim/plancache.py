@@ -58,7 +58,7 @@ def _network_fingerprint(net: Any) -> str:
     """
     parts = []
     for name, value in sorted(vars(net).items()):
-        if hasattr(value, "shared_link_keys"):  # nested NetworkTopology
+        if hasattr(value, "link_choices"):  # nested NetworkTopology
             parts.append(f"{name}=({_network_fingerprint(value)})")
         elif isinstance(value, (tuple, list)):
             parts.append(f"{name}=[{','.join(repr(v) for v in value)}]")
@@ -71,7 +71,7 @@ def machine_digest(machine: Any) -> str:
     """Structural digest of a Machine — the cache key's machine half.
 
     Covers every input the fast-path compiler reads: the cluster shape,
-    all Hockney link/host constants, routing mode, jitter, and the full
+    all Hockney link/host constants, jitter, and the full
     network topology state (recursively, so a placement permutation or a
     non-default ``links_per_pair`` yields a distinct digest).  Two
     structurally identical machines share a digest and therefore share
@@ -90,8 +90,7 @@ def machine_digest(machine: Any) -> str:
         f"links:{links}",
         f"host:{params.memcpy_beta!r},{params.call_overhead!r},"
         f"{params.per_hop_alpha!r},{params.nic_message_overhead!r},"
-        f"{params.link_message_overhead!r},{params.jitter!r},"
-        f"{params.adaptive_routing!r}",
+        f"{params.link_message_overhead!r},{params.jitter!r}",
         f"net:{_network_fingerprint(machine.network)}",
     ))
 

@@ -7,19 +7,6 @@ from repro.cluster.spec import LinkClass
 
 
 class TestLinkCost:
-    def test_time_is_hockney(self):
-        cost = LinkCost(alpha=1e-6, beta=1e9)
-        assert cost.time(0) == pytest.approx(1e-6)
-        assert cost.time(1_000_000) == pytest.approx(1e-6 + 1e-3)
-
-    def test_serialization_excludes_alpha(self):
-        cost = LinkCost(alpha=1e-6, beta=1e9)
-        assert cost.serialization(1000) == pytest.approx(1e-6, abs=1e-12)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            LinkCost(alpha=0, beta=1e9).time(-1)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             LinkCost(alpha=-1e-6, beta=1e9)
@@ -45,11 +32,6 @@ class TestHockneyParameters:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="missing link classes"):
             HockneyParameters(links={LinkClass.INTER_NODE: LinkCost(1e-6, 1e9)})
-
-    def test_memcpy_time(self):
-        assert NIAGARA_LIKE.memcpy_time(NIAGARA_LIKE.memcpy_beta) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            NIAGARA_LIKE.memcpy_time(-1)
 
     def test_latency_hierarchy_plausible(self):
         # Shared memory < socket interconnect < network.

@@ -1,9 +1,15 @@
 """Unit tests for the Machine bundle."""
 
-import pytest
-
 from repro.cluster import DragonflyPlus, Machine, SingleSwitch
 from repro.cluster.spec import LinkClass
+from repro.sim.fabric import LANES_NONE, LANES_PAIR, RouteTable
+
+
+def route(machine, src, dst):
+    """The route row of ``src``'s socket to ``dst``'s, on a fresh table."""
+    rps = machine.spec.ranks_per_socket
+    key = (src // rps) * machine.spec.n_sockets + dst // rps
+    return RouteTable().resolve(machine, src, dst, key)
 
 
 class TestLinkQueries:
@@ -18,12 +24,8 @@ class TestLinkQueries:
     def test_path_alpha_increases_with_distance(self):
         m = Machine.niagara_like(nodes=8, ranks_per_socket=2, nodes_per_group=2)
         rpn = m.spec.ranks_per_node
-        alphas = [
-            m.path_alpha(0, 1),
-            m.path_alpha(0, 2),
-            m.path_alpha(0, rpn),
-            m.path_alpha(0, 2 * rpn),
-        ]
+        rows = [route(m, 0, dst) for dst in (1, 2, rpn, 2 * rpn)]
+        alphas = [row.alpha + row.hop_extra for row in rows]
         assert alphas == sorted(alphas)
         assert alphas[-1] > alphas[-2]
 
@@ -34,18 +36,10 @@ class TestLinkQueries:
 
     def test_shared_keys_empty_within_node(self):
         m = Machine.niagara_like(nodes=4, ranks_per_socket=2)
-        assert m.shared_link_keys(0, 1) == ()
-
-    def test_ptp_time_self_is_memcpy(self):
-        m = Machine.single_switch(nodes=1, ranks_per_socket=4)
-        assert m.ptp_time(0, 0, 6_000_000) == pytest.approx(
-            6_000_000 / m.params.memcpy_beta
-        )
-
-    def test_ptp_time_matches_hockney(self):
-        m = Machine.single_switch(nodes=2, ranks_per_socket=2)
-        cost = m.params.cost(LinkClass.INTER_NODE)
-        assert m.ptp_time(0, 4, 1024) == pytest.approx(cost.alpha + 1024 / cost.beta)
+        within = route(m, 0, 1)
+        assert (within.lane_mode, within.lanes, within.tx) == (LANES_NONE, (), -1)
+        # Another Dragonfly+ group: a pair of global-link lanes.
+        assert route(m, 0, 2 * m.spec.ranks_per_node).lane_mode == LANES_PAIR
 
 
 class TestConstructors:

@@ -13,7 +13,7 @@ class TestSingleSwitch:
         assert net.classify(0, 1) is LinkClass.INTER_NODE
         assert net.classify(3, 3) is LinkClass.SELF
         assert net.hops(0, 5) == 2
-        assert net.shared_link_keys(0, 5) == ()
+        assert net.link_choices(0, 5) == ()
 
 
 class TestDragonflyPlus:
@@ -37,15 +37,15 @@ class TestDragonflyPlus:
 
     def test_global_link_keys(self):
         net = DragonflyPlus(nodes_per_group=4, links_per_pair=2)
-        keys = net.shared_link_keys(0, 4)
-        assert len(keys) == 1
-        tag, lo, hi, lane = keys[0]
-        assert tag == "global" and (lo, hi) == (0, 1) and 0 <= lane < 2
-        assert net.shared_link_keys(0, 1) == ()
+        (group,) = net.link_choices(0, 4)
+        assert len(group) == 2
+        for lane, (tag, lo, hi, key_lane) in enumerate(group):
+            assert tag == "global" and (lo, hi) == (0, 1) and key_lane == lane
+        assert net.link_choices(0, 1) == ()
 
     def test_key_symmetry(self):
         net = DragonflyPlus(nodes_per_group=3, links_per_pair=4)
-        assert net.shared_link_keys(1, 7) == net.shared_link_keys(7, 1)
+        assert net.link_choices(1, 7) == net.link_choices(7, 1)
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_classify_symmetric(self, a, b):
@@ -63,14 +63,15 @@ class TestFatTree:
     def test_taper_limits_uplinks(self):
         net = FatTree(nodes_per_leaf=8, taper=0.25)
         assert net.uplinks_per_leaf == 2
-        lanes = {net.shared_link_keys(src, 8)[0] for src in range(8)}
-        assert len(lanes) == 2  # 8 nodes share 2 uplink lanes
+        lanes = {key for src in range(8) for key in net.link_choices(src, 8)[0]}
+        assert lanes == {("up", 0, 0), ("up", 0, 1)}  # 8 nodes share 2 uplink lanes
 
     def test_cross_leaf_uses_both_ends(self):
         net = FatTree(nodes_per_leaf=4)
-        keys = net.shared_link_keys(0, 5)
-        assert len(keys) == 2
-        assert {k[1] for k in keys} == {0, 1}  # source leaf and dest leaf
+        groups = net.link_choices(0, 5)
+        assert len(groups) == 2
+        # source leaf, then dest leaf
+        assert [{k[1] for k in group} for group in groups] == [{0}, {1}]
 
     def test_invalid_taper(self):
         with pytest.raises(ValueError):
@@ -99,9 +100,9 @@ class TestTorus:
 
     def test_bisection_keys_only_when_crossing(self):
         net = Torus(dims=(4, 2), bisection_ways=2)
-        assert net.shared_link_keys(0, 2) == ()
-        keys = net.shared_link_keys(0, 4)
-        assert keys and keys[0][0] == "bisect"
+        assert net.link_choices(0, 2) == ()
+        (group,) = net.link_choices(0, 4)
+        assert group == (("bisect", 0), ("bisect", 1))
 
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,29 @@ class TestCosts:
         run_alltoall(alg, small_topology, small_machine, 4096)
         assert alg.pattern is pattern
 
+    def test_setup_never_replays_a_freed_topology(self, small_machine):
+        """Regression: the setup memo was keyed on ``id(topology)``, so a
+        new topology allocated at a freed one's address replayed the freed
+        one's pattern, and its run failed the rank program's block checks."""
+        n = small_machine.spec.n_ranks
+        first, second = (
+            [erdos_renyi_topology(n, 0.3, seed=seed).out_neighbors(u) for u in range(n)]
+            for seed in (1, 2)
+        )
+        alg = DistanceHalvingAlltoall()
+        topology = DistGraphTopology(n, first)
+        alg.setup(topology, small_machine)
+        address = id(topology)
+        del topology
+        built = []
+        for _ in range(256):  # until one lands at the freed address
+            built.append(DistGraphTopology(n, second))
+            if id(built[-1]) == address:
+                break
+        for topology in (built[-1], built[0]):
+            run = run_alltoall(alg, topology, small_machine, 64)
+            verify_alltoall(topology, run)
+
 
 class TestCommonNeighborAlltoall:
     @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -89,6 +89,27 @@ class TestLifecycle:
             alg.setup(topo, tiny_machine)
 
 
+class TestReplan:
+    #: Non-default constructor arguments for every registered backend.
+    ARGUMENTS = {
+        "naive": {},
+        "common_neighbor": {"k": 8},
+        "distance_halving": {"selection": "protocol", "stop_ranks": 1},
+        "hierarchical": {"leaders_per_node": 3},
+        "bruck": {"locality": "node"},
+    }
+
+    def test_replan_keeps_constructor_arguments(self, small_machine, small_topology):
+        assert set(self.ARGUMENTS) == set(available_algorithms())
+        for name, kwargs in self.ARGUMENTS.items():
+            alg = get_algorithm(name, **kwargs)
+            alg.setup(small_topology, small_machine)
+            fresh = alg.replan()
+            assert type(fresh) is type(alg) and fresh is not alg
+            assert not fresh.is_setup
+            assert {key: getattr(fresh, key) for key in kwargs} == kwargs
+
+
 class _Scripted(NeighborhoodAllgatherAlgorithm):
     """Rank 0 runs ``ops``; no other rank has a stream."""
 
@@ -160,21 +181,6 @@ class TestCapabilityDeclarations:
             register_algorithm(self._minimal("scratch_typo"),
                                capabilities=("shedule",))
 
-    def test_replan_requires_replan_override(self):
-        with pytest.raises(ValueError, match="does not override replan"):
-            register_algorithm(self._minimal("scratch_replan"),
-                               capabilities=("replan",))
-
-    def test_tunable_requires_grid(self):
-        with pytest.raises(ValueError, match="declared together"):
-            register_algorithm(self._minimal("scratch_tun"),
-                               capabilities=("tunable",))
-
-    def test_grid_requires_tunable(self):
-        with pytest.raises(ValueError, match="declared together"):
-            register_algorithm(self._minimal("scratch_grid"),
-                               tuning=(("k", (1, 2)),))
-
     def test_bench_kwargs_must_construct(self):
         with pytest.raises(TypeError):
             register_algorithm(self._minimal("scratch_bench"),
@@ -205,8 +211,8 @@ class TestCapabilityDeclarations:
 
     def test_info_has_and_tuning_values(self):
         cn = algorithm_info("common_neighbor")
-        assert cn.has("tunable", "bench") and not cn.has("setup_free")
-        assert cn.tuning_values("k")
+        assert cn.has("oracle", "bench") and not cn.has("setup_free")
+        assert cn.tuning and cn.tuning_values("k")
         with pytest.raises(KeyError, match="no tuning grid"):
             cn.tuning_values("radius")
 

@@ -8,6 +8,7 @@ from repro.collectives import (
     run_allgather,
     verify_allgather,
 )
+from repro.sim.faults import FaultPlan, RankCrash
 from repro.topology import DistGraphTopology, erdos_renyi_topology, moore_topology
 
 
@@ -108,3 +109,20 @@ class TestPerformanceShape:
         t_naive = run_allgather("naive", topo, medium_machine, 4096).simulated_time
         t_hier = run_allgather("hierarchical", topo, medium_machine, 4096).simulated_time
         assert t_naive / t_hier > 1.3
+
+
+class TestShrinkRecovery:
+    def test_replan_keeps_the_leader_count(self, small_machine):
+        """Regression: a shrink recovery rebuilt the plan with the default
+        two leaders per node, so three leaders recovered like two (71
+        replan messages each)."""
+        topo = erdos_renyi_topology(small_machine.spec.n_ranks, 0.4, seed=3)
+        options = RunOptions(fault_plan=FaultPlan(crashes=(RankCrash(rank=5, time=2e-6),)),
+                             on_failure="shrink")
+        replan_messages = {}
+        for leaders in (2, 3):
+            alg = get_algorithm("hierarchical", leaders_per_node=leaders)
+            run = run_allgather(alg, topo, small_machine, 1024, options=options)
+            assert run.recovery["recovered_with"] == "hierarchical"
+            replan_messages[leaders] = run.recovery["replan_messages"]
+        assert replan_messages == {2: 71, 3: 122}

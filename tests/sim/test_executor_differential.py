@@ -1,24 +1,27 @@
 """Random-schedule differential test: the executor against the engine.
 
-Seeded random schedules of 1-12 ranks on random machines, with what the
-algorithms' schedules never produce: ``None`` ranks, self-sends, empty
-stages, sends no receive matches, receives no send matches (deadlocks),
-receives posted a stage before or after their send, ops after the last
-wait, 0-block messages and random watchdog budgets.  Each schedule runs on
-the fast path and on the engine (:mod:`tests.sim.engine_replay`): the
-executor must equal the engine on every field, or raise the same exception
-with the same message, and a deadlock must be reached after the same
-number of events.
+Seeded random schedules of 1-12 ranks on random machines (Dragonfly+,
+fat trees and tori, so that every lane mode of the route rows is
+replayed), with what the algorithms' schedules never produce: ``None``
+ranks, self-sends, empty stages, sends no receive matches, receives no
+send matches (deadlocks), receives posted a stage before or after their
+send, ops after the last wait, 0-block messages and random watchdog
+budgets.  Each schedule runs on the fast path and on the engine
+(:mod:`tests.sim.engine_replay`): the executor must equal the engine on
+every field, or raise the same exception with the same message, and a
+deadlock must be reached after the same number of events.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
-from repro.exec.spec import MachineSpec
+from repro.cluster import DragonflyPlus, FatTree, Machine, Torus
+from repro.cluster.hockney import NIAGARA_LIKE
+from repro.cluster.spec import ClusterSpec
 from repro.sim.engine import DeadlockError, SimTimeoutError
+from repro.sim.fabric import LANES_NONE, LANES_PAIR, LANES_PER_HOP, routes_for
 from repro.sim.schedule import Schedule
 from tests.sim.engine_replay import (
     assert_deadlocks_like_engine,
@@ -33,22 +36,32 @@ COUNTS = (0, 1, 3, 64, 1000)
 UNITS = (0, 1, 8, 4096)
 
 
-def _random_machine(rng: random.Random, n: int):
+def _random_network(rng: random.Random, nodes: int):
+    """The default Dragonfly+ of ``Machine.niagara_like``, or a fat tree, a
+    torus or a Dragonfly+ with 1-3 links per group pair."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Machine.niagara_like(nodes).network
+    if kind == 1:
+        return FatTree(nodes_per_leaf=rng.randint(1, 4), taper=rng.choice((0.25, 0.5, 1.0)))
+    if kind == 2:
+        shapes = [(nodes,)] + [(a, nodes // a) for a in range(2, nodes) if nodes % a == 0]
+        return Torus(dims=rng.choice(shapes), bisection_ways=rng.randint(1, 3))
+    return DragonflyPlus(nodes_per_group=rng.randint(1, 4), links_per_pair=rng.randint(1, 3))
+
+
+def _random_machine(rng: random.Random, n: int) -> Machine:
     while True:
-        spec = MachineSpec(
+        spec = ClusterSpec(
             nodes=rng.randint(1, 8),
             sockets_per_node=rng.randint(1, 2),
             ranks_per_socket=rng.randint(1, 4),
-            placement_seed=rng.choice((None, rng.randrange(1000))),
         )
         if spec.n_ranks >= n:
             break
-    machine = spec.build()
-    if rng.random() < 0.25:  # fixed shared-link routing instead of adaptive
-        machine = dataclasses.replace(
-            machine,
-            params=dataclasses.replace(machine.params, adaptive_routing=False),
-        )
+    machine = Machine(spec, _random_network(rng, spec.nodes), NIAGARA_LIKE)
+    if rng.random() < 0.5:
+        machine = machine.random_placement(seed=rng.randrange(1000))
     return machine
 
 
@@ -105,13 +118,16 @@ _CASES = list(_cases())
 
 def test_exact_pricing_matches_engine():
     kinds = Counter()
+    lane_modes = Counter()
     for schedule, machine, unit, budgets in _CASES:
         kind, _ = assert_matches_engine(schedule, machine, unit, **budgets)
         kinds[kind] += 1
-    # the seed reaches every outcome, often
+        lane_modes.update(route.lane_mode for route in routes_for(machine).rows.values())
+    # the seed reaches every outcome, often, and every lane mode
     assert kinds["ok"] >= 50
     assert kinds[DeadlockError] >= 50
     assert kinds[SimTimeoutError] >= 50
+    assert all(lane_modes[mode] >= 50 for mode in (LANES_NONE, LANES_PAIR, LANES_PER_HOP))
 
 
 def test_deadlocks_match_engine():

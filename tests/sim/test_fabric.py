@@ -153,19 +153,17 @@ class TestUtilization:
 
 
 def _property_machines():
-    """Adaptive and oblivious Dragonfly+, fat-tree and torus, 32 ranks each."""
+    """Dragonfly+, fat-tree and tori (a lane pair, one lane group per hop,
+    and one group of three lanes), 32 ranks each."""
     spec = ClusterSpec(nodes=8, sockets_per_node=2, ranks_per_socket=2)
     networks = (
         DragonflyPlus(nodes_per_group=2, links_per_pair=2),
         FatTree(nodes_per_leaf=2, taper=1.0),
         Torus(dims=(4, 2), bisection_ways=2),
+        Torus(dims=(4, 2), bisection_ways=3),
     )
-    return [
-        Machine(spec=spec, network=network,
-                params=dataclasses.replace(NIAGARA_LIKE, adaptive_routing=adaptive))
-        for network in networks
-        for adaptive in (True, False)
-    ]
+    return [Machine(spec=spec, network=network, params=NIAGARA_LIKE)
+            for network in networks]
 
 
 PROPERTY_MACHINES = _property_machines()
@@ -237,13 +235,13 @@ def test_equal_machines_share_one_route_table():
     assert table.rows == rows
 
 
-def test_permuted_and_oblivious_machines_get_their_own_tables():
+def test_permuted_and_repriced_machines_get_their_own_tables():
     plain = _machine()
     permuted = _machine(placement_seed=3)
-    oblivious = dataclasses.replace(
-        plain, params=dataclasses.replace(plain.params, adaptive_routing=False)
+    repriced = dataclasses.replace(
+        plain, params=dataclasses.replace(plain.params, per_hop_alpha=2e-7)
     )
-    tables = [routes_for(m) for m in (plain, permuted, oblivious)]
+    tables = [routes_for(m) for m in (plain, permuted, repriced)]
     assert len({id(t) for t in tables}) == 3
     assert routes_for(_machine(placement_seed=3)) is tables[1]
 

@@ -374,6 +374,24 @@ class TestWatchdog:
         with pytest.raises(SimTimeoutError, match=r"rank 0 \(waitall\(1 pending\)\)"):
             engine.run()
 
+    @pytest.mark.parametrize("budgets", [
+        {}, {"max_events": 10**6}, {"max_sim_time": 1.0},
+    ])
+    def test_events_counted_when_a_program_raises(self, budgets):
+        # Regression: with a budget set, a program's exception left
+        # events_processed at its value before the run (0).
+        plan = FaultPlan(losses=(MessageLoss(probability=1.0),),
+                         retry=RetryPolicy(timeout=1e-5, max_retries=1))
+        machine = small_machine()
+        streams = {0: [*work(machine, 1e-6), ("send", 1, 64, 0, ()), ("wait",)],
+                   1: [("recv", 0, 0, 64), ("wait",)]}
+        engine = Engine(n_ranks=4, machine=machine, faults=plan, **budgets)
+        engine.spawn_all(lambda rank: rank_program(engine, rank, streams.get(rank, ())))
+        with pytest.raises(RetriesExhaustedError):
+            engine.run()
+        # Four starts, then rank 0's wake, whose send runs out of retries.
+        assert engine.events_processed == 5
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Engine(n_ranks=2, machine=small_machine(), max_sim_time=0.0)

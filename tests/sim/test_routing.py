@@ -1,8 +1,4 @@
-"""Unit tests for adaptive (UGAL-like) vs oblivious lane routing."""
-
-import dataclasses
-
-import pytest
+"""Unit tests for adaptive (UGAL-like) lane routing."""
 
 from repro.cluster import DragonflyPlus, FatTree, Machine, Torus
 from repro.cluster.hockney import NIAGARA_LIKE
@@ -10,12 +6,12 @@ from repro.cluster.spec import ClusterSpec
 from repro.sim.fabric import Fabric
 
 
-def dragonfly_machine(adaptive: bool, links_per_pair: int = 2) -> Machine:
-    params = dataclasses.replace(NIAGARA_LIKE, adaptive_routing=adaptive)
+def dragonfly_machine() -> Machine:
+    """Four Dragonfly+ groups of two nodes, two global links per group pair."""
     return Machine(
         spec=ClusterSpec(nodes=8, sockets_per_node=2, ranks_per_socket=2),
-        network=DragonflyPlus(nodes_per_group=2, links_per_pair=links_per_pair),
-        params=params,
+        network=DragonflyPlus(nodes_per_group=2, links_per_pair=2),
+        params=NIAGARA_LIKE,
     )
 
 
@@ -41,68 +37,27 @@ class TestLinkChoices:
         (group,) = net.link_choices(0, 4)
         assert len(group) == 3
 
-    def test_default_singleton_groups(self):
-        """Networks without an override wrap oblivious keys as singletons."""
-        net = FatTree(nodes_per_leaf=2, taper=1.0)
-        keys = net.shared_link_keys(0, 3)
-        # base-class behaviour accessible through any NetworkTopology:
-        from repro.cluster.network import NetworkTopology
-
-        groups = NetworkTopology.link_choices(net, 0, 3)
-        assert groups == tuple((k,) for k in keys)
-
 
 class TestAdaptiveRouting:
     def test_adaptive_spreads_load(self):
-        """Two concurrent cross-group transfers use different lanes under
-        adaptive routing, so the second is not serialized behind the first."""
+        """Two concurrent cross-group transfers claim different lanes, so
+        the second is not serialized behind the first on a global link."""
         rpn = 4  # ranks per node
         big = 1 << 22
-
-        adaptive = Fabric(dragonfly_machine(True))
-        a1 = adaptive.transmit(0, 4 * rpn, big, post_time=0.0).arrival
-        a2 = adaptive.transmit(1, 4 * rpn + 1, big, post_time=0.0).arrival
-
-        oblivious = Fabric(dragonfly_machine(False))
-        o1 = oblivious.transmit(0, 4 * rpn, big, post_time=0.0).arrival
-        o2 = oblivious.transmit(1, 4 * rpn + 1, big, post_time=0.0).arrival
-
-        # Same first transfer; the adaptive second should be no slower, and
-        # strictly faster if the oblivious hash collided.
-        assert a1 == o1
-        assert a2 <= o2
+        fabric = Fabric(dragonfly_machine())
+        fabric.transmit(0, 4 * rpn, big, post_time=0.0)
+        fabric.transmit(1, 4 * rpn + 1, big, post_time=0.0)
+        # Two lanes, both busy: each carries one of the two transfers.
+        busy = fabric.busy()["links"]
+        assert len(busy) == 2 and all(b > 0 for b in busy.values())
 
     def test_adaptive_uses_both_lanes(self):
         """Both global lanes of the group pair carry traffic: the fabric
         lists every lane a route may choose, so check busy time, not keys."""
-        fabric = Fabric(dragonfly_machine(True, links_per_pair=2))
+        fabric = Fabric(dragonfly_machine())
         rpn = 4
         for i in range(4):
             fabric.transmit(i, 4 * rpn + i, 1 << 20, post_time=0.0)
         links = fabric.utilization(horizon=1.0)["links"]
         assert len(links) == 2
         assert all(frac > 0 for frac in links.values())
-
-    def test_oblivious_is_hash_deterministic(self):
-        f1 = Fabric(dragonfly_machine(False))
-        f2 = Fabric(dragonfly_machine(False))
-        rpn = 4
-        t1 = f1.transmit(0, 4 * rpn, 4096, post_time=0.0).arrival
-        t2 = f2.transmit(0, 4 * rpn, 4096, post_time=0.0).arrival
-        assert t1 == t2
-
-    def test_adaptive_never_slower_under_burst(self):
-        """A burst of cross-group messages completes no later with adaptive
-        routing than with oblivious routing."""
-        rpn = 4
-
-        def burst(machine):
-            fabric = Fabric(machine)
-            last = 0.0
-            for i in range(16):
-                src = i % (2 * rpn)
-                dst = 4 * rpn + (i % (2 * rpn))
-                last = max(last, fabric.transmit(src, dst, 1 << 20, 0.0).arrival)
-            return last
-
-        assert burst(dragonfly_machine(True)) <= burst(dragonfly_machine(False))
