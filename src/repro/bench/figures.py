@@ -644,7 +644,10 @@ def ext_alltoall(
     over), parity-to-loss when bandwidth-bound (distinct blocks cannot be
     combined, so forwarding re-pays their bytes per hop).
     """
-    from repro.collectives.alltoall import run_alltoall, verify_alltoall
+    from repro.collectives.alltoall import (
+        CommonNeighborAlltoall, DistanceHalvingAlltoall, NaiveAlltoall,
+        run_alltoall, verify_alltoall,
+    )
 
     cfg = config or SweepConfig()
     scale = cfg.resolve_scale(scale)
@@ -655,14 +658,14 @@ def ext_alltoall(
     rows, records = [], []
     for density in scale.densities:
         topology = erdos_renyi_topology(scale.ranks, density, seed=seed)
+        # One backend per (algorithm, k), set up once for both sizes.
+        naive_alg, dh_alg = NaiveAlltoall(), DistanceHalvingAlltoall()
+        cn_algs = [CommonNeighborAlltoall(k=k) for k in DEFAULT_CN_KS]
         for size in sizes:
-            naive = run_alltoall("naive_alltoall", topology, machine, size)
-            dh = run_alltoall("distance_halving_alltoall", topology, machine, size)
+            naive = run_alltoall(naive_alg, topology, machine, size)
+            dh = run_alltoall(dh_alg, topology, machine, size)
             cn = min(
-                (
-                    run_alltoall("common_neighbor_alltoall", topology, machine, size, k=k)
-                    for k in DEFAULT_CN_KS
-                ),
+                (run_alltoall(alg, topology, machine, size) for alg in cn_algs),
                 key=lambda r: r.simulated_time,
             )
             verify_alltoall(topology, naive)

@@ -754,7 +754,7 @@ def _advise_algorithm(args) -> int:
     fit = calibrate(machine)
     params = model_params_for(
         n=n,
-        sockets=machine.spec.nodes * machine.spec.sockets_per_node,
+        sockets=machine.spec.sockets_per_node,
         ranks_per_socket=machine.spec.ranks_per_socket,
         alpha=fit.alpha,
         beta=fit.beta,

@@ -203,8 +203,14 @@ class CommonNeighborAlltoall:
         self.k = k
         #: (g -> a) phase-1 pair -> targets whose (g, target) block moves.
         self._pair_targets: dict[tuple[int, int], tuple[int, ...]] | None = None
+        # What the plan was built for, held by reference (see
+        # DistanceHalvingAlltoall).
+        self._topology: DistGraphTopology | None = None
+        self._machine: Machine | None = None
 
     def setup(self, topology: DistGraphTopology, machine: Machine) -> None:
+        if self._topology is topology and self._machine is machine:
+            return
         self._inner.setup(topology, machine)
         plans = self._inner.plans
         assert plans is not None
@@ -218,6 +224,7 @@ class CommonNeighborAlltoall:
                     targets.append(a)  # the assignee is itself a target of g
                 pair_targets[(g, a)] = tuple(sorted(targets))
         self._pair_targets = pair_targets
+        self._topology, self._machine = topology, machine
 
     def rank_ops(
         self, rank: int, topology: DistGraphTopology, psize: PairSizeFn

@@ -99,7 +99,7 @@ def analytic_prior(
         rps = min(8, n)
         params = model_params_for(
             n=n,
-            sockets=max(1, n // rps),
+            sockets=CALIBRATION_SHAPE["sockets_per_node"],
             ranks_per_socket=rps,
             alpha=alpha,
             beta=beta,

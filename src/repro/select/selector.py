@@ -108,9 +108,7 @@ def _analytic_order(
     alpha, beta = _calibrated(machine)
     params = model_params_for(
         n=features.n_ranks,
-        sockets=features.sockets_per_node * max(
-            1, features.n_ranks // (features.sockets_per_node * features.ranks_per_socket)
-        ),
+        sockets=features.sockets_per_node,
         ranks_per_socket=features.ranks_per_socket,
         alpha=alpha,
         beta=beta,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from repro.cluster.machine import Machine
 from repro.sim.fabric import Fabric, MessageTiming
@@ -45,8 +45,22 @@ from repro.sim.tracing import TraceCollector
 _INF = math.inf
 
 
+def blocked_detail(pending: Iterable[tuple[int, int]]) -> str:
+    """The blocked-rank text of every budget and deadlock report, from each
+    unfinished rank's ``(rank, receives it waits on)``, in rank order."""
+    parts = [f"rank {r} (waitall({k} pending))" if k else f"rank {r} (runnable)"
+             for r, k in pending]
+    return ", ".join(parts) or "none"
+
+
 class DeadlockError(RuntimeError):
     """Raised when the event heap empties while processes are still blocked."""
+
+    @classmethod
+    def blocked(cls, processes: str) -> "DeadlockError":
+        """The report of a run whose ``processes`` (:func:`blocked_detail`)
+        can never resume."""
+        return cls(f"simulation deadlocked; blocked processes: {processes}")
 
 
 class RetriesExhaustedError(RuntimeError):
@@ -125,6 +139,35 @@ class SimTimeoutError(RuntimeError):
         self.events_processed = events_processed
         self.limit = limit
 
+    @staticmethod
+    def check_budgets(max_sim_time: float | None, max_events: int | None) -> None:
+        """Reject a budget that is set but not positive (``ValueError``)."""
+        if max_sim_time is not None and max_sim_time <= 0:
+            raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
+        if max_events is not None and max_events <= 0:
+            raise ValueError(f"max_events must be > 0, got {max_events}")
+
+    @classmethod
+    def time_budget(cls, time: float, limit: float, events: int,
+                    processes: str) -> "SimTimeoutError":
+        """The trip of ``max_sim_time = limit`` by an event at ``time``,
+        after ``events`` events."""
+        return cls(
+            f"simulated-time budget exceeded: next event at {time:.6e}s > "
+            f"max_sim_time={limit:.6e}s after {events} event(s); "
+            f"processes: {processes}",
+            budget="sim_time", events_processed=events, limit=limit,
+        )
+
+    @classmethod
+    def event_budget(cls, limit: int, events: int, processes: str) -> "SimTimeoutError":
+        """The trip of ``max_events = limit``, after ``events`` events."""
+        return cls(
+            f"event budget exceeded: processed {events} events "
+            f"(max_events={limit}); processes: {processes}",
+            budget="events", events_processed=events, limit=limit,
+        )
+
 
 def _put(table: dict, key, item) -> None:
     """Queue ``item`` under ``key``: stored as is, or in a deque behind
@@ -195,10 +238,7 @@ class Engine:
             raise ValueError(
                 f"n_ranks={n_ranks} exceeds machine capacity {machine.spec.n_ranks}"
             )
-        if max_sim_time is not None and max_sim_time <= 0:
-            raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be > 0, got {max_events}")
+        SimTimeoutError.check_budgets(max_sim_time, max_events)
         self.n_ranks = n_ranks
         self.machine = machine
         if isinstance(faults, FaultPlan):
@@ -306,22 +346,11 @@ class Engine:
             while heap:
                 time, _, rank = pop(heap)
                 if time > max_time:
-                    raise SimTimeoutError(
-                        f"simulated-time budget exceeded: next event at "
-                        f"{time:.6e}s > max_sim_time={max_time:.6e}s "
-                        f"after {events} event(s); "
-                        f"processes: {self._blocked_detail()}",
-                        budget="sim_time", events_processed=events,
-                        limit=max_time,
-                    )
+                    raise SimTimeoutError.time_budget(
+                        time, max_time, events, self._blocked_detail())
                 if max_events is not None and events >= max_events:
-                    raise SimTimeoutError(
-                        f"event budget exceeded: processed {events} events "
-                        f"(max_events={max_events}); "
-                        f"processes: {self._blocked_detail()}",
-                        budget="events", events_processed=events,
-                        limit=max_events,
-                    )
+                    raise SimTimeoutError.event_budget(
+                        max_events, events, self._blocked_detail())
                 events += 1
                 self.now = time
                 resume(rank, time)
@@ -372,9 +401,7 @@ class Engine:
                     failed_ranks=failed, detection_time=detection,
                     survivors=survivors,
                 )
-        raise DeadlockError(
-            f"simulation deadlocked; blocked processes: {self._blocked_detail()}"
-        )
+        raise DeadlockError.blocked(self._blocked_detail())
 
     def _kill(self, rank: int) -> None:
         """Fail-stop: tear down a crashed rank's process mid-run."""
@@ -387,19 +414,11 @@ class Engine:
             self.faults.rank_crashes += 1
 
     def _blocked_detail(self) -> str:
-        """Lazily-formatted state of every unfinished process (error paths
+        """:func:`blocked_detail` of every unfinished process (error paths
         only — never built on the hot path)."""
-        if not self._programs:
-            return "none"
-        return ", ".join(
-            f"rank {r} ({self._blocked_reason(r)})" for r in sorted(self._programs)
-        )
-
-    def _blocked_reason(self, rank: int) -> str:
-        state = self._blocked.get(rank)
-        if state is None:
-            return "runnable"
-        return f"waitall({state.remaining} pending)"
+        blocked = self._blocked
+        return blocked_detail((r, blocked[r].remaining if r in blocked else 0)
+                              for r in sorted(self._programs))
 
     def makespan(self) -> float:
         return max(self._finished.values(), default=0.0)

@@ -343,8 +343,10 @@ class Fabric:
         Invariants (see docs/ARCHITECTURE.md): claims are made in event
         order, stages are claimed upstream-to-downstream, and a stage
         extended by upstream streaming (cut-through) credits the extension
-        to its busy time, added after the stage's own duration.  Each
-        stage is the fast path executor's recurrence, bit for bit.
+        to its busy time, added after the stage's own duration.  The fast
+        path's executor claims every network send with this stage
+        sequence, in this order and bit for bit, so a change here goes
+        there too.
         """
         dur = nbytes * inv_beta
         port_dur = alpha + dur

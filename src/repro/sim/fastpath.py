@@ -18,8 +18,8 @@ Three ideas make replay fast:
 
 * **Compile once per pattern.**  :func:`multi_plan_for` turns a schedule
   into a size-free :class:`_MultiStagePlan` — static send→receive matching,
-  each send's NIC ids and lanes from its socket pair's route row, and
-  per-op ids into the distinct pricing cohorts — cached per
+  each send's claim stages from its socket pair's route row, and per-op
+  ids into the distinct pricing cohorts — cached per
   ``(structural digest, machine digest)`` in :mod:`repro.sim.plancache`.
   The compiler decodes the schedule's per-rank encodings one rank at a
   time (:meth:`~repro.sim.schedule.Schedule.iter_ops`), so no rank's op
@@ -35,18 +35,28 @@ Three ideas make replay fast:
   prefix-sum regrouping would break bit-identity with the engine.  Claims
   stay in event order over plain float state.
 
-One executor, :func:`_execute_multi`, replays every schedule.  A receive
+One executor, :func:`_execute_multi`, replays every schedule, and it
+claims every network send with one body: :meth:`Fabric._claim
+<repro.sim.fabric.Fabric._claim>`'s stages in its order — the send port;
+then, on a route with NICs, the TX NIC, the route's lanes when it has
+any, and the RX NIC; then the receive port.  A self-send is a memcpy, as
+in :meth:`Fabric.transmit <repro.sim.fabric.Fabric.transmit>`.  A receive
 that no send matches stays posted and its owner blocks in its waitall, as
-on the engine, so such a schedule deadlocks: the executor raises the
-engine's :class:`~repro.sim.engine.DeadlockError` text after the same
-number of events.
+on the engine, so such a schedule deadlocks after the same number of
+events.
 
 Watchdog budgets (``max_sim_time``/``max_events``) are honored with the
 engine's exact boundary semantics: an event with timestamp equal to
 ``max_sim_time`` is processed (strictly-greater trips the budget), and
 processing exactly ``max_events`` events is allowed (the attempt to process
 one more trips it).  Event counting is identical — one event per heap pop —
-so a budgeted run trips on the same event in both paths.
+so a budgeted run trips on the same event in both paths.  The budget
+validation, the two trip reports, the deadlock report and their
+blocked-rank detail are the engine's own definitions (the classmethods
+of :class:`~repro.sim.engine.SimTimeoutError` and
+:class:`~repro.sim.engine.DeadlockError`, and
+:func:`~repro.sim.engine.blocked_detail`), so both paths raise the same
+text.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.engine import DeadlockError, SimTimeoutError
-from repro.sim.fabric import LANES_NONE, LANES_PAIR, routes_for
+from repro.sim.engine import DeadlockError, SimTimeoutError, blocked_detail
+from repro.sim.fabric import LANES_PAIR, routes_for
 from repro.sim.plancache import PLAN_CACHE, machine_digest
 from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
 
@@ -108,15 +118,17 @@ class _MultiStagePlan:
       t = 0.0, so when it only posts (no charge) its clocks are a prefix of
       ``ladder``, the fold of call overheads from 0.0, and its
       ``delta_ids`` is ``None``;
-    * every send carries its pre-resolved receive slot
+    * every send is one ``(pos, slot, dst, price id, stages)`` tuple:
+      its clock index, its pre-resolved receive slot
       (:func:`repro.sim.schedule.static_matching` — FIFO matching is a
-      compile-time function of the schedule), its endpoints, its socket
-      pair's NIC ids, lane mode and lane ids (from its
-      :class:`~repro.sim.fabric.Route`), and the id of its pricing cohort:
-      a distinct ``(socket pair, block count)`` whose costs a call computes
-      from ``cohort_counts`` and the route's ``alpha``/``inv_beta``/
-      ``link_inv_beta`` (a self-send carries a charge id instead).  A
-      receive no send matches keeps its slot and simply never completes;
+      compile-time function of the schedule), and its socket pair's
+      :class:`~repro.sim.fabric.Route` as ``(hop_extra, tx, rx,
+      lane_mode, lanes)``, one tuple shared by the route's sends.  The
+      price id names a pricing cohort: a distinct ``(socket pair, block
+      count)`` whose costs a call computes from ``cohort_counts`` and the
+      route's ``alpha``/``inv_beta``/``link_inv_beta``.  A self-send has
+      no stages (None) and its memcpy's delta id as price id.  A receive
+      no send matches keeps its slot and simply never completes;
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
@@ -144,9 +156,10 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     table = routes_for(machine)
     routes = table.rows
 
-    charge_ids: dict[int, int] = {}            # block count -> delta id
-    cohort_ids: dict[tuple[int, int], int] = {}  # (socket key, count) -> cohort
-    cohorts: list[tuple] = []                  # (count, route)
+    charge_ids: dict[int, int] = {}  # block count -> delta id
+    cohort_of: dict[tuple[int, int], tuple[int, tuple]] = {}  # -> (id, stages)
+    stages_of: dict[int, tuple] = {}  # socket key -> the route's stages
+    cohorts: list[tuple] = []         # (count, route)
 
     def _charge(count):
         i = charge_ids.get(count)
@@ -192,24 +205,22 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
             messages += 1
             blocks += count
             if dst == rank:  # self-send: priced as a memcpy
-                sends.append((0, pos, sl, _charge(count)))
+                sends.append((pos, sl, dst, _charge(count), None))
                 continue
             skey = src_base + dst // rps
-            route = routes.get(skey)
-            if route is None:
-                route = table.resolve(machine, rank, dst, skey)
-            ci = cohort_ids.get((skey, count))
-            if ci is None:
-                ci = cohort_ids[(skey, count)] = len(cohorts)
+            cohort = cohort_of.get((skey, count))
+            if cohort is None:
+                route = routes.get(skey)
+                if route is None:
+                    route = table.resolve(machine, rank, dst, skey)
+                stages = stages_of.get(skey)
+                if stages is None:
+                    stages = stages_of[skey] = (route.hop_extra, route.tx, route.rx,
+                                                route.lane_mode, route.lanes)
+                cohort = cohort_of[(skey, count)] = (len(cohorts), stages)
                 cohorts.append((count, route))
-            if route.tx < 0:  # same node: send port -> recv port
-                sends.append((1, pos, sl, dst, ci, route.hop_extra))
-            elif route.lane_mode == LANES_NONE:  # cross node: + NIC tx/rx
-                sends.append((2, pos, sl, dst, ci, route.hop_extra,
-                              route.tx, route.rx))
-            else:  # cross group: + shared-link lanes
-                sends.append((3, pos, sl, dst, ci, route.hop_extra,
-                              route.tx, route.rx, route.lane_mode, route.lanes))
+            ci, stages = cohort
+            sends.append((pos, sl, dst, ci, stages))
         if ids or not segs:
             segs.append((ids, sends, recvs, False))
         compiled: list[tuple] = []
@@ -334,33 +345,18 @@ def _execute_multi(
     heappop = heapq.heappop
 
     def _blocked_detail() -> str:
-        parts = []
-        for r in range(n):
-            if r in finished or rank_segs[r] is None:
-                continue
-            rem = wait_remaining[r]
-            detail = f"waitall({rem} pending)" if rem else "runnable"
-            parts.append(f"rank {r} ({detail})")
-        return ", ".join(parts) if parts else "none"
+        return blocked_detail(
+            (r, wait_remaining[r]) for r in range(n) if r not in finished)
 
     max_time = float("inf") if max_sim_time is None else max_sim_time
     events = 0
     while heap:
         time, _, rank = heappop(heap)
         if time > max_time:
-            raise SimTimeoutError(
-                f"simulated-time budget exceeded: next event at "
-                f"{time:.6e}s > max_sim_time={max_time:.6e}s "
-                f"after {events} event(s); processes: {_blocked_detail()}",
-                budget="sim_time", events_processed=events, limit=max_time,
-            )
+            raise SimTimeoutError.time_budget(time, max_time, events, _blocked_detail())
+        if max_events is not None and events >= max_events:
+            raise SimTimeoutError.event_budget(max_events, events, _blocked_detail())
         events += 1
-        if max_events is not None and events > max_events:
-            raise SimTimeoutError(
-                f"event budget exceeded: processed {events - 1} events "
-                f"(max_events={max_events}); processes: {_blocked_detail()}",
-                budget="events", events_processed=events - 1, limit=max_events,
-            )
         now = rank_now[rank]
         if time > now:
             now = time
@@ -394,12 +390,14 @@ def _execute_multi(
                 else:
                     post_rt[sl] = accl[pos]
                     state[sl] = 1
-            for sd in sends:
-                kind = sd[0]
-                if kind == 2:  # cross-node: port -> NIC tx -> NIC rx -> port
-                    _, pos, sl, dst, ci, hop_x, nsrc, ndst = sd
-                    port_dur = port[ci]
-                    nic_dur = nic[ci]
+            for pos, sl, dst, pid, stages in sends:
+                if stages is None:  # self-send: completes at post + memcpy
+                    arrival = accl[pos] + values[pid]
+                    if arrival > lat:
+                        lat = arrival
+                else:  # Fabric._claim's stages, in its order
+                    hop_x, tx, rx, lmode, lanes = stages
+                    port_dur = port[pid]
                     p = accl[pos]
                     nf = send_next[rank]
                     start = p if p > nf else nf
@@ -407,101 +405,40 @@ def _execute_multi(
                     send_next[rank] = end
                     if end > lat:
                         lat = end
-                    pe = end
-                    nf = nic_tx_next[nsrc]
-                    s = start if start > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_tx_next[nsrc] = e
-                    prev = s
-                    pe = e
-                    nf = nic_rx_next[ndst]
-                    s = prev if prev > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_rx_next[ndst] = e
-                    prev = s
-                    pe = e
-                    nf = recv_next[dst]
-                    s = prev if prev > nf else nf
-                    e = s + port_dur
-                    if e < pe:
-                        e = pe
-                    recv_next[dst] = e
-                    arrival = e + hop_x
-                elif kind == 3:  # cross-group: + adaptive shared-link lanes
-                    _, pos, sl, dst, ci, hop_x, nsrc, ndst, lmode, lspec = sd
-                    port_dur = port[ci]
-                    nic_dur = nic[ci]
-                    link_dur = link[ci]
-                    p = accl[pos]
-                    nf = send_next[rank]
-                    start = p if p > nf else nf
-                    end = start + port_dur
-                    send_next[rank] = end
-                    if end > lat:
-                        lat = end
-                    pe = end
-                    nf = nic_tx_next[nsrc]
-                    s = start if start > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_tx_next[nsrc] = e
-                    prev = s
-                    pe = e
-                    if lmode == LANES_PAIR:
-                        # Adaptive 2-lane pair: least-loaded lane, first
-                        # minimal on ties (same tie-break as Fabric._claim),
-                        # claim inlined.
-                        a, b = lspec
-                        ln = a if lane_next[a] <= lane_next[b] else b
-                        nf = lane_next[ln]
-                        s = prev if prev > nf else nf
-                        e = s + link_dur
-                        if e < pe:
-                            e = pe
-                        lane_next[ln] = e
-                        prev = s
-                        pe = e
-                    else:  # LANES_PER_HOP: pick every lane before claiming any
-                        lanes = [min(g, key=lane_next.__getitem__) for g in lspec]
-                        for ln in lanes:
-                            nf = lane_next[ln]
-                            s = prev if prev > nf else nf
-                            e = s + link_dur
-                            if e < pe:
-                                e = pe
-                            lane_next[ln] = e
-                            prev = s
-                            pe = e
-                    nf = nic_rx_next[ndst]
-                    s = prev if prev > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_rx_next[ndst] = e
-                    prev = s
-                    pe = e
-                    nf = recv_next[dst]
-                    s = prev if prev > nf else nf
-                    e = s + port_dur
-                    if e < pe:
-                        e = pe
-                    recv_next[dst] = e
-                    arrival = e + hop_x
-                elif kind == 1:  # same-node: send port -> recv port
-                    _, pos, sl, dst, ci, hop_x = sd
-                    port_dur = port[ci]
-                    p = accl[pos]
-                    nf = send_next[rank]
-                    start = p if p > nf else nf
-                    end = start + port_dur
-                    send_next[rank] = end
-                    if end > lat:
-                        lat = end
+                    if tx >= 0:
+                        nic_dur = nic[pid]
+                        nf = nic_tx_next[tx]
+                        s = start if start > nf else nf
+                        e = s + nic_dur
+                        if e < end:
+                            e = end
+                        nic_tx_next[tx] = e
+                        start = s
+                        end = e
+                        if lmode:
+                            link_dur = link[pid]
+                            if lmode == LANES_PAIR:
+                                a, b = lanes
+                                lanes = (a if lane_next[a] <= lane_next[b] else b,)
+                            else:  # LANES_PER_HOP: pick every lane before claiming any
+                                lanes = [min(g, key=lane_next.__getitem__) for g in lanes]
+                            for ln in lanes:
+                                nf = lane_next[ln]
+                                s = start if start > nf else nf
+                                e = s + link_dur
+                                if e < end:
+                                    e = end
+                                lane_next[ln] = e
+                                start = s
+                                end = e
+                        nf = nic_rx_next[rx]
+                        s = start if start > nf else nf
+                        e = s + nic_dur
+                        if e < end:
+                            e = end
+                        nic_rx_next[rx] = e
+                        start = s
+                        end = e
                     nf = recv_next[dst]
                     s = start if start > nf else nf
                     e = s + port_dur
@@ -509,12 +446,6 @@ def _execute_multi(
                         e = end
                     recv_next[dst] = e
                     arrival = e + hop_x
-                else:  # kind == 0: self-send completes at post + memcpy
-                    _, pos, sl, di = sd
-                    dst = rank
-                    arrival = accl[pos] + values[di]
-                    if arrival > lat:
-                        lat = arrival
                 if sl >= 0:
                     st = state[sl]
                     if st == 0:
@@ -561,9 +492,7 @@ def _execute_multi(
                 break
 
     if len(finished) != n:
-        raise DeadlockError(
-            f"simulation deadlocked; blocked processes: {_blocked_detail()}"
-        )
+        raise DeadlockError.blocked(_blocked_detail())
     simulated = max(finished.values(), default=0.0)
     return FastRunOutcome(
         simulated, finished, plan.messages, plan.blocks * unit, events,
@@ -590,10 +519,7 @@ def execute_schedule(
     """
     if machine.params.jitter > 0:
         raise ValueError("fast path requires a jitter-free machine (use the engine)")
-    if max_sim_time is not None and max_sim_time <= 0:
-        raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
-    if max_events is not None and max_events <= 0:
-        raise ValueError(f"max_events must be > 0, got {max_events}")
+    SimTimeoutError.check_budgets(max_sim_time, max_events)
     if unit < 0:
         raise ValueError(f"unit must be >= 0, got {unit}")
 

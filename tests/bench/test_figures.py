@@ -115,6 +115,30 @@ class TestDrivers:
             assert row["speedup"] > 0 and row["cn_speedup"] > 0
         assert (isolated_results / "ext_alltoall.json").exists()
 
+    def test_ext_alltoall_sets_up_once(self, isolated_results, monkeypatch):
+        """One backend per (topology, algorithm, k) serves both message
+        sizes: one Distance Halving pattern per topology, one Common
+        Neighbor plan per (topology, k)."""
+        from repro.bench.sweep import DEFAULT_CN_KS
+        from repro.collectives import alltoall, common_neighbor
+
+        calls = {"build_patterns": 0, "_plan": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(alltoall, "build_patterns")
+        counting(common_neighbor, "_plan")
+        ext_alltoall(TINY, verbose=False)
+        assert calls == {"build_patterns": len(TINY.densities),
+                         "_plan": len(TINY.densities) * len(DEFAULT_CN_KS)}
+
     def test_ext_network_sensitivity_sets_up_once(self, isolated_results, monkeypatch):
         """One set-up instance per algorithm and network serves both message
         sizes, so the pattern is built once and amortised across them."""

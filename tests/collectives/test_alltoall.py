@@ -144,6 +144,20 @@ class TestCommonNeighborAlltoall:
         ).simulated_time
         assert t_dh < t_cn < t_naive
 
+    def test_setup_reused_across_calls(self, small_machine, small_topology):
+        """The plan and its phase-1 target lists are built once per
+        topology and machine, and rebuilt for another topology."""
+        alg = CommonNeighborAlltoall(k=4)
+        run_alltoall(alg, small_topology, small_machine, 64)
+        plans, pair_targets = alg._inner.plans, alg._pair_targets
+        run = run_alltoall(alg, small_topology, small_machine, 4096)
+        verify_alltoall(small_topology, run)
+        assert alg._inner.plans is plans and alg._pair_targets is pair_targets
+        other = erdos_renyi_topology(small_machine.spec.n_ranks, 0.3, seed=99)
+        run = run_alltoall(alg, other, small_machine, 64)
+        verify_alltoall(other, run)
+        assert alg._pair_targets is not pair_targets
+
     def test_phase1_ships_distinct_target_blocks(self, small_machine):
         """A member covering 3 targets of peer g receives 3 distinct blocks."""
         n = small_machine.spec.n_ranks

@@ -200,3 +200,28 @@ class TestAnalyticFallback:
         assert selection.source == "analytic-fallback"
         assert selection.algorithm in candidates_for("clean")
         assert set(selection.ranking) == set(candidates_for("clean"))
+
+    def test_model_is_priced_with_sockets_per_node(self, monkeypatch):
+        """Regression: ``S`` of Eqs. 5 and 8 is sockets per node.  The
+        fallback and the distilled prior passed a total socket count (4 on
+        this machine; n / 8 per prior bucket)."""
+        import importlib
+
+        from repro.model.crossover import model_params_for
+        from repro.select import selector
+
+        # The package exports the function distill() over its module's name.
+        distill = importlib.import_module("repro.select.distill")
+        seen = []
+
+        def recording(**kwargs):
+            seen.append(kwargs["sockets"])
+            return model_params_for(**kwargs)
+
+        monkeypatch.setattr(selector, "model_params_for", recording)
+        monkeypatch.setattr(distill, "model_params_for", recording)
+        select(TOPOLOGY, MACHINE, 1024, table=replace(default_table(), entries={}))
+        assert seen == [MACHINE.spec.sockets_per_node]
+        seen.clear()
+        distill.analytic_prior(("naive", "distance_halving"), 1e-6, 1e9)
+        assert seen and set(seen) == {distill.CALIBRATION_SHAPE["sockets_per_node"]}

@@ -16,7 +16,7 @@ from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim import fabric as fabric_module
 from repro.sim.fabric import Fabric, routes_for
-from repro.sim.fastpath import _compile_multi
+from repro.sim.fastpath import _compile_multi, execute_schedule
 from repro.sim.plancache import plan_cache_stats, reset_plan_cache
 from repro.sim.schedule import Schedule
 from repro.topology.graph import DistGraphTopology
@@ -86,31 +86,54 @@ class TestContention:
         # Second message (distinct ports, same NIC) lands later.
         assert a2 > a1
 
-    def test_global_link_contention(self, machine):
-        """Cross-group traffic from different nodes shares the global link."""
-        rpn = machine.spec.ranks_per_node
-        fabric = Fabric(machine)
-        solo = fabric.transmit(0, 2 * rpn, 1 << 22, post_time=0.0).arrival
+    def test_global_link_contention(self):
+        """Three transfers between two Dragonfly+ groups joined by two
+        lanes: two go at once, the third waits for a lane."""
+        _assert_lane_contention(links_per_pair=2, transfers=3)
 
-        fabric = Fabric(machine)
-        sends = []
-        for i in range(4):  # four node-pairs across the same group pair
-            src = i * rpn  # ranks on nodes 0..3 hmm nodes 0,1 are group 0
-            sends.append(src)
-        # Same group pair: nodes 0,1 (group 0) -> nodes 4,5 (group 2)? Use
-        # node 0 and node 1 senders to nodes in group 1 (nodes 2, 3).
-        a1 = fabric.transmit(0, 2 * rpn, 1 << 22, post_time=0.0).arrival
-        a2 = fabric.transmit(rpn, 3 * rpn, 1 << 22, post_time=0.0).arrival
-        contended = max(a1, a2)
-        # If both messages hash to the same global-link lane they serialize;
-        # with links_per_pair=2 they may split, so just require no speedup.
-        assert contended >= solo
+    def test_single_lane_group_contention(self):
+        """Two transfers over a one-lane, one-hop route (``LANES_PER_HOP``)
+        serialize on it."""
+        _assert_lane_contention(links_per_pair=1, transfers=2)
 
     def test_intra_node_does_not_touch_nic(self, machine):
         fabric = Fabric(machine)
         fabric.transmit(0, 1, 1 << 20, post_time=0.0)
         util = fabric.utilization(horizon=1.0)
         assert not util["nic_tx"] and not util["nic_rx"]
+
+
+def _assert_lane_contention(links_per_pair, transfers):
+    """4 MiB transfers from node ``i`` of a Dragonfly+ group to node ``i``
+    of the next, all posted at once from different nodes, so that only the
+    groups' shared lanes can serialize them.  ``Fabric.transmit`` and the
+    executor (a hand-built schedule) must agree exactly, every transfer but
+    the last must arrive at the uncontended time, and the last must wait at
+    least one lane serialization."""
+    nbytes = 1 << 22
+    spec = ClusterSpec(nodes=6, sockets_per_node=2, ranks_per_socket=2)
+    network = DragonflyPlus(nodes_per_group=3, links_per_pair=links_per_pair)
+    machine = Machine(spec=spec, network=network, params=NIAGARA_LIKE)
+    rpn = spec.ranks_per_node
+    pairs = [(i * rpn, (3 + i) * rpn) for i in range(transfers)]
+    post = machine.params.call_overhead  # a schedule's send posts after its call
+
+    fabric = Fabric(machine)
+    arrivals = [fabric.transmit(src, dst, nbytes, post).arrival for src, dst in pairs]
+    ops = [None] * spec.n_ranks
+    for src, dst in pairs:
+        ops[src] = [("send", dst, 1, 0, (src,)), ("wait",)]
+        ops[dst] = [("recv", src, 0, 1), ("wait",)]
+    schedule = Schedule.from_ops(spec.n_ranks, ops, [[] for _ in ops])
+    out = execute_schedule(schedule, machine, unit=nbytes)
+    assert [out.finish_times[dst] for _, dst in pairs] == arrivals
+
+    solo = Fabric(machine).transmit(*pairs[0], nbytes, post).arrival
+    params = machine.params
+    lane_dur = (params.link_message_overhead
+                + nbytes / params.cost(LinkClass.INTER_GROUP).beta)  # 0.599 ms
+    assert arrivals[:-1] == [solo] * (transfers - 1)
+    assert arrivals[-1] - solo >= lane_dur
 
 
 class TestUtilization:

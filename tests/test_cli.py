@@ -372,6 +372,23 @@ class TestAdvise:
         assert "key      :" in out
         assert "DH beats naive" in out
 
+    def test_algorithm_prices_the_model_per_node(self, capsys, monkeypatch):
+        """Regression: the crossover line's model takes ``S`` = sockets per
+        node (2), not the machine's total socket count (4 here)."""
+        from repro.model import crossover
+
+        seen = []
+        original = crossover.model_params_for
+
+        def recording(**kwargs):
+            seen.append(kwargs["sockets"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(crossover, "model_params_for", recording)
+        assert main(["advise", "--algorithm", *SMALL, "--density", "0.3",
+                     "--msg", "4KB", "--seed", "3"]) == 0
+        assert seen == [2]
+
     def test_algorithm_under_risky_faults_advises_setup_free(self, capsys):
         assert main(["advise", "--algorithm", *SMALL, "--msg", "256",
                      "--faults", "setup_loss"]) == 0
