@@ -18,6 +18,7 @@ path's result is verified in one place, at the end of
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -745,6 +746,9 @@ def verify_allgather(
             f"{topology.n} ranks"
         )
     allow = set(allow_missing)
+    if not allow and _all_delivered(topology, run.results, expected_payloads):
+        return
+    # Rank by rank, to report the first violation.
     for v in range(topology.n):
         if v in allow:
             continue
@@ -773,3 +777,24 @@ def verify_allgather(
                     got=payload,
                     expected=want,
                 )
+
+
+def _all_delivered(
+    topology: DistGraphTopology,
+    results: list[dict[int, Any]],
+    expected_payloads: list[Any] | None,
+) -> bool:
+    """:func:`verify_allgather`'s post-condition with no rank excused, at C speed.
+
+    ``False`` on any violation, which the caller then locates and reports.
+    """
+    want = None if expected_payloads is None else expected_payloads.__getitem__
+    for v in range(topology.n):
+        got = results[v]
+        in_nbrs = topology.in_neighbors(v)
+        if len(got) != len(in_nbrs) or not all(map(got.__contains__, in_nbrs)):
+            return False
+        wanted = got if want is None else map(want, got)
+        if any(map(operator.ne, got.values(), wanted)):
+            return False
+    return True

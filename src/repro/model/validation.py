@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.cluster.calibration import calibrate
 from repro.cluster.machine import Machine
@@ -81,7 +80,9 @@ def validate_model(
     predicted_arr = np.asarray(predicted)
     measured_arr = np.asarray(measured)
     if len(predicted) > 1:
-        spearman = float(sps.spearmanr(predicted_arr, measured_arr).statistic)
+        from scipy.stats import spearmanr
+
+        spearman = float(spearmanr(predicted_arr, measured_arr).statistic)
     else:
         spearman = 1.0
     sign_agreement = float(

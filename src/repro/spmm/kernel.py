@@ -14,15 +14,18 @@ with local flops = ``2 * nnz(stripe) * Y.shape[1] / flop_rate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.cluster.machine import Machine
 from repro.collectives.base import NeighborhoodAllgatherAlgorithm, get_algorithm
 from repro.collectives.runner import run_allgather
 from repro.topology.from_matrix import BlockRowPartition, topology_from_sparse
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Default sustained local compute rate (flops/s) for the time model.
 DEFAULT_FLOP_RATE = 5.0e9
@@ -57,6 +60,8 @@ def run_spmm(
     """Distributed ``Z = X @ Y`` with a dense random ``Y`` of ``y_cols`` columns."""
     check_positive("y_cols", y_cols)
     check_positive("flop_rate", flop_rate)
+    import scipy.sparse as sp
+
     matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     n_ranks = min(machine.spec.n_ranks, n)

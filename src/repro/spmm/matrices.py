@@ -23,12 +23,15 @@ collective sees — has the same block structure and density as the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.utils.rng import RandomState, resolve_rng
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ def _assemble_symmetric(
     n: int, nnz_target: int, rows: np.ndarray, cols: np.ndarray, rng: np.random.Generator
 ) -> sp.csr_matrix:
     """Symmetrize, add the diagonal, and trim toward the nnz target."""
+    import scipy.sparse as sp
+
     # Unique (row, col) pairs plus transposes plus the full diagonal
     # (FEM/stiffness matrices have nonzero diagonals).
     diag = np.arange(n)

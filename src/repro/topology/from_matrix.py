@@ -10,12 +10,15 @@ this topology delivers exactly the needed blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.topology.graph import DistGraphTopology
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ def topology_from_sparse(
     column owned by rank ``u`` (``u != v``); i.e., ``u`` must send its
     ``Y``-block to ``v``.
     """
+    import scipy.sparse as sp
+
     matrix = sp.csr_matrix(matrix)
     n_rows, n_cols = matrix.shape
     if n_rows != n_cols:

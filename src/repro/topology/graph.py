@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 
@@ -123,6 +125,27 @@ class DistGraphTopology:
         for u, v in edges:
             out.setdefault(u, []).append(v)
         return cls(n, out)
+
+    @classmethod
+    def from_adjacency(cls, matrix: np.ndarray) -> "DistGraphTopology":
+        """Build from a square adjacency matrix: ``matrix[u, v]`` nonzero is
+        the edge ``u -> v``.
+
+        Rows give the out-lists and columns the in-lists, each already
+        sorted and duplicate-free, so none of :meth:`__init__`'s per-edge
+        work is needed.
+        """
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {matrix.shape}")
+        topology = cls.__new__(cls)
+        topology._n = check_positive("n", matrix.shape[0])
+        nonzero = np.flatnonzero
+        topology._out = tuple(tuple(nonzero(row).tolist()) for row in matrix)
+        columns = np.ascontiguousarray(matrix.T)
+        topology._in = tuple(tuple(nonzero(col).tolist()) for col in columns)
+        topology._n_edges = int(np.count_nonzero(matrix))
+        return topology
 
     def reversed(self) -> "DistGraphTopology":
         """Topology with every edge direction flipped."""

@@ -45,5 +45,4 @@ def erdos_renyi_topology(
     adjacency = rng.random((n, n)) < density
     if not allow_self_loops:
         np.fill_diagonal(adjacency, False)
-    out_lists = [np.flatnonzero(adjacency[u]).tolist() for u in range(n)]
-    return DistGraphTopology(n, out_lists)
+    return DistGraphTopology.from_adjacency(adjacency)

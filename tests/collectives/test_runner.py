@@ -4,6 +4,7 @@ import pytest
 
 from repro.collectives import (
     RunOptions,
+    VerificationError,
     get_algorithm,
     run_allgather,
     run_allgatherv,
@@ -147,6 +148,15 @@ class TestVerifyAllgather:
         run.results[1][5] = 5
         with pytest.raises(AssertionError, match="unexpected blocks"):
             verify_allgather(topo, run)
+
+    def test_detects_swapped_block(self, small_machine):
+        """A wrong block in place of a right one keeps the block count."""
+        topo = DistGraphTopology(small_machine.spec.n_ranks, {0: [1]})
+        run = run_allgather("naive", topo, small_machine, 64)
+        run.results[1] = {2: 2}
+        with pytest.raises(VerificationError) as info:
+            verify_allgather(topo, run)
+        assert (info.value.rank, info.value.missing, info.value.extra) == (1, (0,), (2,))
 
     def test_detects_corrupt_payload(self, small_machine):
         topo = DistGraphTopology(small_machine.spec.n_ranks, {0: [1]})

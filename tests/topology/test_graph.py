@@ -1,7 +1,8 @@
 """Unit + property tests for DistGraphTopology."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.topology.graph import DistGraphTopology
 
@@ -39,6 +40,19 @@ class TestConstruction:
         assert topo.n_edges == 3
         assert topo.has_edge(0, 1)
         assert not topo.has_edge(1, 0)
+
+    def test_from_adjacency(self):
+        matrix = np.array([[0, 1, 1], [0, 1, 0], [0, 0, 0]], dtype=bool)
+        topo = DistGraphTopology.from_adjacency(matrix)
+        assert topo == DistGraphTopology(3, [[1, 2], [1], []])
+        assert topo.in_neighbors(1) == (0, 1)
+        assert topo.n_edges == 3
+
+    def test_from_adjacency_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DistGraphTopology.from_adjacency(np.zeros((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="square"):
+            DistGraphTopology.from_adjacency(np.zeros(4, dtype=bool))
 
 
 class TestQueries:
@@ -104,3 +118,25 @@ def test_in_out_duality(args):
         assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
     assert sum(topo.indegree(v) for v in range(n)) == topo.n_edges
     assert sum(topo.outdegree(u) for u in range(n)) == topo.n_edges
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda cells: np.array(cells, dtype=bool).reshape(n, n)
+        )
+    )
+)
+@example(np.zeros((3, 3), dtype=bool))
+@example(np.eye(3, dtype=bool))
+def test_from_adjacency_matches_out_lists(matrix):
+    """Rows and columns give the graph __init__ builds from the row lists,
+    self-loops and empty rows included, with plain int neighbor ids."""
+    n = len(matrix)
+    topo = DistGraphTopology.from_adjacency(matrix)
+    reference = DistGraphTopology(n, [np.flatnonzero(row).tolist() for row in matrix])
+    assert topo == reference
+    assert topo.n_edges == reference.n_edges
+    for r in range(n):
+        assert topo.in_neighbors(r) == reference.in_neighbors(r)
+        assert all(type(v) is int for v in topo.in_neighbors(r) + topo.out_neighbors(r))
