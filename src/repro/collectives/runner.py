@@ -746,55 +746,37 @@ def verify_allgather(
             f"{topology.n} ranks"
         )
     allow = set(allow_missing)
-    if not allow and _all_delivered(topology, run.results, expected_payloads):
-        return
-    # Rank by rank, to report the first violation.
     for v in range(topology.n):
         if v in allow:
             continue
-        expected = set(topology.in_neighbors(v))
-        got = set(run.results[v])
-        missing = expected - got - allow
-        extra = got - expected
-        if missing or extra:
-            raise VerificationError(
-                f"[{run.algorithm}] rank {v}: missing blocks from {sorted(missing)}, "
-                f"unexpected blocks from {sorted(extra)}",
-                algorithm=run.algorithm,
-                rank=v,
-                missing=tuple(sorted(missing)),
-                extra=tuple(sorted(extra)),
-            )
-        for src, payload in run.results[v].items():
-            want = src if expected_payloads is None else expected_payloads[src]
-            if payload != want:
+        got = run.results[v]
+        in_nbrs = topology.in_neighbors(v)
+        # C-level checks first; the set arithmetic and the payload loop
+        # below run only on a rank they may have to report.
+        if len(got) != len(in_nbrs) or not all(map(got.__contains__, in_nbrs)):
+            expected = set(in_nbrs)
+            missing = expected - set(got) - allow
+            extra = set(got) - expected
+            if missing or extra:
                 raise VerificationError(
-                    f"[{run.algorithm}] rank {v}: block from {src} carries wrong "
-                    f"payload {payload!r} (expected {want!r})",
+                    f"[{run.algorithm}] rank {v}: missing blocks from {sorted(missing)}, "
+                    f"unexpected blocks from {sorted(extra)}",
                     algorithm=run.algorithm,
                     rank=v,
-                    neighbor=src,
-                    got=payload,
-                    expected=want,
+                    missing=tuple(sorted(missing)),
+                    extra=tuple(sorted(extra)),
                 )
-
-
-def _all_delivered(
-    topology: DistGraphTopology,
-    results: list[dict[int, Any]],
-    expected_payloads: list[Any] | None,
-) -> bool:
-    """:func:`verify_allgather`'s post-condition with no rank excused, at C speed.
-
-    ``False`` on any violation, which the caller then locates and reports.
-    """
-    want = None if expected_payloads is None else expected_payloads.__getitem__
-    for v in range(topology.n):
-        got = results[v]
-        in_nbrs = topology.in_neighbors(v)
-        if len(got) != len(in_nbrs) or not all(map(got.__contains__, in_nbrs)):
-            return False
-        wanted = got if want is None else map(want, got)
+        wanted = got if expected_payloads is None else map(expected_payloads.__getitem__, got)
         if any(map(operator.ne, got.values(), wanted)):
-            return False
-    return True
+            for src, payload in got.items():
+                want = src if expected_payloads is None else expected_payloads[src]
+                if payload != want:
+                    raise VerificationError(
+                        f"[{run.algorithm}] rank {v}: block from {src} carries wrong "
+                        f"payload {payload!r} (expected {want!r})",
+                        algorithm=run.algorithm,
+                        rank=v,
+                        neighbor=src,
+                        got=payload,
+                        expected=want,
+                    )

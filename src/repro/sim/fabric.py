@@ -378,9 +378,13 @@ class Fabric:
                 link_dur = self._link_overhead + nbytes * link_inv_beta
                 lane_next = self._lane_next
                 lane_busy = self._lane_busy
+                lanes = route.lanes
                 if mode == LANES_PAIR:
-                    a, b = route.lanes
-                    ln = a if lane_next[a] <= lane_next[b] else b
+                    a, b = lanes
+                    lanes = (a if lane_next[a] <= lane_next[b] else b,)
+                else:  # LANES_PER_HOP: pick every lane before claiming any
+                    lanes = [min(g, key=lane_next.__getitem__) for g in lanes]
+                for ln in lanes:
                     nf = lane_next[ln]
                     s = start if start > nf else nf
                     e = s + link_dur
@@ -391,18 +395,6 @@ class Fabric:
                     lane_next[ln] = e
                     start = s
                     end = e
-                else:  # LANES_PER_HOP: pick every lane before claiming any
-                    for ln in [min(g, key=lane_next.__getitem__) for g in route.lanes]:
-                        nf = lane_next[ln]
-                        s = start if start > nf else nf
-                        e = s + link_dur
-                        lane_busy[ln] += link_dur
-                        if e < end:
-                            lane_busy[ln] += end - e
-                            e = end
-                        lane_next[ln] = e
-                        start = s
-                        end = e
             rx = route.rx
             nf = self._rx_next[rx]
             s = start if start > nf else nf

@@ -419,7 +419,10 @@ def _execute_multi(
                             link_dur = link[pid]
                             if lmode == LANES_PAIR:
                                 a, b = lanes
-                                ln = a if lane_next[a] <= lane_next[b] else b
+                                lanes = (a if lane_next[a] <= lane_next[b] else b,)
+                            else:  # LANES_PER_HOP: pick every lane before claiming any
+                                lanes = [min(g, key=lane_next.__getitem__) for g in lanes]
+                            for ln in lanes:
                                 nf = lane_next[ln]
                                 s = start if start > nf else nf
                                 e = s + link_dur
@@ -428,16 +431,6 @@ def _execute_multi(
                                 lane_next[ln] = e
                                 start = s
                                 end = e
-                            else:  # LANES_PER_HOP: pick every lane before claiming any
-                                for ln in [min(g, key=lane_next.__getitem__) for g in lanes]:
-                                    nf = lane_next[ln]
-                                    s = start if start > nf else nf
-                                    e = s + link_dur
-                                    if e < end:
-                                        e = end
-                                    lane_next[ln] = e
-                                    start = s
-                                    end = e
                         nf = nic_rx_next[rx]
                         s = start if start > nf else nf
                         e = s + nic_dur
