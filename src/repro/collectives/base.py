@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator, Iterator, Sequence
 
 from repro.cluster.machine import Machine
@@ -66,9 +67,14 @@ class ExecutionContext:
     results: list[dict[int, Any]]
     block_sizes: list[int] | None = None
 
-    def size_of(self, src: int) -> int:
-        """Byte size of rank ``src``'s block."""
-        return self.msg_size if self.block_sizes is None else self.block_sizes[src]
+    @cached_property
+    def size_table(self) -> Sequence[int]:
+        """Byte size of each rank's block, indexed by source rank: built
+        once per context, for a stream to bind once (``size = ctx.size_table``,
+        then ``size[src]``) instead of a method call per op."""
+        if self.block_sizes is None:
+            return [self.msg_size] * self.topology.n
+        return self.block_sizes
 
     def sizer(self) -> Callable[[Sequence[int]], int]:
         """A function giving the total bytes of a sequence of source-rank
@@ -126,7 +132,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         source ranks: a send's ``blocks`` tuple holds the source ranks whose
         blocks make up its ``nbytes``.
 
-        Byte fields come from ``ctx.size_of`` and the ``ctx.sizer()``
+        Byte fields come from ``ctx.size_table`` and the ``ctx.sizer()``
         function only, never ``ctx.msg_size``, which is what lets
         :meth:`schedule_for` build in block counts.  ``deliver``
         points are part of the algorithm: under fail-stop faults the
@@ -185,7 +191,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
     def schedule_for(self, ctx: ExecutionContext):
         """Memoized :meth:`build_schedule`, in block counts for uniform sizes.
 
-        Backends size their ops only through ``ctx.size_of`` and
+        Backends size their ops only through ``ctx.size_table`` and
         ``ctx.sizer()``, so a uniform-size schedule is linear in the block
         size: built once on a copy of ``ctx`` with ``msg_size=1``, its byte
         fields are block counts, and the schedule at ``m`` is that one

@@ -224,20 +224,21 @@ class LocalityAwareBruckAllgather(NeighborhoodAllgatherAlgorithm):
     @staticmethod
     def _ops(ctx: ExecutionContext, rank: int, plan: _BruckPlan) -> Iterator[tuple]:
         sizes_of = ctx.sizer()
-        my_size = ctx.size_of(rank)
+        size = ctx.size_table
+        my_size = size[rank]
         if plan.self_copy:
             yield ("charge", my_size)
             yield ("deliver", (rank,))
 
         # Stage 1 — gather into the leader's rotation store.
         for src in plan.gather_recvs:
-            yield ("recv", src, BRUCK_GATHER_TAG, ctx.size_of(src))
+            yield ("recv", src, BRUCK_GATHER_TAG, size[src])
         if plan.gather_send >= 0:
             yield ("send", plan.gather_send, my_size, BRUCK_GATHER_TAG, (rank,))
         if plan.gather_recvs or plan.gather_send >= 0:
             yield ("wait",)
         for src in plan.gather_recvs:
-            yield ("charge", ctx.size_of(src))  # stage into store
+            yield ("charge", size[src])  # stage into store
 
         # Stage 2 — rotation rounds.
         for send_to, send_blocks, recv_from, recv_blocks, tag in plan.rounds:

@@ -121,7 +121,8 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
         assert self.plans is not None
         plan = self.plans[rank]
         sizes_of = ctx.sizer()
-        my_size = ctx.size_of(rank)
+        size = ctx.size_table
+        my_size = size[rank]
         own = (rank,)
         if plan.self_copy:
             yield ("charge", my_size)
@@ -129,13 +130,13 @@ class CommonNeighborAllgather(NeighborhoodAllgatherAlgorithm):
 
         # Phase 1: exchange blocks within the group.
         for src in plan.phase1_recvs:
-            yield ("recv", src, P1_TAG, ctx.size_of(src))
+            yield ("recv", src, P1_TAG, size[src])
         for dst in plan.phase1_sends:
             yield ("send", dst, my_size, P1_TAG, own)
         if plan.phase1_recvs or plan.phase1_sends:
             yield ("wait",)
         for src in plan.phase1_recvs:
-            yield ("charge", ctx.size_of(src))  # stage into the combining buffer
+            yield ("charge", size[src])  # stage into the combining buffer
         if plan.phase1_for_me:
             yield ("deliver", plan.phase1_for_me)
 

@@ -29,7 +29,7 @@ FINAL_TAG = 1 << 20
 
 def distance_halving_ops(ctx: ExecutionContext, rank: int, rp: RankPattern) -> Iterator[tuple]:
     sizes_of = ctx.sizer()
-    my_size = ctx.size_of(rank)
+    my_size = ctx.size_table[rank]
     if rp.self_copy:
         yield ("charge", my_size)
         yield ("deliver", (rank,))

@@ -165,7 +165,8 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
         assert self.plans is not None
         plan = self.plans[rank]
         sizes_of = ctx.sizer()
-        my_size = ctx.size_of(rank)
+        size = ctx.size_table
+        my_size = size[rank]
         own = (rank,)
         if plan.self_copy:
             yield ("charge", my_size)
@@ -173,9 +174,9 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
 
         # Phase 0+1: direct intra-node edges and aggregation to leaders.
         for m in plan.agg_recvs:
-            yield ("recv", m, AGG_TAG, ctx.size_of(m))
+            yield ("recv", m, AGG_TAG, size[m])
         for u in plan.local_recvs:
-            yield ("recv", u, LOCAL_TAG, ctx.size_of(u))
+            yield ("recv", u, LOCAL_TAG, size[u])
         if plan.agg_send:
             yield ("send", plan.leader, my_size, AGG_TAG, own)
         for v in plan.local_sends:
@@ -185,7 +186,7 @@ class HierarchicalAllgather(NeighborhoodAllgatherAlgorithm):
         if plan.local_recvs:
             yield ("deliver", plan.local_recvs)
         for m in plan.agg_recvs:
-            yield ("charge", ctx.size_of(m))  # stage into the node buffer
+            yield ("charge", size[m])  # stage into the node buffer
 
         # Phase 2: leader-to-leader combined exchange.
         for peer, block_ids in plan.exch_sends:

@@ -46,11 +46,12 @@ class NaiveAllgather(NeighborhoodAllgatherAlgorithm):
 
     @staticmethod
     def _ops(ctx: ExecutionContext, rank: int, out_nbrs, in_nbrs) -> Iterator[tuple]:
-        m = ctx.size_of(rank)
+        size = ctx.size_table
+        m = size[rank]
         own = (rank,)
         srcs = tuple(src for src in in_nbrs if src != rank)
         for src in srcs:
-            yield ("recv", src, NAIVE_TAG, ctx.size_of(src))
+            yield ("recv", src, NAIVE_TAG, size[src])
         posted = bool(srcs)
         for dst in out_nbrs:
             if dst != rank:

@@ -111,13 +111,13 @@ class _MultiStagePlan:
     identical seq allocation) and makes everything inside an event static:
 
     * ``rank_segs[r]`` lists rank ``r``'s wait-delimited segments as
-      ``(delta_ids, n_ops, sends, recvs, ends_with_wait)``; ``delta_ids``
-      names each op's clock delta among the values a call prices (0 = the
-      call overhead of a send or receive, ``1 + c`` = the memcpy of charge
-      count ``charge_counts[c]``).  A rank's first segment always starts at
-      t = 0.0, so when it only posts (no charge) its clocks are a prefix of
-      ``ladder``, the fold of call overheads from 0.0, and its
-      ``delta_ids`` is ``None``;
+      ``(delta_ids, n_ops, sends, recv_pos, recv_slots, ends_with_wait)``;
+      ``delta_ids`` names each op's clock delta among the values a call
+      prices (0 = the call overhead of a send or receive, ``1 + c`` = the
+      memcpy of charge count ``charge_counts[c]``).  A rank's first segment
+      always starts at t = 0.0, so when it only posts (no charge) its
+      clocks are a prefix of ``ladder``, the fold of call overheads from
+      0.0, and its ``delta_ids`` is ``None``;
     * every send is one ``(pos, slot, dst, price id, stages)`` tuple:
       its clock index, its pre-resolved receive slot
       (:func:`repro.sim.schedule.static_matching` — FIFO matching is a
@@ -127,8 +127,18 @@ class _MultiStagePlan:
       price id names a pricing cohort: a distinct ``(socket pair, block
       count)`` whose costs a call computes from ``cohort_counts`` and the
       route's ``alpha``/``inv_beta``/``link_inv_beta``.  A self-send has
-      no stages (None) and its memcpy's delta id as price id.  A receive
-      no send matches keeps its slot and simply never completes;
+      no stages (None) and its memcpy's delta id as price id;
+    * a segment's receives are two parallel tuples, their clock indices
+      ``recv_pos`` and their slots ``recv_slots`` (the post loop zips
+      them; the wait loop reads the slots only), not a tuple per receive.
+      A receive no send matches keeps its slot and simply never
+      completes;
+    * the plan holds one int object per slot number, rank id and op
+      position: a slot's receive and the send that targets it share one,
+      as do all sends to a rank.  About 148 B per message on a 264-rank
+      density-0.3 naive schedule (227 B with a ``(pos, slot)`` tuple per
+      receive and two ints per slot number), 62.9 MiB for the 2160-rank
+      density-0.1 naive schedule (120.9 MiB);
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
@@ -147,14 +157,29 @@ class _MultiStagePlan:
 
 
 def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
-    """Build the :class:`_MultiStagePlan` of ``schedule`` on ``machine``."""
+    """Build the :class:`_MultiStagePlan` of ``schedule`` on ``machine``.
+
+    Raises the engine's ``ValueError`` for the first op, in rank-major
+    order, that the engine would reject: a peer outside ``[0, n_ranks)`` or
+    a negative byte count (counted in the schedule's blocks).
+    """
     send_slots, n_slots, _ = static_matching(schedule)
+    n = schedule.n_ranks
     params = machine.params
     spec = machine.spec
     rps = spec.ranks_per_socket
     n_sockets = spec.n_sockets
     table = routes_for(machine)
     routes = table.rows
+
+    # The plan stores one int object per slot number, rank id and op
+    # position, shared by every tuple that names it.  ``slot_ids[-1]`` is
+    # the -1 of a send no receive matches.
+    slot_ids = list(range(n_slots))
+    slot_ids.append(-1)
+    rank_ids = list(range(n))
+    max_ops = max((len(ops) for ops in schedule.ops if ops), default=0)
+    positions = list(range(max_ops + 1))
 
     charge_ids: dict[int, int] = {}  # block count -> delta id
     cohort_of: dict[tuple[int, int], tuple[int, tuple]] = {}  # -> (id, stages)
@@ -164,6 +189,8 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     def _charge(count):
         i = charge_ids.get(count)
         if i is None:
+            if count < 0:
+                raise ValueError(f"nbytes must be >= 0, got {count}")
             charge_ids[count] = i = len(charge_ids) + 1
         return i
 
@@ -178,38 +205,47 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
             rank_segs.append(None)
             continue
         src_base = (rank // rps) * n_sockets
-        segs: list[tuple] = []  # (delta ids, sends, recvs, ends_with_wait)
+        segs: list[tuple] = []  # (ids, sends, recv_pos, recv_slots, ends_with_wait)
         ids: list[int] = []
         sends: list[tuple] = []
-        recvs: list[tuple] = []
+        recv_pos: list[int] = []
+        recv_slots: list[int] = []
         for op in ops:
             kind = op[0]
             if kind == "wait":
-                segs.append((ids, sends, recvs, True))
+                segs.append((ids, sends, recv_pos, recv_slots, True))
                 ids = []
                 sends = []
-                recvs = []
+                recv_pos = []
+                recv_slots = []
                 continue
             if kind == "charge":
                 ids.append(_charge(op[1]))
                 continue
             ids.append(0)
-            pos = len(ids)  # accl index of the clock after this op
+            pos = positions[len(ids)]  # accl index of the clock after this op
             if kind == "recv":
-                recvs.append((pos, ri))
+                if not 0 <= op[1] < n:
+                    raise ValueError(f"source rank {op[1]} out of range [0, {n})")
+                recv_pos.append(pos)
+                recv_slots.append(slot_ids[ri])
                 ri += 1
                 continue
             dst, count = op[1], op[2]
-            sl = send_slots[si]
+            if not 0 <= dst < n:
+                raise ValueError(f"destination rank {dst} out of range [0, {n})")
+            sl = slot_ids[send_slots[si]]
             si += 1
             messages += 1
             blocks += count
             if dst == rank:  # self-send: priced as a memcpy
-                sends.append((pos, sl, dst, _charge(count), None))
+                sends.append((pos, sl, rank_ids[dst], _charge(count), None))
                 continue
             skey = src_base + dst // rps
             cohort = cohort_of.get((skey, count))
             if cohort is None:
+                if count < 0:
+                    raise ValueError(f"nbytes must be >= 0, got {count}")
                 route = routes.get(skey)
                 if route is None:
                     route = table.resolve(machine, rank, dst, skey)
@@ -220,22 +256,22 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
                 cohort = cohort_of[(skey, count)] = (len(cohorts), stages)
                 cohorts.append((count, route))
             ci, stages = cohort
-            sends.append((pos, sl, dst, ci, stages))
+            sends.append((pos, sl, rank_ids[dst], ci, stages))
         if ids or not segs:
-            segs.append((ids, sends, recvs, False))
+            segs.append((ids, sends, recv_pos, recv_slots, False))
         compiled: list[tuple] = []
-        for ids, sends, recvs, ends_wait in segs:
+        for ids, sends, recv_pos, recv_slots, ends_wait in segs:
             if not compiled and not any(ids):  # posts only, from t = 0.0
                 ladder_len = max(ladder_len, len(ids))
                 delta_ids = None
             else:
                 delta_ids = tuple(ids)
-            compiled.append((delta_ids, len(ids), tuple(sends), tuple(recvs),
-                             ends_wait))
+            compiled.append((delta_ids, len(ids), tuple(sends), tuple(recv_pos),
+                             tuple(recv_slots), ends_wait))
         rank_segs.append(tuple(compiled))
 
     plan = _MultiStagePlan()
-    plan.n_ranks = schedule.n_ranks
+    plan.n_ranks = n
     plan.rank_segs = rank_segs
     plan.wake_order = spawn_wake_order(schedule)
     plan.n_slots = n_slots
@@ -368,7 +404,7 @@ def _execute_multi(
                 rank_now[rank] = now
                 finished[rank] = now
                 break
-            delta_ids, n_ops, sends, recvs, ends_wait = segs[i]
+            delta_ids, n_ops, sends, recv_pos, recv_slots, ends_wait = segs[i]
             i += 1
             if delta_ids is None:  # a first segment of posts only: now == 0.0
                 accl = ladder
@@ -379,7 +415,7 @@ def _execute_multi(
                     now += values[d]
                     accl.append(now)
             lat = 0.0
-            for pos, sl in recvs:
+            for pos, sl in zip(recv_pos, recv_slots):
                 if state[sl]:  # == 2: delivered before post (unexpected)
                     a = aval[sl]
                     t = accl[pos]
@@ -469,7 +505,7 @@ def _execute_multi(
             if ends_wait:
                 latest = now if now > lat else lat
                 remaining = 0
-                for pos, sl in recvs:
+                for sl in recv_slots:
                     st = state[sl]
                     if st == 5:  # determined while running: fold and consume
                         c2 = aval[sl]

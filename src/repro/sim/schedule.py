@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -219,19 +220,21 @@ def static_matching(schedule: Schedule):
     the run deadlocks; the fast path's executor reports it with the
     engine's message.
     """
-    recv_src: list[int] = []
-    recv_tag: list[int] = []
-    send_dst: list[int] = []
-    send_tag: list[int] = []
+    # The key columns are int64 arrays from the start: a list would hold
+    # an int object per peer and tag above 256.
+    recv_src = array("q")
+    recv_tag = array("q")
+    send_dst = array("q")
+    send_tag = array("q")
     recv_counts: list[int] = []
     send_counts: list[int] = []
     for ops in schedule.iter_ops():
         recvs = [op for op in ops if op[0] == "recv"] if ops else []
         sends = [op for op in ops if op[0] == "send"] if ops else []
-        recv_src += [op[1] for op in recvs]
-        recv_tag += [op[2] for op in recvs]
-        send_dst += [op[1] for op in sends]
-        send_tag += [op[3] for op in sends]
+        recv_src.fromlist([op[1] for op in recvs])
+        recv_tag.fromlist([op[2] for op in recvs])
+        send_dst.fromlist([op[1] for op in sends])
+        send_tag.fromlist([op[3] for op in sends])
         recv_counts.append(len(recvs))
         send_counts.append(len(sends))
     n = schedule.n_ranks
@@ -240,34 +243,58 @@ def static_matching(schedule: Schedule):
     # Every receive (in slot order), then every send (in send order), as
     # (dst, src, tag).  A peer outside [0, n) names no rank, so its op gets
     # a key of its own and never matches, as under per-key FIFO queues.
-    dst = np.concatenate([np.repeat(ranks, recv_counts),
-                          np.asarray(send_dst, dtype=np.int64)])
-    src = np.concatenate([np.asarray(recv_src, dtype=np.int64),
-                          np.repeat(ranks, send_counts)])
-    tags, tag_ids = np.unique(np.asarray(recv_tag + send_tag, dtype=np.int64),
-                              return_inverse=True)
-    key = (dst * n + src) * len(tags) + tag_ids
-    total = len(key)
+    # Each intermediate is dropped once used, and the key is built in
+    # place, so few full-length arrays are alive at once.
+    dst = np.concatenate([np.repeat(ranks, recv_counts), np.frombuffer(send_dst, np.int64)])
+    del send_dst
+    src = np.concatenate([np.frombuffer(recv_src, np.int64), np.repeat(ranks, send_counts)])
+    del recv_src, ranks
+    tags = np.concatenate([np.frombuffer(recv_tag, np.int64),
+                           np.frombuffer(send_tag, np.int64)])
+    del recv_tag, send_tag
+    tags, tag_ids = np.unique(tags, return_inverse=True)
     stray = (dst < 0) | (dst >= n) | (src < 0) | (src >= n)
-    key[stray] = -1 - np.flatnonzero(stray)
+    key = dst
+    key *= n
+    key += src
+    del src
+    key *= len(tags)
+    key += tag_ids
+    del dst, tag_ids
+    total = len(key)
+    stray_at = np.flatnonzero(stray)
+    del stray
+    key[stray_at] = -1 - stray_at
+    del stray_at
     # A stable sort keeps program order within a key, and every receive
     # sits before every send: per key, the receives in slot order, then the
     # sends in send order.  The j-th send of a key takes its j-th receive.
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    pos = np.arange(total)
+    key = key[order]
     first = np.ones(total, dtype=bool)
-    first[1:] = sorted_key[1:] != sorted_key[:-1]
-    start = np.maximum.accumulate(np.where(first, pos, 0))
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    start = np.arange(total)
+    start *= first
+    del first
+    np.maximum.accumulate(start, out=start)
     is_recv = order < n_slots
+    recvs_before = np.cumsum(is_recv)
+    recvs_before -= is_recv
+    send_pos = np.flatnonzero(~is_recv)
+    del is_recv
     # At a send, every receive of its key lies between the key's start and
     # the send: key_recvs counts them, and ordinal is the send's FIFO place
     # among its key's sends.
-    recvs_before = np.cumsum(is_recv) - is_recv
-    key_recvs = recvs_before - recvs_before[start]
-    ordinal = pos - start - key_recvs
-    send_pos = np.flatnonzero(~is_recv)
-    matched = send_pos[ordinal[send_pos] < key_recvs[send_pos]]
+    start = start[send_pos]
+    key_recvs = recvs_before[send_pos]
+    key_recvs -= recvs_before[start]
+    del recvs_before
+    ordinal = send_pos - start
+    ordinal -= key_recvs
+    matched = ordinal < key_recvs
+    del key_recvs
     send_slots = np.full(total - n_slots, -1, dtype=np.int64)
-    send_slots[order[matched] - n_slots] = order[start[matched] + ordinal[matched]]
-    return send_slots.tolist(), n_slots, len(matched) == n_slots
+    send_slots[order[send_pos[matched]] - n_slots] = (
+        order[start[matched] + ordinal[matched]])
+    return send_slots.tolist(), n_slots, int(np.count_nonzero(matched)) == n_slots

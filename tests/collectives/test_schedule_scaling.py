@@ -3,7 +3,7 @@
 ``schedule_for`` builds a uniform-size schedule once, on a copy of the
 context with ``msg_size=1``, so its byte fields are block counts; the fast
 path prices it per call with ``unit=m``.  That is sound only while every
-backend sizes its ops through ``ctx.size_of`` and ``ctx.sizer()``: the
+backend sizes its ops through ``ctx.size_table`` and ``ctx.sizer()``: the
 schedule at ``m`` must then be the block-count schedule times ``m``, op for
 op.  The reference schedules below are built on a context whose
 ``msg_size`` is deliberately wrong (sizes come from ``block_sizes``), so a
@@ -63,7 +63,7 @@ def test_block_count_schedule_scales_to_every_size(name, size, cell):
     algorithm.setup(topology, machine)
     counts = algorithm.schedule_for(_context(topology, machine, size))
     direct = algorithm.build_schedule(_context(topology, machine, size))
-    # Sizes only through size_of and sizer(): msg_size is poisoned here.
+    # Sizes only through size_table and sizer(): msg_size is poisoned here.
     reference = algorithm.build_schedule(
         _context(topology, machine, size + 1, block_sizes=[size] * N),
     )
@@ -121,5 +121,5 @@ def test_stream_invariants(name, sizes, cell):
         assert sorted(schedule.deliveries[rank]) == sorted(topology.in_neighbors(rank))
         for op in schedule.ops[rank] or ():
             if op[0] == "send":
-                nbytes = sum(ctx.size_of(src) for src in op[4])
+                nbytes = sum(ctx.size_table[src] for src in op[4])
                 assert op[2] == nbytes, f"{name}: rank {rank} {op}"

@@ -12,6 +12,8 @@ tests target the places the replay could plausibly diverge:
   schedules, ranks with no program (``None`` ops);
 * watchdog budgets tripping on the same event as the engine;
 * receives no send matches: the run deadlocks with the engine's report;
+* ops the engine rejects (a stray peer, a negative byte count): the
+  compiler raises the engine's ``ValueError``;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
   regression), one size-free plan per pattern across message sizes, plus
@@ -24,8 +26,10 @@ import pytest
 
 from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
+from repro.cluster.machine import Machine
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import DeadlockError, SimTimeoutError
+from repro.sim.fabric import routes_for
 from repro.sim.fastpath import FastRunOutcome, execute_schedule, multi_plan_for
 from repro.sim.plancache import (
     PLAN_CACHE,
@@ -40,7 +44,11 @@ from repro.sim.schedule import (
     static_matching,
     structural_digest,
 )
-from tests.sim.engine_replay import assert_deadlocks_like_engine, assert_matches_engine
+from tests.sim.engine_replay import (
+    assert_deadlocks_like_engine,
+    assert_matches_engine,
+    run_on_engine,
+)
 
 
 def _machine(nodes=2, sockets=2, rps=4):
@@ -174,6 +182,51 @@ class TestExecutorEdgeCases:
         # The engine is the reference (the test's name predates that).
         schedule, machine = _schedule_for(name, kwargs, 48, 3, 0.3)
         _assert_identical(schedule, machine, unit=MSG)
+
+
+class TestRejectsWhatTheEngineRejects:
+    """The compiler raises the engine's ``ValueError`` for an op the engine
+    rejects, where the executor used to return a time, deadlock, or price
+    a send to a stray peer on an aliased route."""
+
+    MACHINE = Machine.niagara_like(nodes=2, ranks_per_socket=2)
+
+    def _assert_raises_like_engine(self, ops, text):
+        schedule = Schedule.from_ops(len(ops), ops, [[] for _ in ops])
+        with pytest.raises(ValueError) as engine_error:
+            run_on_engine(schedule, self.MACHINE)
+        assert str(engine_error.value) == text
+        with pytest.raises(ValueError) as fast_error:
+            execute_schedule(schedule, self.MACHINE)
+        assert str(fast_error.value) == text
+
+    def test_negative_send_size(self):
+        ops = [[("send", 1, -4, 0), ("wait",)], [("recv", 0, 0), ("wait",)]]
+        self._assert_raises_like_engine(ops, "nbytes must be >= 0, got -4")
+
+    def test_negative_charge(self):
+        ops = [[("charge", -4), ("wait",)], None]
+        self._assert_raises_like_engine(ops, "nbytes must be >= 0, got -4")
+
+    def test_receive_from_a_stray_rank(self):
+        ops = [[("recv", -1, 0), ("wait",)]] + [None] * 7
+        self._assert_raises_like_engine(ops, "source rank -1 out of range [0, 8)")
+
+    def test_send_to_a_stray_rank_on_a_known_route(self):
+        # Rank 2 (socket 1) names rank -1 through socket key 4 - 1 = 3,
+        # the socket 0 -> 3 route a send from rank 0 to rank 7 resolves.
+        warm = [[("send", 7, 1, 0), ("wait",)]] + [None] * 6 + [[("recv", 0, 0), ("wait",)]]
+        execute_schedule(Schedule.from_ops(8, warm, [[]] * 8), self.MACHINE)
+        assert 3 in routes_for(self.MACHINE).rows
+        ops = [None, None, [("send", -1, 1, 0), ("wait",)]] + [None] * 5
+        self._assert_raises_like_engine(ops, "destination rank -1 out of range [0, 8)")
+
+    def test_first_rejected_op_in_rank_major_order(self):
+        ops = [[("charge", 1), ("send", 1, -2, 0), ("recv", 9, 0), ("wait",)],
+               [("charge", -3), ("wait",)]]
+        schedule = Schedule.from_ops(2, ops, [[], []])
+        with pytest.raises(ValueError, match=r"^nbytes must be >= 0, got -2$"):
+            execute_schedule(schedule, _machine(nodes=1, sockets=1, rps=2))
 
 
 class TestWatchdogBoundaries:

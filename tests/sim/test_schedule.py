@@ -7,19 +7,23 @@ per-key FIFO queues below are the matching's definition, kept as its
 reference: the two must agree on every registered backend's schedule, on
 hand-built edge cases and on the executor differential's random
 schedules.  The collector test pins why the encoding exists: building a
-dense 264-rank schedule must not leave an object per op behind.
+dense 264-rank schedule must not leave an object per op behind; the
+tracemalloc test pins what the compiled plan of such a schedule holds per
+message.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 
 from repro.collectives.base import ExecutionContext, get_algorithm, list_algorithms
 from repro.exec.spec import MachineSpec, TopologySpec
+from repro.sim.fastpath import _compile_multi
 from repro.sim.schedule import (
     Schedule,
     encode_ops,
@@ -224,3 +228,23 @@ def test_building_a_dense_schedule_leaves_no_object_per_op(name, kwargs):
             gc.disable()
     assert sum(len(ops) for ops in schedule.ops if ops) > 40_000
     assert young < 5, f"{name}: {young} young collections while building"
+
+
+def test_a_compiled_plan_holds_few_bytes_per_message():
+    # The same 264-rank density-0.3 naive schedule, compiled: the plan
+    # keeps one send tuple per message, the receives as parallel position
+    # and slot tuples, and one int object per slot number, rank id and op
+    # position (about 148 B per message).  A tuple per receive and a
+    # second int per slot number read about 227 B.
+    algorithm, ctx = _built("naive", 264, 12, 0.3)
+    schedule = algorithm.schedule_for(ctx)
+    _compile_multi(schedule, ctx.machine)  # resolves the route rows it needs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = _compile_multi(schedule, ctx.machine)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan.messages > 20_000
+    assert size / plan.messages < 180, f"{size / plan.messages:.1f} B per message"
