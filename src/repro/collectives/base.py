@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator, Iterator, Sequence
 
 from repro.cluster.machine import Machine
+from repro.sim.plancache import machine_digest, topology_digest
 from repro.sim.program import rank_program
 from repro.topology.graph import DistGraphTopology
 
@@ -100,7 +101,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         self._topology: DistGraphTopology | None = None
         self._machine: Machine | None = None
         self.setup_stats: SetupStats | None = None
-        self._schedule_cache: tuple | None = None
+        self._pattern_key: tuple | None = None
 
     # ------------------------------------------------------------- lifecycle
     def setup(self, topology: DistGraphTopology, machine: Machine) -> SetupStats:
@@ -114,6 +115,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
             return self.setup_stats
         self._topology = topology
         self._machine = machine
+        self._pattern_key = None
         self.setup_stats = self._build(topology, machine)
         return self.setup_stats
 
@@ -189,34 +191,38 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         return Schedule(ctx.topology.n, tuple(encoded), deliveries)
 
     def schedule_for(self, ctx: ExecutionContext):
-        """Memoized :meth:`build_schedule`, in block counts for uniform sizes.
+        """:meth:`build_schedule`, in block counts for uniform sizes.
 
         Backends size their ops only through ``ctx.size_table`` and
         ``ctx.sizer()``, so a uniform-size schedule is linear in the block
-        size: built once on a copy of ``ctx`` with ``msg_size=1``, its byte
+        size: built on a copy of ``ctx`` with ``msg_size=1``, its byte
         fields are block counts, and the schedule at ``m`` is that one
-        priced with ``unit=m`` (see :func:`repro.sim.fastpath.execute_schedule`).
-        One schedule per set-up ``(topology, machine)`` — pinned by
-        :meth:`setup`'s own identity key — therefore serves every message
-        size, and so does its compiled fast-path plan.  Allgatherv contexts
-        keep raw byte counts (price them with ``unit=1``) and their
-        ``block_sizes`` in the memo key.  Strong references to the keyed
-        objects are held in the cache entry, so identity checks can never
-        alias recycled ids.
+        priced with ``unit=m`` (see :func:`repro.sim.fastpath.execute_schedule`),
+        so one compiled plan serves every message size.  Allgatherv
+        contexts keep raw byte counts (``unit=1``).  Not memoized: the fast
+        path calls this only on a plan-cache miss (:meth:`plan_key`).
         """
-        sizes = None if ctx.block_sizes is None else list(ctx.block_sizes)
-        cached = self._schedule_cache
-        if (
-            cached is not None
-            and cached[0] is ctx.topology
-            and cached[1] is ctx.machine
-            and cached[2] == sizes
-        ):
-            return cached[3]
-        build_ctx = ctx if sizes is not None else replace(ctx, msg_size=1)
-        schedule = self.build_schedule(build_ctx)
-        self._schedule_cache = (ctx.topology, ctx.machine, sizes, schedule)
-        return schedule
+        return self.build_schedule(ctx if ctx.block_sizes is not None
+                                   else replace(ctx, msg_size=1))
+
+    def plan_key(self, ctx: ExecutionContext) -> tuple:
+        """The plan-cache key of :meth:`schedule_for`'s schedule for ``ctx``
+        (see :mod:`repro.sim.plancache`): the inputs that determine it.
+
+        The pattern key, computed once per :meth:`setup`, is the class
+        object, the constructor arguments (what :meth:`replan` reads; each
+        must be hashable) and the digests of the set-up topology and
+        machine, which ``ctx`` must carry; ``ctx.block_sizes`` completes
+        it (``None`` for uniform sizes).
+        """
+        key = self._pattern_key
+        if key is None:
+            self.require_setup()
+            key = self._pattern_key = (
+                type(self), tuple(self._arguments().items()),
+                topology_digest(self._topology), machine_digest(self._machine),
+            )
+        return key, None if ctx.block_sizes is None else tuple(ctx.block_sizes)
 
     def replan(self) -> "NeighborhoodAllgatherAlgorithm":
         """ULFM-style recovery: a fresh, not set up instance for the shrunk run.
@@ -231,8 +237,12 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         across the replan: every backend stores each ``__init__`` argument
         as an attribute of the same name.
         """
-        cls = type(self)
-        return cls(**{p: getattr(self, p) for p in inspect.signature(cls).parameters})
+        return type(self)(**self._arguments())
+
+    def _arguments(self) -> dict[str, Any]:
+        """This instance's constructor arguments, each read from the
+        attribute of its name."""
+        return {p: getattr(self, p) for p in inspect.signature(type(self)).parameters}
 
     # ---------------------------------------------------------------- helpers
     @property

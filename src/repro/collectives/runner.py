@@ -33,7 +33,7 @@ from repro.collectives.base import (
     get_algorithm,
 )
 from repro.sim.engine import Engine, RankFailedError
-from repro.sim.fastpath import execute_schedule
+from repro.sim.fastpath import execute_schedule, multi_plan_for
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.tracing import TraceCollector
 from repro.topology.graph import DistGraphTopology
@@ -408,19 +408,19 @@ def run_allgather(
         and machine.params.jitter == 0
     ):
         wall_start = time.perf_counter()
-        schedule = algorithm.schedule_for(ctx)
+        # The pattern's plan, compiled by an earlier cell when one ran it.
         # A uniform-size schedule counts blocks (see schedule_for), so it
         # is priced per msg_size.
+        plan = multi_plan_for(algorithm, ctx)
         outcome = execute_schedule(
-            schedule,
-            machine,
+            plan,
             unit=msg_size if block_sizes is None else 1,
             max_sim_time=opts.max_sim_time,
             max_events=opts.max_events,
         )
         results = ctx.results
         get_payload = payloads.__getitem__
-        for dst, srcs in enumerate(schedule.deliveries):
+        for dst, srcs in enumerate(plan.deliveries):
             if srcs:
                 results[dst] = dict(zip(srcs, map(get_payload, srcs)))
         run = AllgatherRun(

@@ -11,7 +11,7 @@ the :class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney
 costs, with cut-through pipelining over serialized resources (per-rank
 ports, per-node NICs, shared global links) so congestion emerges
 naturally.  :func:`execute_schedule` replays a materialised op stream (a
-:class:`Schedule`) without the engine, bit for bit.
+:class:`Schedule`, compiled) without the engine, bit for bit.
 
 The semantics intentionally mirror the paper's modelling assumptions:
 single-port ranks, eager delivery, and serialized node injection.
@@ -35,14 +35,15 @@ from repro.sim.faults import (
     resilience_profiles,
 )
 from repro.sim.fastpath import FastRunOutcome, execute_schedule
-from repro.sim.plancache import PlanCache, machine_digest, plan_cache_stats, reset_plan_cache
-from repro.sim.program import rank_program
-from repro.sim.schedule import (
-    Schedule,
-    spawn_wake_order,
-    static_matching,
-    structural_digest,
+from repro.sim.plancache import (
+    PlanCache,
+    machine_digest,
+    plan_cache_stats,
+    reset_plan_cache,
+    topology_digest,
 )
+from repro.sim.program import rank_program
+from repro.sim.schedule import Schedule, spawn_wake_order, static_matching
 from repro.sim.timeline import chrome_trace, phase_breakdown, save_chrome_trace
 from repro.sim.tracing import MessageRecord, TraceCollector
 
@@ -71,9 +72,9 @@ __all__ = [
     "Schedule",
     "spawn_wake_order",
     "static_matching",
-    "structural_digest",
     "PlanCache",
     "machine_digest",
+    "topology_digest",
     "plan_cache_stats",
     "reset_plan_cache",
 ]

@@ -11,18 +11,23 @@ the engine for every pristine run (no faults, no jitter, no tracing):
 ``sim_mode="auto"`` is a pure speedup.
 
 Schedules are priced per call: every op's byte field is a count of
-``unit``-byte blocks (``execute_schedule(..., unit=m)``), so the uniform-size
-schedule :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`
-builds once, in 1-byte blocks, serves a sweep's whole message-size axis.
+``unit``-byte blocks (``execute_schedule(plan, unit=m)``), so the
+uniform-size schedule
+:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`
+builds in 1-byte blocks serves a sweep's whole message-size axis.
 Three ideas make replay fast:
 
-* **Compile once per pattern.**  :func:`multi_plan_for` turns a schedule
-  into a size-free :class:`_MultiStagePlan` — static send→receive matching,
-  each send's claim stages from its socket pair's route row, and per-op
-  ids into the distinct pricing cohorts — cached per
-  ``(structural digest, machine digest)`` in :mod:`repro.sim.plancache`.
-  The compiler decodes the schedule's per-rank encodings one rank at a
-  time (:meth:`~repro.sim.schedule.Schedule.iter_ops`), so no rank's op
+* **Compile once per pattern.**  :func:`multi_plan_for` looks a set-up
+  algorithm's plan up in :mod:`repro.sim.plancache` under the inputs that
+  determine its schedule (backend, constructor arguments, topology,
+  machine, block sizes); only on a miss does it build the schedule and
+  turn it into a size-free :class:`_MultiStagePlan` — static send→receive
+  matching, each send's claim stages from its socket pair's route row,
+  per-op ids into the distinct pricing cohorts, and the schedule's
+  deliveries, from which the runner fills the result buffers.  So a cell
+  whose pattern was compiled before builds nothing.  The compiler decodes
+  the schedule's per-rank encodings one rank at a time
+  (:meth:`~repro.sim.schedule.Schedule.iter_ops`), so no rank's op
   tuples outlive its turn; only the plan's own tables stay.
 * **Price each call, vectorized.**  A call prices the cohorts (distinct
   ``(socket pair, block count)`` sends, distinct charge counts) in one
@@ -69,11 +74,12 @@ import numpy as np
 
 from repro.sim.engine import DeadlockError, SimTimeoutError, blocked_detail
 from repro.sim.fabric import LANES_PAIR, routes_for
-from repro.sim.plancache import PLAN_CACHE, machine_digest
-from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
+from repro.sim.plancache import PLAN_CACHE
+from repro.sim.schedule import spawn_wake_order, static_matching
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
+    from repro.collectives.base import ExecutionContext, NeighborhoodAllgatherAlgorithm
     from repro.sim.schedule import Schedule
 
 #: Relative tolerance of the retired closed-form pricing mode.  Nothing in
@@ -133,12 +139,15 @@ class _MultiStagePlan:
       them; the wait loop reads the slots only), not a tuple per receive.
       A receive no send matches keeps its slot and simply never
       completes;
+    * ``deliveries[r]`` is the schedule's delivery list of rank ``r`` as
+      a tuple: the source ranks whose blocks land in its receive buffer;
     * the plan holds one int object per slot number, rank id and op
       position: a slot's receive and the send that targets it share one,
-      as do all sends to a rank.  About 148 B per message on a 264-rank
-      density-0.3 naive schedule (227 B with a ``(pos, slot)`` tuple per
-      receive and two ints per slot number), 62.9 MiB for the 2160-rank
-      density-0.1 naive schedule (120.9 MiB);
+      as do all sends to a rank and every delivery of a source.  About
+      156 B per message on a 264-rank density-0.3 naive schedule (8 B of
+      it deliveries; 227 B with a ``(pos, slot)`` tuple per receive, two
+      ints per slot number and no deliveries), 66.6 MiB for the
+      2160-rank density-0.1 naive schedule (62.9 MiB without deliveries);
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
@@ -152,7 +161,7 @@ class _MultiStagePlan:
         "n_nodes", "messages", "blocks", "charge_counts",
         "cohort_counts", "alpha", "inv_beta", "link_inv_beta",
         "call_overhead", "memcpy_beta", "nic_overhead", "link_overhead",
-        "ladder",
+        "ladder", "deliveries",
     )
 
 
@@ -161,11 +170,17 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
 
     Raises the engine's ``ValueError`` for the first op, in rank-major
     order, that the engine would reject: a peer outside ``[0, n_ranks)`` or
-    a negative byte count (counted in the schedule's blocks).
+    a negative byte count (counted in the schedule's blocks); and a
+    ``ValueError`` for a jitter machine, which only the engine models, or
+    a delivery that names no rank.  Not cached: :func:`multi_plan_for`
+    caches the plans of set-up algorithms, and a hand-built schedule is
+    compiled here directly.
     """
+    params = machine.params
+    if params.jitter > 0:
+        raise ValueError("fast path requires a jitter-free machine (use the engine)")
     send_slots, n_slots, _ = static_matching(schedule)
     n = schedule.n_ranks
-    params = machine.params
     spec = machine.spec
     rps = spec.ranks_per_socket
     n_sockets = spec.n_sockets
@@ -290,15 +305,29 @@ def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     plan.nic_overhead = params.nic_message_overhead
     plan.link_overhead = params.link_message_overhead
     plan.ladder = list(accumulate([params.call_overhead] * ladder_len, initial=0.0))
+    deliveries = []
+    for rank, srcs in enumerate(schedule.deliveries):
+        if srcs and (min(srcs) < 0 or max(srcs) >= n):
+            bad = next(src for src in srcs if not 0 <= src < n)
+            raise ValueError(f"rank {rank} delivers block {bad}, out of range [0, {n})")
+        deliveries.append(tuple(map(rank_ids.__getitem__, srcs)))
+    plan.deliveries = deliveries
     return plan
 
 
-def multi_plan_for(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
-    """Memoized :func:`_compile_multi` via the structural plan cache."""
-    key = (structural_digest(schedule), machine_digest(machine))
+def multi_plan_for(
+    algorithm: "NeighborhoodAllgatherAlgorithm", ctx: "ExecutionContext",
+) -> _MultiStagePlan:
+    """The compiled plan of a set-up ``algorithm``'s schedule for ``ctx``.
+
+    Looked up in the plan cache under
+    :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.plan_key`;
+    only a miss builds the schedule (``schedule_for``) and compiles it.
+    """
+    key = algorithm.plan_key(ctx)
     plan = PLAN_CACHE.get(key)
     if plan is None:
-        plan = _compile_multi(schedule, machine)
+        plan = _compile_multi(algorithm.schedule_for(ctx), ctx.machine)
         PLAN_CACHE.put(key, plan)
     return plan
 
@@ -536,28 +565,25 @@ def _execute_multi(
 
 
 def execute_schedule(
-    schedule: "Schedule",
-    machine: "Machine",
+    plan: _MultiStagePlan,
     *,
     unit: int = 1,
     max_sim_time: float | None = None,
     max_events: int | None = None,
 ) -> FastRunOutcome:
-    """Replay ``schedule`` on ``machine`` with ``unit``-byte blocks.
+    """Replay a compiled schedule with ``unit``-byte blocks.
 
-    Op byte fields count ``unit``-byte blocks: pass the message size for a
-    schedule built in block counts (what ``schedule_for`` returns for
-    uniform sizes) and ``1`` for one in raw bytes (allgatherv).  Every call
-    runs the schedule's cached plan (:func:`multi_plan_for`), bit-identical
-    to :class:`~repro.sim.engine.Engine`.  Raises the engine's own
+    ``plan`` comes from :func:`multi_plan_for` (a set-up algorithm's
+    schedule, through the plan cache) or :func:`_compile_multi` (any
+    schedule, uncached).  Op byte fields count ``unit``-byte blocks: pass
+    the message size for a schedule built in block counts (what
+    ``schedule_for`` returns for uniform sizes) and ``1`` for one in raw
+    bytes (allgatherv).  Bit-identical to
+    :class:`~repro.sim.engine.Engine`; raises the engine's own
     :class:`SimTimeoutError`/:class:`DeadlockError` with matching boundary
     semantics and deterministic blocked-rank detail.
     """
-    if machine.params.jitter > 0:
-        raise ValueError("fast path requires a jitter-free machine (use the engine)")
     SimTimeoutError.check_budgets(max_sim_time, max_events)
     if unit < 0:
         raise ValueError(f"unit must be >= 0, got {unit}")
-
-    return _execute_multi(multi_plan_for(schedule, machine), unit,
-                          max_sim_time, max_events)
+    return _execute_multi(plan, unit, max_sim_time, max_events)

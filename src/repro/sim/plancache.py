@@ -1,41 +1,57 @@
 """Cross-run compiled-plan cache for the hybrid fast path.
 
-:mod:`repro.sim.fastpath` compiles a :class:`~repro.sim.schedule.Schedule`
-into a size-free executor plan.  Compilation walks every op — cheap next to
-a DES run, but pure overhead when a sweep revisits the same schedule shape
-on the same machine, which Fig. 5-style grids do constantly (every repeat,
-every message size of a pattern, every algorithm cell sharing a topology,
-every warm bench pass).
+:mod:`repro.sim.fastpath` compiles a set-up algorithm's
+:class:`~repro.sim.schedule.Schedule` into a size-free executor plan.
+Building the schedule and compiling it walk every op — cheap next to a
+DES run, but pure overhead when a sweep revisits a pattern, which Fig.
+5-style grids do constantly (every message size, every repeat, every
+fresh instance a cold cell sets up on the topology of an earlier cell).
+As the paper creates a neighborhood once
+(``MPI_Dist_graph_create_adjacent``) and reuses it for every message size,
+and Träff et al. compute a message-combining schedule once per
+neighborhood, a plan is built once per pattern.
 
-This module provides the process-wide memo for those plans: a bounded LRU
-keyed on *structure*, not identity —
+This module holds the process-wide memo for those plans: a bounded LRU
+keyed by the inputs that determine a schedule, not by the schedule —
 
-``(schedule structural digest, machine digest)``
+``((backend class, constructor arguments, topology digest, machine digest), block sizes)``
 
-* the schedule half is :func:`repro.sim.schedule.structural_digest`
-  (rank count + full op streams: the compiler's exact input), so two
-  ``Schedule`` objects describing the same communication pattern — e.g.
-  rebuilt by a fresh algorithm instance for the same topology cell — share
-  one compilation (the isomorphic-neighborhood reuse from Träff et al.).
-  Uniform-size schedules count blocks, not bytes, so every message size of
-  a pattern has the same digest;
-* the machine half is :func:`machine_digest`, a recursive structural
-  fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster
-  shape, every Hockney constant, the network topology's constructor state
-  including placement permutations) — everything that can influence a
-  plan or its prices.
+* the first part is the pattern key of
+  :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.plan_key`,
+  computed once per set-up instance: the backend's class object, its
+  constructor arguments (the attributes ``replan()`` reads),
+  :func:`topology_digest` of the set-up topology's out-lists and
+  :func:`machine_digest` of the set-up machine;
+* the second is the allgatherv block-size tuple, or ``None`` for uniform
+  sizes, whose schedules count blocks, so every message size of a pattern
+  has one key.
 
-One plan serves every call on its pattern and machine: every message size
-(a call prices the plan for its block size), and schedules whose run
-deadlocks.  Cached values hold only plain
-numbers, tuples, and numpy arrays — never a ``Machine`` or ``Schedule``
-reference — so retention cannot leak simulation state, and never ``None``,
-so :meth:`PlanCache.get` reports a miss as ``None``.
+A plan holds the executor's tables and the schedule's deliveries, from
+which the runner fills the result buffers, so a cell whose pattern an
+earlier cell compiled builds no schedule.  Cells of different algorithms
+on one topology have different keys and compile a plan each.  The key
+rests on one premise, which ``tests/collectives/test_schedule_scaling.py``
+checks for every backend: two instances constructed and set up
+independently on equal inputs build byte-equal schedules with equal
+deliveries.  Code that patches a backend's builder or op stream
+in-process breaks it for the plans cached before the patch, so it must
+call :func:`reset_plan_cache` first.  A hand-built schedule is compiled
+without the cache (:func:`repro.sim.fastpath._compile_multi`).
 
-A plan costs about 140–200 B per message (tracemalloc): 0.3–4.0 MiB
-for a 264-rank Fig. 5 cell (18.3 MiB for the 16 plans of one benchmark
-round), 62.9 MiB for the 2160-rank density-0.1 naive schedule and
-69.1 MiB for its Common Neighbor (k=4) one.
+One plan serves every call on its pattern: every message size (a call
+prices the plan for its block size), and schedules whose run deadlocks.
+Cached values hold only plain numbers, tuples, lists and numpy arrays —
+never a ``Machine``, topology or ``Schedule`` reference — so retention
+cannot leak simulation state, and never ``None``, so :meth:`PlanCache.get`
+reports a miss as ``None``.
+
+A plan costs 156 B per message on a dense naive schedule and more where
+a plan has few messages per op, its deliveries included (one tuple per
+rank naming each source through the plan's rank-id table, 8 B per
+delivered block; tracemalloc): 0.36–3.1 MiB for a 264-rank Fig. 5 cell
+(21.4 MiB for the 16 plans of one benchmark round), 66.6 MiB for the
+2160-rank density-0.1 naive schedule and 72.7 MiB for its Common Neighbor
+(k=4) one.
 
 Stats (hits/misses/evictions) are process-global and surfaced through
 ``repro.exec`` sweep reports and the wallclock harness payload; see
@@ -44,11 +60,13 @@ Stats (hits/misses/evictions) are process-global and surfaced through
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections import OrderedDict
 from typing import Any
 
-#: Default LRU capacity.  A 264-rank Fig. 5 plan holds 0.3–4 MiB and a
-#: 2160-rank density-0.1 one 63–69 MiB, so the bound stays modest —
+#: Default LRU capacity.  A 264-rank Fig. 5 plan holds 0.36–3.1 MiB and a
+#: 2160-rank density-0.1 one 67–73 MiB, so the bound stays modest —
 #: but it must hold a whole bench grid, and evicting mid-grid forfeits the
 #: warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
@@ -74,16 +92,18 @@ def _network_fingerprint(net: Any) -> str:
 
 
 def machine_digest(machine: Any) -> str:
-    """Structural digest of a Machine — the cache key's machine half.
+    """Structural digest of a Machine — the pattern key's machine part.
 
-    Covers every input the fast-path compiler reads: the cluster shape,
-    all Hockney link/host constants, jitter, and the full
-    network topology state (recursively, so a placement permutation or a
-    non-default ``links_per_pair`` yields a distinct digest).  Two
-    structurally identical machines share a digest and therefore share
-    cached plans and route rows (:func:`repro.sim.fabric.routes_for`).
-    Not memoized: it costs tens of microseconds, once per fast-path call
-    and per engine run.
+    Covers every field of the machine, so every input a backend's setup
+    and the fast-path compiler read: the cluster shape, all Hockney
+    link/host constants, jitter, and the full network topology state
+    (recursively, so a placement permutation or a non-default
+    ``links_per_pair`` yields a distinct digest).  Two structurally
+    identical machines share a digest and therefore share cached plans and
+    route rows (:func:`repro.sim.fabric.routes_for`).  Not memoized: it
+    costs tens of microseconds, once per set-up instance that takes the
+    fast path (its pattern key), once per compile and once per engine run
+    (their route rows).
     """
     spec = machine.spec
     params = machine.params
@@ -101,8 +121,22 @@ def machine_digest(machine: Any) -> str:
     ))
 
 
+def topology_digest(topology: Any) -> str:
+    """Content digest of a topology's out-lists — the pattern key's
+    topology part.
+
+    A SHA-256, cut to 128 bits, of ``marshal`` format 2 (which encodes by
+    value, with no references between equal objects) of the rank count and
+    every rank's sorted out-list.  The in-lists are derived from the
+    out-lists, so equal digests name equal topologies.
+    """
+    n = topology.n
+    out = tuple(map(topology.out_neighbors, range(n)))
+    return hashlib.sha256(marshal.dumps((n, out), 2)).hexdigest()[:32]
+
+
 class PlanCache:
-    """Bounded LRU over ``(schedule digest, machine digest)`` keys."""
+    """Bounded LRU over ``(pattern key, block sizes)`` keys."""
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions")
 

@@ -37,15 +37,13 @@ with no references between equal objects, so the bytes depend only on the
 ops' values).  A cold 264-rank cell's schedule holds tens of thousands of
 ops; kept as tuples, every one is an object the cyclic garbage collector
 walks for as long as the schedule lives, while the encoding is one opaque
-buffer per rank.  :meth:`Schedule.iter_ops` decodes one rank at a time, and
-the plan-cache digest hashes the bytes as they are.  The encoding is
-in-process only: ``marshal`` bytes are never stored or sent across
-processes or interpreter versions.
+buffer per rank.  :meth:`Schedule.iter_ops` decodes one rank at a time.
+The encoding is in-process only: ``marshal`` bytes are never stored or
+sent across processes or interpreter versions.
 """
 
 from __future__ import annotations
 
-import hashlib
 import marshal
 from array import array
 from dataclasses import dataclass
@@ -56,9 +54,6 @@ import numpy as np
 #: ``marshal`` format of the per-rank encodings: version 2 is the newest
 #: that writes no back-references, so equal op lists encode to equal bytes.
 _MARSHAL_VERSION = 2
-#: ``marshal``'s encoding of ``None``: what the digest hashes for a rank
-#: the engine does not spawn.
-_NONE = marshal.dumps(None, _MARSHAL_VERSION)
 
 
 def encode_ops(ops: list[tuple]) -> bytes:
@@ -112,8 +107,9 @@ class Schedule:
     :attr:`ops` reads it.  ``deliveries[r]`` lists the source ranks whose
     block lands in rank ``r``'s receive buffer (``results[r][src] =
     payloads[src]``), in the order of the stream's ``deliver`` ops.  The
-    fast path copies them as declared; on the engine the rank program
-    checks each one against the blocks that really arrived.
+    fast path's compiled plan keeps them and the runner copies them as
+    declared; on the engine the rank program checks each one against the
+    blocks that really arrived.
     """
 
     n_ranks: int
@@ -150,34 +146,6 @@ class Schedule:
     def ops(self) -> list[RankOps | None]:
         """Every rank's op list (or ``None``) as a :class:`RankOps` view."""
         return [None if data is None else RankOps(data) for data in self.encoded]
-
-
-def structural_digest(schedule: Schedule) -> str:
-    """Content digest of a schedule's op structure (cached on the object).
-
-    Two schedules with equal digests compile to identical fast-path plans on
-    the same machine: the digest covers the rank count and every rank's op
-    stream (kinds, endpoints, block counts, tags, block ids, ``None``
-    ranks) — the compiler's inputs, plus the block ids it ignores.
-    ``deliveries`` is excluded on purpose: it names result-buffer contents,
-    which no plan depends on.  It is a SHA-256, cut to 128 bits, of the
-    rank count (8 bytes) followed by every rank's encoding as stored
-    (``marshal``'s ``N`` for a ``None`` rank), so nothing is encoded twice.
-    Each encoding is a self-delimiting ``marshal`` stream that depends only
-    on the ops' values, so the concatenation names the op lists exactly.
-    This is the schedule half of the compiled-plan cache key (the machine
-    half is :func:`repro.sim.plancache.machine_digest`), realizing the
-    isomorphic-neighborhood observation: sweep cells whose schedules are
-    structurally identical share one compilation.
-    """
-    digest = getattr(schedule, "_structural_digest", None)
-    if digest is None:
-        h = hashlib.sha256(schedule.n_ranks.to_bytes(8, "little"))
-        for data in schedule.encoded:
-            h.update(_NONE if data is None else data)
-        digest = h.hexdigest()[:32]
-        schedule._structural_digest = digest
-    return digest
 
 
 def spawn_wake_order(schedule: Schedule) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ schedule sends, and a ``None`` rank is not spawned.  It returns a
 :class:`~repro.sim.fastpath.FastRunOutcome`, so an executor run and an
 engine run compare field by field; :func:`assert_matches_engine` does
 that, and compares the exception type and message when either run raises.
+:func:`replay` is the fast path's side: the schedule compiled, uncached,
+and executed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import DeadlockError, Engine, SimTimeoutError
-from repro.sim.fastpath import FastRunOutcome, execute_schedule
+from repro.sim.fastpath import FastRunOutcome, _compile_multi, execute_schedule
 from repro.sim.program import rank_program
 from repro.sim.schedule import static_matching
 
@@ -86,6 +88,12 @@ def run_on_engine(schedule, machine, unit=1, **budgets) -> FastRunOutcome:
     )
 
 
+def replay(schedule, machine, unit=1, **budgets) -> FastRunOutcome:
+    """Run ``schedule`` with ``unit``-byte blocks on the fast path: compiled
+    directly (a hand-built schedule has no plan-cache key), then executed."""
+    return execute_schedule(_compile_multi(schedule, machine), unit=unit, **budgets)
+
+
 def _outcome(fn, *args, **kwargs):
     """``("ok", fields)`` of a run, or ``(exception type, message)``."""
     try:
@@ -100,7 +108,7 @@ def assert_matches_engine(schedule, machine, unit=1, **budgets):
     """The executor must equal the engine on every field, or raise the same
     exception with the same message.  Returns the shared outcome."""
     ref = _outcome(run_on_engine, schedule, machine, unit, **budgets)
-    out = _outcome(execute_schedule, schedule, machine, unit=unit, **budgets)
+    out = _outcome(replay, schedule, machine, unit, **budgets)
     assert out == ref
     return out
 
@@ -118,12 +126,11 @@ def assert_deadlocks_like_engine(schedule, machine, unit=1):
     with pytest.raises(DeadlockError) as info:
         engine.run()
     events = engine.events_processed
-    out = _outcome(execute_schedule, schedule, machine, unit=unit,
-                   max_events=events)
+    out = _outcome(replay, schedule, machine, unit, max_events=events)
     assert out == (DeadlockError, str(info.value))
     if events > 1:
-        kind, message = _outcome(execute_schedule, schedule, machine,
-                                 unit=unit, max_events=events - 1)
+        kind, message = _outcome(replay, schedule, machine, unit,
+                                 max_events=events - 1)
         assert kind is SimTimeoutError
         assert message.startswith(
             f"event budget exceeded: processed {events - 1} events"

@@ -125,7 +125,7 @@ def _assert_lane_contention(links_per_pair, transfers):
         ops[src] = [("send", dst, 1, 0, (src,)), ("wait",)]
         ops[dst] = [("recv", src, 0, 1), ("wait",)]
     schedule = Schedule.from_ops(spec.n_ranks, ops, [[] for _ in ops])
-    out = execute_schedule(schedule, machine, unit=nbytes)
+    out = execute_schedule(_compile_multi(schedule, machine), unit=nbytes)
     assert [out.finish_times[dst] for _, dst in pairs] == arrivals
 
     solo = Fabric(machine).transmit(*pairs[0], nbytes, post).arrival

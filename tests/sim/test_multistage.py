@@ -14,39 +14,48 @@ tests target the places the replay could plausibly diverge:
 * receives no send matches: the run deadlocks with the engine's report;
 * ops the engine rejects (a stray peer, a negative byte count): the
   compiler raises the engine's ``ValueError``;
-* the keyed plan cache replacing the old single-entry memo (alternating
-  two machines must not evict each other's plans — the ``fastpath`` memo
-  regression), one size-free plan per pattern across message sizes, plus
-  LRU bounds and stats.
+* the plan cache, keyed by the set-up pattern: alternating two machines
+  must not evict each other's plans (the old single-entry ``fastpath``
+  memo's regression), one size-free plan per pattern across message sizes
+  and fresh instances, a new plan for any change to the key, plus LRU
+  bounds and stats.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.collectives.base import ExecutionContext, get_algorithm
+from repro.collectives.base import (
+    ExecutionContext,
+    NeighborhoodAllgatherAlgorithm,
+    get_algorithm,
+)
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.cluster.machine import Machine
+from repro.exec import RunSpec, execute
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import DeadlockError, SimTimeoutError
 from repro.sim.fabric import routes_for
-from repro.sim.fastpath import FastRunOutcome, execute_schedule, multi_plan_for
+from repro.sim.fastpath import (
+    FastRunOutcome,
+    _compile_multi,
+    execute_schedule,
+    multi_plan_for,
+)
 from repro.sim.plancache import (
     PLAN_CACHE,
     PlanCache,
     machine_digest,
     plan_cache_stats,
     reset_plan_cache,
+    topology_digest,
 )
-from repro.sim.schedule import (
-    Schedule,
-    spawn_wake_order,
-    static_matching,
-    structural_digest,
-)
+from repro.sim.schedule import Schedule, spawn_wake_order, static_matching
+from repro.topology.graph import DistGraphTopology
 from tests.sim.engine_replay import (
     assert_deadlocks_like_engine,
     assert_matches_engine,
+    replay,
     run_on_engine,
 )
 
@@ -60,17 +69,35 @@ def _machine(nodes=2, sockets=2, rps=4):
 MSG = 4096
 
 
+def _context(topology, machine, msg=MSG):
+    n = topology.n
+    return ExecutionContext(
+        topology=topology, machine=machine, msg_size=msg,
+        payloads=list(range(n)), results=[{} for _ in range(n)],
+    )
+
+
 def _schedule_for(name, kwargs, n, nodes, density, msg=MSG, seed=3):
     """``schedule_for``'s block-count schedule — price it with ``unit=msg``."""
     machine = _machine(nodes=nodes, rps=max(1, n // (nodes * 2)))
     topology = TopologySpec("random", n, density=density, seed=seed).build()
     algorithm = get_algorithm(name, **kwargs)
     algorithm.setup(topology, machine)
-    ctx = ExecutionContext(
-        topology=topology, machine=machine, msg_size=msg,
-        payloads=list(range(n)), results=[{} for _ in range(n)],
-    )
-    return algorithm.schedule_for(ctx), machine
+    return algorithm.schedule_for(_context(topology, machine, msg)), machine
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """Count ``schedule_for`` calls (every schedule the fast path builds)."""
+    builds = []
+    original = NeighborhoodAllgatherAlgorithm.schedule_for
+
+    def counted(self, ctx):
+        builds.append(self.name)
+        return original(self, ctx)
+
+    monkeypatch.setattr(NeighborhoodAllgatherAlgorithm, "schedule_for", counted)
+    return builds
 
 
 def _assert_identical(schedule, machine, unit=1, **budgets):
@@ -157,7 +184,7 @@ class TestExecutorEdgeCases:
             deliveries=[[], [0]],
         )
         with pytest.raises(ValueError, match="unit"):
-            execute_schedule(schedule, machine, unit=-8)
+            replay(schedule, machine, unit=-8)
 
     def test_unmatched_recv_deadlocks_like_engine(self):
         # A receive with no sender keeps its slot and its owner blocks: the
@@ -173,7 +200,7 @@ class TestExecutorEdgeCases:
         events = assert_deadlocks_like_engine(schedule, machine)
         assert events == 3  # two spawns and rank 0's wake
         with pytest.raises(DeadlockError, match=blocked):
-            execute_schedule(schedule, machine)
+            replay(schedule, machine)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("common_neighbor", {"k": 4}), ("distance_halving", {}), ("bruck", {}),
@@ -197,7 +224,7 @@ class TestRejectsWhatTheEngineRejects:
             run_on_engine(schedule, self.MACHINE)
         assert str(engine_error.value) == text
         with pytest.raises(ValueError) as fast_error:
-            execute_schedule(schedule, self.MACHINE)
+            replay(schedule, self.MACHINE)
         assert str(fast_error.value) == text
 
     def test_negative_send_size(self):
@@ -216,7 +243,7 @@ class TestRejectsWhatTheEngineRejects:
         # Rank 2 (socket 1) names rank -1 through socket key 4 - 1 = 3,
         # the socket 0 -> 3 route a send from rank 0 to rank 7 resolves.
         warm = [[("send", 7, 1, 0), ("wait",)]] + [None] * 6 + [[("recv", 0, 0), ("wait",)]]
-        execute_schedule(Schedule.from_ops(8, warm, [[]] * 8), self.MACHINE)
+        _compile_multi(Schedule.from_ops(8, warm, [[]] * 8), self.MACHINE)
         assert 3 in routes_for(self.MACHINE).rows
         ops = [None, None, [("send", -1, 1, 0), ("wait",)]] + [None] * 5
         self._assert_raises_like_engine(ops, "destination rank -1 out of range [0, 8)")
@@ -226,7 +253,47 @@ class TestRejectsWhatTheEngineRejects:
                [("charge", -3), ("wait",)]]
         schedule = Schedule.from_ops(2, ops, [[], []])
         with pytest.raises(ValueError, match=r"^nbytes must be >= 0, got -2$"):
-            execute_schedule(schedule, _machine(nodes=1, sockets=1, rps=2))
+            replay(schedule, _machine(nodes=1, sockets=1, rps=2))
+
+
+class TestCompilerRejects:
+    """What the compiler rejects beyond the engine's op checks."""
+
+    OPS = [[("send", 1, 1, 0), ("wait",)], [("recv", 0, 0), ("wait",)]]
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_a_delivery_that_names_no_rank(self, bad):
+        # Deliveries name sources through the plan's rank-id table, where
+        # -1 would silently alias the last rank.
+        schedule = Schedule.from_ops(2, self.OPS, [[], [0, bad]])
+        text = rf"^rank 1 delivers block {bad}, out of range \[0, 2\)$"
+        with pytest.raises(ValueError, match=text):
+            _compile_multi(schedule, _machine(nodes=1, sockets=1, rps=2))
+
+    def test_a_jitter_machine(self):
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        jittery = dataclasses.replace(
+            machine, params=dataclasses.replace(machine.params, jitter=0.1))
+        with pytest.raises(ValueError, match="jitter-free"):
+            _compile_multi(Schedule.from_ops(2, self.OPS, [[], [0]]), jittery)
+
+    def test_deliveries_share_the_rank_ids(self):
+        # A delivery's source is the plan's one int object for that rank
+        # (the one sends to it hold), not the schedule's own object.
+        n = 300
+        ops = [None] * n
+        ops[0] = [("send", n - 1, 1, 0), ("recv", n - 1, 0), ("wait",)]
+        ops[n - 1] = [("send", 0, 1, 0), ("recv", 0, 0), ("wait",)]
+        deliveries = [[] for _ in range(n)]
+        deliveries[0] = [int(str(n - 1))]
+        deliveries[n - 1] = [0]
+        plan = _compile_multi(Schedule.from_ops(n, ops, deliveries),
+                              _machine(nodes=10, sockets=2, rps=15))
+        assert plan.deliveries[0] == (n - 1,) and plan.deliveries[n - 1] == (0,)
+        assert plan.deliveries[1] == ()
+        (send,) = plan.rank_segs[0][0][2]
+        assert plan.deliveries[0][0] is send[2]
+        assert deliveries[0][0] is not send[2]
 
 
 class TestWatchdogBoundaries:
@@ -277,48 +344,58 @@ class TestWatchdogBoundaries:
 
 
 class TestPlanCacheKeying:
-    """The keyed plan cache must hold plans for several machines at once —
-    the regression the old single-entry ``_fp``/``_fp_batch`` memo had."""
+    """Plans are keyed by the set-up pattern (backend class, constructor
+    arguments, topology, machine, block sizes), not by the schedule: the
+    cache holds plans for several machines at once (the regression the old
+    single-entry ``_fp``/``_fp_batch`` memo had), a pattern compiled once
+    serves every later cell of it without building a schedule, and a
+    change to any part of the key compiles a new plan."""
 
-    def test_two_machines_alternate_without_eviction(self):
-        schedule, machine_a = _schedule_for("naive", {}, 16, 2, 0.4)
-        machine_b = _machine(nodes=4, rps=2)
+    def test_two_machines_alternate_without_eviction(self, schedule_builds):
+        topology = TopologySpec("random", 16, density=0.4, seed=3).build()
+        machines = (_machine(nodes=2, rps=4), _machine(nodes=4, rps=2))
         reset_plan_cache()
         try:
-            ref_a = multi_plan_for(schedule, machine_a)
-            ref_b = multi_plan_for(schedule, machine_b)
-            misses_after_first = PLAN_CACHE.misses
-            for _ in range(3):
-                assert multi_plan_for(schedule, machine_a) is ref_a
-                assert multi_plan_for(schedule, machine_b) is ref_b
-            assert PLAN_CACHE.misses == misses_after_first
-            assert PLAN_CACHE.hits >= 6
+            plans = []
+            for _ in range(4):
+                for machine in machines:
+                    naive = get_algorithm("naive")  # a fresh instance per cell
+                    naive.setup(topology, machine)
+                    plans.append(multi_plan_for(naive, _context(topology, machine)))
+            assert plans[0] is not plans[1]
+            assert plans[0::2] == [plans[0]] * 4 and plans[1::2] == [plans[1]] * 4
+            assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (2, 6)
+            assert schedule_builds == ["naive", "naive"]
         finally:
             reset_plan_cache()
 
-    def test_two_machines_alternate_multi_plans(self):
-        schedule, machine_a = _schedule_for("common_neighbor", {"k": 4},
-                                            16, 2, 0.4)
-        machine_b = _machine(nodes=4, rps=2)
+    def test_two_machines_alternate_multi_plans(self, schedule_builds):
+        # Alternating cells of a multi-stage backend on two machines: one
+        # plan per machine, and every cell still replays the engine.
+        topology = TopologySpec("random", 16, density=0.4, seed=3).build()
+        machines = (_machine(nodes=2, rps=4), _machine(nodes=4, rps=2))
         reset_plan_cache()
         try:
-            plan_a = multi_plan_for(schedule, machine_a)
-            plan_b = multi_plan_for(schedule, machine_b)
-            assert plan_a is not None and plan_b is not None
             for _ in range(3):
-                assert multi_plan_for(schedule, machine_a) is plan_a
-                assert multi_plan_for(schedule, machine_b) is plan_b
+                for machine in machines:
+                    runs = [run_allgather(get_algorithm("common_neighbor", k=4), topology,
+                                          machine, MSG, options=RunOptions(sim_mode=mode))
+                            for mode in ("auto", "des")]
+                    auto, des = runs
+                    assert auto.sim_path == "fastpath"
+                    assert auto.simulated_time == des.simulated_time
+                    assert auto.finish_times == des.finish_times
+                    assert auto.results == des.results
+            assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (2, 4)
+            assert schedule_builds == ["common_neighbor"] * 2
         finally:
             reset_plan_cache()
-        # and the results per machine stay bit-identical to the engine
-        for machine in (machine_a, machine_b):
-            _assert_identical(schedule, machine, unit=MSG)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("naive", {}), ("common_neighbor", {"k": 4}),
         ("distance_halving", {}), ("bruck", {}),
     ])
-    def test_message_sizes_share_one_plan(self, name, kwargs):
+    def test_message_sizes_share_one_plan(self, name, kwargs, schedule_builds):
         # The message-size axis of a set-up instance compiles one size-free
         # plan, priced per call — and every size, 0-byte blocks included,
         # still replays the engine bit-for-bit.
@@ -338,23 +415,75 @@ class TestPlanCacheKeying:
                 assert auto.finish_times == des.finish_times
                 assert auto.bytes_sent == des.bytes_sent
             assert PLAN_CACHE.misses == 1
+            assert schedule_builds == [name]
         finally:
             reset_plan_cache()
 
-    def test_structurally_equal_schedules_share_plans(self):
-        # Two Schedule objects with identical op streams (fresh algorithm
-        # instances over the same cell) must hit the same cache entry.
-        sched_a, machine = _schedule_for("naive", {}, 16, 2, 0.4)
-        sched_b, _ = _schedule_for("naive", {}, 16, 2, 0.4)
-        assert sched_a is not sched_b
-        assert structural_digest(sched_a) == structural_digest(sched_b)
+    def test_fresh_instances_of_one_pattern_build_one_schedule(self, schedule_builds):
+        # A cold sweep: every cell sets up a fresh instance on a freshly
+        # built topology and machine.  The first cell of the pattern builds
+        # and compiles its schedule; the other sizes build nothing.
+        specs = [
+            RunSpec("common_neighbor", TopologySpec("random", 24, density=0.3, seed=11),
+                    MachineSpec(nodes=2, sockets_per_node=2, ranks_per_socket=6), size,
+                    algorithm_kwargs={"k": 4},
+                    options=RunOptions(sim_mode="auto", verify=True))
+            for size in (8, 64, 1024, 8192, 65536)
+        ]
         reset_plan_cache()
         try:
-            plan_a = multi_plan_for(sched_a, machine)
-            plan_b = multi_plan_for(sched_b, machine)
-            assert plan_a is not None
-            assert plan_b is plan_a
-            assert PLAN_CACHE.hits >= 1
+            outcomes = execute(specs, workers=1).outcomes
+            assert [outcome.error for outcome in outcomes] == [None] * 5
+            assert schedule_builds == ["common_neighbor"]
+            assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (1, 4)
+        finally:
+            reset_plan_cache()
+        for spec, outcome in zip(specs, outcomes):
+            des = dataclasses.replace(spec, options=RunOptions(sim_mode="des")).run()
+            assert outcome.run.sim_path == "fastpath"
+            assert outcome.run.simulated_time == des.simulated_time
+            assert outcome.run.finish_times == des.finish_times
+
+    def test_each_part_of_the_key_compiles_a_new_plan(self, schedule_builds):
+        # From one Common Neighbor cell: another k, one more topology edge,
+        # a placement draw, an allgatherv size list and that list with one
+        # size changed are each a new pattern.  Every cell replays the
+        # engine, and a second pass over fresh instances only hits.
+        n = 16
+        spec = MachineSpec(nodes=4, sockets_per_node=2, ranks_per_socket=2)
+        base = TopologySpec("random", n, density=0.3, seed=5).build()
+        u, v = next((u, v) for u in range(n) for v in range(n)
+                    if u != v and not base.has_edge(u, v))
+        out = [list(base.out_neighbors(r)) for r in range(n)]
+        out[u].append(v)
+        grown = DistGraphTopology(n, out)
+        sizes = [64 + 8 * r for r in range(n)]
+        cells = [
+            ({"k": 4}, base, spec, 1024),
+            ({"k": 2}, base, spec, 1024),
+            ({"k": 4}, grown, spec, 1024),
+            ({"k": 4}, base, dataclasses.replace(spec, placement_seed=1), 1024),
+            ({"k": 4}, base, spec, sizes),
+            ({"k": 4}, base, spec, sizes[:-1] + [sizes[-1] + 8]),
+        ]
+        reset_plan_cache()
+        try:
+            for i, (kwargs, topology, machine_spec, size) in enumerate(cells):
+                machine = machine_spec.build()
+                auto, des = (
+                    run_allgather(get_algorithm("common_neighbor", **kwargs), topology,
+                                  machine, size, options=RunOptions(sim_mode=mode))
+                    for mode in ("auto", "des"))
+                assert auto.sim_path == "fastpath"
+                assert auto.simulated_time == des.simulated_time
+                assert auto.finish_times == des.finish_times
+                assert auto.results == des.results
+                assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (i + 1, 0)
+            for kwargs, topology, machine_spec, size in cells:
+                run_allgather(get_algorithm("common_neighbor", **kwargs), topology,
+                              machine_spec.build(), size, options=RunOptions(sim_mode="auto"))
+            assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (len(cells), len(cells))
+            assert len(schedule_builds) == len(cells)
         finally:
             reset_plan_cache()
 
@@ -370,6 +499,18 @@ class TestPlanCacheKeying:
             params=dataclasses.replace(machine_a.params, call_overhead=1e-3),
         )
         assert machine_digest(tweaked) != machine_digest(machine_a)
+
+    def test_topology_digest_names_the_out_lists(self):
+        spec = TopologySpec("random", 16, density=0.3, seed=5)
+        base = spec.build()
+        assert topology_digest(spec.build()) == topology_digest(base)
+        out = [list(base.out_neighbors(r)) for r in range(16)]
+        dropped = out[0].pop()
+        assert topology_digest(DistGraphTopology(16, out)) != topology_digest(base)
+        out[1].append(dropped)  # the same edge count, one edge moved
+        assert topology_digest(DistGraphTopology(16, out)) != topology_digest(base)
+        widened = DistGraphTopology(17, [base.out_neighbors(r) for r in range(16)])
+        assert topology_digest(widened) != topology_digest(base)
 
 
 class TestPlanCacheBounds:
@@ -404,11 +545,24 @@ class TestPlanCacheBounds:
             from repro.sim.plancache import DEFAULT_MAX_ENTRIES
             PLAN_CACHE.max_entries = DEFAULT_MAX_ENTRIES
 
-    def test_execute_schedule_uses_cached_plans(self):
-        schedule, machine = _schedule_for("distance_halving", {}, 16, 2, 0.4)
-        first = execute_schedule(schedule, machine, unit=MSG)
-        hits_before = PLAN_CACHE.hits
-        second = execute_schedule(schedule, machine, unit=MSG)
-        assert PLAN_CACHE.hits > hits_before
+    def test_execute_schedule_uses_cached_plans(self, schedule_builds):
+        # A second, fresh instance of a pattern gets the first one's plan
+        # without building a schedule, and replays it to the same outcome.
+        topology = TopologySpec("random", 16, density=0.4, seed=3).build()
+        machine = _machine(nodes=2, rps=4)
+        reset_plan_cache()
+        try:
+            plans, outcomes = [], []
+            for _ in range(2):
+                algorithm = get_algorithm("distance_halving")
+                algorithm.setup(topology, machine)
+                plans.append(multi_plan_for(algorithm, _context(topology, machine)))
+                outcomes.append(execute_schedule(plans[-1], unit=MSG))
+            assert plans[1] is plans[0]
+            assert PLAN_CACHE.hits == 1
+            assert schedule_builds == ["distance_halving"]
+        finally:
+            reset_plan_cache()
+        first, second = outcomes
         assert second.simulated_time == first.simulated_time
         assert second.events_processed == first.events_processed
