@@ -212,8 +212,10 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         The pattern key, computed once per :meth:`setup`, is the class
         object, the constructor arguments (what :meth:`replan` reads; each
         must be hashable) and the digests of the set-up topology and
-        machine, which ``ctx`` must carry; ``ctx.block_sizes`` completes
-        it (``None`` for uniform sizes).
+        machine; ``ctx.block_sizes`` completes it (``None`` for uniform
+        sizes).  ``ctx`` must carry the set-up topology and machine
+        objects, since a miss builds and compiles for ``ctx``: any other
+        raises ``ValueError``.
         """
         key = self._pattern_key
         if key is None:
@@ -221,6 +223,11 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
             key = self._pattern_key = (
                 type(self), tuple(self._arguments().items()),
                 topology_digest(self._topology), machine_digest(self._machine),
+            )
+        if ctx.topology is not self._topology or ctx.machine is not self._machine:
+            raise ValueError(
+                f"{self.name}: the context must carry the topology and machine "
+                "the algorithm was set up on"
             )
         return key, None if ctx.block_sizes is None else tuple(ctx.block_sizes)
 

@@ -11,7 +11,8 @@ the :class:`Fabric` from the :class:`~repro.cluster.Machine`'s Hockney
 costs, with cut-through pipelining over serialized resources (per-rank
 ports, per-node NICs, shared global links) so congestion emerges
 naturally.  :func:`execute_schedule` replays a materialised op stream (a
-:class:`Schedule`, compiled) without the engine, bit for bit.
+:class:`Schedule`, compiled by :func:`compile_schedule`) without the
+engine, bit for bit.
 
 The semantics intentionally mirror the paper's modelling assumptions:
 single-port ranks, eager delivery, and serialized node injection.
@@ -34,7 +35,7 @@ from repro.sim.faults import (
     get_profile,
     resilience_profiles,
 )
-from repro.sim.fastpath import FastRunOutcome, execute_schedule
+from repro.sim.fastpath import FastRunOutcome, compile_schedule, execute_schedule
 from repro.sim.plancache import (
     PlanCache,
     machine_digest,
@@ -68,6 +69,7 @@ __all__ = [
     "MessageRecord",
     "TraceCollector",
     "FastRunOutcome",
+    "compile_schedule",
     "execute_schedule",
     "Schedule",
     "spawn_wake_order",

@@ -1,7 +1,7 @@
 """Engine-free schedule execution: the hybrid fast path.
 
-:func:`execute_schedule` replays a static :class:`~repro.sim.schedule.Schedule`
-with exactly the discrete-event engine's semantics — same event heap ordering
+:func:`execute_schedule` replays a static :class:`~repro.sim.schedule.Schedule`,
+compiled by :func:`compile_schedule`, with exactly the discrete-event engine's semantics — same event heap ordering
 ``(time, seq, rank)``, same sequence-number allocation, same FIFO matching,
 same resource-claim arithmetic over the same route rows
 (:func:`~repro.sim.fabric.routes_for`) as :class:`~repro.sim.fabric.Fabric`
@@ -145,9 +145,8 @@ class _MultiStagePlan:
       position: a slot's receive and the send that targets it share one,
       as do all sends to a rank and every delivery of a source.  About
       156 B per message on a 264-rank density-0.3 naive schedule (8 B of
-      it deliveries; 227 B with a ``(pos, slot)`` tuple per receive, two
-      ints per slot number and no deliveries), 66.6 MiB for the
-      2160-rank density-0.1 naive schedule (62.9 MiB without deliveries);
+      it deliveries), 66.6 MiB for the 2160-rank density-0.1 naive
+      schedule;
     * inter-stage state — per-rank clocks, per-port/NIC/lane ``next_free``
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
@@ -165,7 +164,7 @@ class _MultiStagePlan:
     )
 
 
-def _compile_multi(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
+def compile_schedule(schedule: "Schedule", machine: "Machine") -> _MultiStagePlan:
     """Build the :class:`_MultiStagePlan` of ``schedule`` on ``machine``.
 
     Raises the engine's ``ValueError`` for the first op, in rank-major
@@ -321,13 +320,15 @@ def multi_plan_for(
     """The compiled plan of a set-up ``algorithm``'s schedule for ``ctx``.
 
     Looked up in the plan cache under
-    :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.plan_key`;
-    only a miss builds the schedule (``schedule_for``) and compiles it.
+    :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.plan_key`,
+    which raises ``ValueError`` unless ``ctx`` carries the set-up topology
+    and machine; only a miss builds the schedule (``schedule_for``) and
+    compiles it.
     """
     key = algorithm.plan_key(ctx)
     plan = PLAN_CACHE.get(key)
     if plan is None:
-        plan = _compile_multi(algorithm.schedule_for(ctx), ctx.machine)
+        plan = compile_schedule(algorithm.schedule_for(ctx), ctx.machine)
         PLAN_CACHE.put(key, plan)
     return plan
 
@@ -574,7 +575,7 @@ def execute_schedule(
     """Replay a compiled schedule with ``unit``-byte blocks.
 
     ``plan`` comes from :func:`multi_plan_for` (a set-up algorithm's
-    schedule, through the plan cache) or :func:`_compile_multi` (any
+    schedule, through the plan cache) or :func:`compile_schedule` (any
     schedule, uncached).  Op byte fields count ``unit``-byte blocks: pass
     the message size for a schedule built in block counts (what
     ``schedule_for`` returns for uniform sizes) and ``1`` for one in raw

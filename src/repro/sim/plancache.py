@@ -36,7 +36,7 @@ independently on equal inputs build byte-equal schedules with equal
 deliveries.  Code that patches a backend's builder or op stream
 in-process breaks it for the plans cached before the patch, so it must
 call :func:`reset_plan_cache` first.  A hand-built schedule is compiled
-without the cache (:func:`repro.sim.fastpath._compile_multi`).
+without the cache (:func:`repro.sim.fastpath.compile_schedule`).
 
 One plan serves every call on its pattern: every message size (a call
 prices the plan for its block size), and schedules whose run deadlocks.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import DeadlockError, Engine, SimTimeoutError
-from repro.sim.fastpath import FastRunOutcome, _compile_multi, execute_schedule
+from repro.sim.fastpath import FastRunOutcome, compile_schedule, execute_schedule
 from repro.sim.program import rank_program
 from repro.sim.schedule import static_matching
 
@@ -91,7 +91,7 @@ def run_on_engine(schedule, machine, unit=1, **budgets) -> FastRunOutcome:
 def replay(schedule, machine, unit=1, **budgets) -> FastRunOutcome:
     """Run ``schedule`` with ``unit``-byte blocks on the fast path: compiled
     directly (a hand-built schedule has no plan-cache key), then executed."""
-    return execute_schedule(_compile_multi(schedule, machine), unit=unit, **budgets)
+    return execute_schedule(compile_schedule(schedule, machine), unit=unit, **budgets)
 
 
 def _outcome(fn, *args, **kwargs):

@@ -16,10 +16,11 @@ from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim import fabric as fabric_module
 from repro.sim.fabric import Fabric, routes_for
-from repro.sim.fastpath import _compile_multi, execute_schedule
+from repro.sim.fastpath import compile_schedule
 from repro.sim.plancache import plan_cache_stats, reset_plan_cache
 from repro.sim.schedule import Schedule
 from repro.topology.graph import DistGraphTopology
+from tests.sim.engine_replay import replay
 
 
 @pytest.fixture
@@ -125,7 +126,7 @@ def _assert_lane_contention(links_per_pair, transfers):
         ops[src] = [("send", dst, 1, 0, (src,)), ("wait",)]
         ops[dst] = [("recv", src, 0, 1), ("wait",)]
     schedule = Schedule.from_ops(spec.n_ranks, ops, [[] for _ in ops])
-    out = execute_schedule(_compile_multi(schedule, machine), unit=nbytes)
+    out = replay(schedule, machine, unit=nbytes)
     assert [out.finish_times[dst] for _, dst in pairs] == arrivals
 
     solo = Fabric(machine).transmit(*pairs[0], nbytes, post).arrival
@@ -291,7 +292,7 @@ def test_route_memo_does_not_keep_machines_alive():
     ops[dst] = [("recv", 0, 0, 1), ("wait",)]
     deliveries = [[] for _ in ops]
     deliveries[dst] = [0]
-    plan = _compile_multi(Schedule.from_ops(len(ops), ops, deliveries), machine)
+    plan = compile_schedule(Schedule.from_ops(len(ops), ops, deliveries), machine)
     table = routes_for(machine)
     alive = weakref.ref(machine)
 
@@ -325,7 +326,7 @@ def test_fast_path_compiles_against_the_engine_filled_table(name, kwargs):
     algorithm = get_algorithm(name, **kwargs)
     algorithm.setup(topology, machine)
     ctx = ExecutionContext(topology, machine, 1, list(range(32)), [{} for _ in range(32)])
-    _compile_multi(algorithm.schedule_for(ctx), machine)
+    compile_schedule(algorithm.schedule_for(ctx), machine)
     own_order = list(routes_for(machine).lane_keys)
     fabric_module._ROUTE_TABLES.clear()
     reset_plan_cache()

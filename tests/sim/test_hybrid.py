@@ -20,7 +20,7 @@ from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import _compile_multi
+from repro.sim.fastpath import compile_schedule
 from repro.sim.faults import FaultPlan, Straggler
 from tests.sim.engine_replay import assert_matches_engine
 
@@ -177,7 +177,7 @@ class TestBatchExecutor:
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert _compile_multi(schedule, machine) is not None
+        assert compile_schedule(schedule, machine) is not None
 
     def test_multi_stage_takes_the_multi_executor(self):
         # Multi-stage schedules compile to a plan that replays the engine

@@ -38,7 +38,7 @@ from repro.sim.engine import DeadlockError, SimTimeoutError
 from repro.sim.fabric import routes_for
 from repro.sim.fastpath import (
     FastRunOutcome,
-    _compile_multi,
+    compile_schedule,
     execute_schedule,
     multi_plan_for,
 )
@@ -243,7 +243,7 @@ class TestRejectsWhatTheEngineRejects:
         # Rank 2 (socket 1) names rank -1 through socket key 4 - 1 = 3,
         # the socket 0 -> 3 route a send from rank 0 to rank 7 resolves.
         warm = [[("send", 7, 1, 0), ("wait",)]] + [None] * 6 + [[("recv", 0, 0), ("wait",)]]
-        _compile_multi(Schedule.from_ops(8, warm, [[]] * 8), self.MACHINE)
+        compile_schedule(Schedule.from_ops(8, warm, [[]] * 8), self.MACHINE)
         assert 3 in routes_for(self.MACHINE).rows
         ops = [None, None, [("send", -1, 1, 0), ("wait",)]] + [None] * 5
         self._assert_raises_like_engine(ops, "destination rank -1 out of range [0, 8)")
@@ -268,14 +268,14 @@ class TestCompilerRejects:
         schedule = Schedule.from_ops(2, self.OPS, [[], [0, bad]])
         text = rf"^rank 1 delivers block {bad}, out of range \[0, 2\)$"
         with pytest.raises(ValueError, match=text):
-            _compile_multi(schedule, _machine(nodes=1, sockets=1, rps=2))
+            compile_schedule(schedule, _machine(nodes=1, sockets=1, rps=2))
 
     def test_a_jitter_machine(self):
         machine = _machine(nodes=1, sockets=1, rps=2)
         jittery = dataclasses.replace(
             machine, params=dataclasses.replace(machine.params, jitter=0.1))
         with pytest.raises(ValueError, match="jitter-free"):
-            _compile_multi(Schedule.from_ops(2, self.OPS, [[], [0]]), jittery)
+            compile_schedule(Schedule.from_ops(2, self.OPS, [[], [0]]), jittery)
 
     def test_deliveries_share_the_rank_ids(self):
         # A delivery's source is the plan's one int object for that rank
@@ -287,7 +287,7 @@ class TestCompilerRejects:
         deliveries = [[] for _ in range(n)]
         deliveries[0] = [int(str(n - 1))]
         deliveries[n - 1] = [0]
-        plan = _compile_multi(Schedule.from_ops(n, ops, deliveries),
+        plan = compile_schedule(Schedule.from_ops(n, ops, deliveries),
                               _machine(nodes=10, sockets=2, rps=15))
         assert plan.deliveries[0] == (n - 1,) and plan.deliveries[n - 1] == (0,)
         assert plan.deliveries[1] == ()
@@ -385,11 +385,20 @@ class TestPlanCacheKeying:
                     assert auto.sim_path == "fastpath"
                     assert auto.simulated_time == des.simulated_time
                     assert auto.finish_times == des.finish_times
+                    assert auto.messages_sent == des.messages_sent
+                    assert auto.bytes_sent == des.bytes_sent
                     assert auto.results == des.results
             assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (2, 4)
             assert schedule_builds == ["common_neighbor"] * 2
         finally:
             reset_plan_cache()
+        # and each machine's schedule replays the engine field for field,
+        # its event count included
+        for machine in machines:
+            algorithm = get_algorithm("common_neighbor", k=4)
+            algorithm.setup(topology, machine)
+            _assert_identical(algorithm.schedule_for(_context(topology, machine)),
+                              machine, unit=MSG)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("naive", {}), ("common_neighbor", {"k": 4}),
@@ -484,6 +493,30 @@ class TestPlanCacheKeying:
                               machine_spec.build(), size, options=RunOptions(sim_mode="auto"))
             assert (PLAN_CACHE.misses, PLAN_CACHE.hits) == (len(cells), len(cells))
             assert len(schedule_builds) == len(cells)
+        finally:
+            reset_plan_cache()
+
+    def test_context_must_carry_the_set_up_objects(self):
+        # The key names the set-up pattern while a miss compiles for the
+        # context, so a context carrying any other topology or machine —
+        # an equal one included — is refused before the cache is read.
+        topology = TopologySpec("random", 16, density=0.4, seed=3).build()
+        machine = _machine(nodes=2, rps=4)
+        naive = get_algorithm("naive")
+        naive.setup(topology, machine)
+        others = (
+            _context(topology, _machine(nodes=4, rps=2)),
+            _context(topology, _machine(nodes=2, rps=4)),
+            _context(TopologySpec("random", 16, density=0.4, seed=3).build(), machine),
+        )
+        reset_plan_cache()
+        try:
+            for ctx in others:
+                with pytest.raises(ValueError, match="set up on"):
+                    multi_plan_for(naive, ctx)
+            assert (len(PLAN_CACHE), PLAN_CACHE.misses) == (0, 0)
+            multi_plan_for(naive, _context(topology, machine))
+            assert (len(PLAN_CACHE), PLAN_CACHE.misses) == (1, 1)
         finally:
             reset_plan_cache()
 

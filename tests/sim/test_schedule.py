@@ -23,7 +23,7 @@ import pytest
 
 from repro.collectives.base import ExecutionContext, get_algorithm, list_algorithms
 from repro.exec.spec import MachineSpec, TopologySpec
-from repro.sim.fastpath import _compile_multi
+from repro.sim.fastpath import compile_schedule
 from repro.sim.schedule import Schedule, encode_ops, static_matching
 from tests.sim.test_executor_differential import _random_schedule
 
@@ -220,11 +220,11 @@ def test_a_compiled_plan_holds_few_bytes_per_message():
     # read about 227 B without deliveries.
     algorithm, ctx = _built("naive", 264, 12, 0.3)
     schedule = algorithm.schedule_for(ctx)
-    _compile_multi(schedule, ctx.machine)  # resolves the route rows it needs
+    compile_schedule(schedule, ctx.machine)  # resolves the route rows it needs
     gc.collect()
     tracemalloc.start()
     try:
-        plan = _compile_multi(schedule, ctx.machine)
+        plan = compile_schedule(schedule, ctx.machine)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
